@@ -2,35 +2,24 @@
 //! (`ising_chain(12, 12)` — the example PR 3 measured at ≥ 99.9% solve
 //! wall). Emits a machine-readable **`BENCH_solver.json`** (override the
 //! path with `BENCH_SOLVER_JSON_PATH`): per-pass tier counts,
-//! interior-point iterations, and wall time, so CI can assert that the
-//! tiers are alive — and that tiering ON spends fewer IP iterations than
-//! tiering OFF on the same workload (**counts, not wall time**: the
-//! 1-core CI container can still verify it).
+//! interior-point iterations, and wall time, so CI can assert that Tier 0
+//! is alive — and that the fast policy spends fewer IP iterations than the
+//! exact one on the same workload (**counts, not wall time**, so any
+//! runner verifies it deterministically).
 //!
 //! Passes (see `docs/PERFORMANCE.md` for how to read the artifact):
 //!
-//! * `bitflip_exact` — tiering OFF, Pauli noise: every judgment is a cold
+//! * `bitflip_exact` — exact policy, Pauli noise: every judgment is a cold
 //!   SDP solve (the pre-tiering engine; the iteration baseline).
-//! * `bitflip_fast` — tiering ON, same requests: bit-flip noise is a
+//! * `bitflip_fast` — fast policy, same requests: bit-flip noise is a
 //!   Pauli mixture, so Tier 0 answers **every** judgment analytically —
 //!   zero IP iterations.
 //! * `ampdamp_seed` — amplitude damping (no Pauli structure → no Tier 0)
-//!   solved cold at δ quantum 1e-6, persisting its certificates to a
-//!   store. This is "yesterday's service run".
-//! * `ampdamp_rebucket_cold` — a fresh engine warmed from that store,
-//!   re-analyzed at δ quantum 1.1e-6 with tiering OFF: every key misses
-//!   (the quantum is part of the content address), so everything solves
-//!   cold. The Tier-1 control.
-//! * `ampdamp_rebucket_warm` — identical setup with warm starts allowed:
-//!   every solve finds a neighboring donor dual (same gate/Kraus/ρ′,
-//!   δ_eff within a bucket) and starts the interior-point iteration from
-//!   it. Fewer iterations, same certified bounds.
+//!   solved cold at δ quantum 1e-6.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gleipnir_circuit::Gate;
-use gleipnir_core::{
-    unconstrained_diamond, AnalysisRequest, CertStore, Engine, Method, Report, TierPolicy,
-};
+use gleipnir_core::{unconstrained_diamond, AnalysisRequest, Engine, Method, Report, TierPolicy};
 use gleipnir_noise::{classify_residual, Channel, NoiseModel};
 use gleipnir_sdp::{SolverOptions, SolverProfile};
 use gleipnir_workloads::ising_chain;
@@ -52,13 +41,6 @@ fn request(noise: NoiseModel, quantum: f64, tiers: TierPolicy) -> AnalysisReques
         .expect("valid request")
 }
 
-fn warm_only() -> TierPolicy {
-    TierPolicy {
-        closed_form: false,
-        warm_start: true,
-    }
-}
-
 /// One machine-readable pass record.
 struct Pass {
     name: &'static str,
@@ -67,7 +49,6 @@ struct Pass {
     sdp_solves: usize,
     cache_hits: usize,
     closed_form: usize,
-    warm: usize,
     cold: usize,
     ip_iterations: usize,
     wall_ms: f64,
@@ -93,7 +74,6 @@ fn pass(
         sdp_solves: report.sdp_solves(),
         cache_hits: report.cache_hits(),
         closed_form: tiers.closed_form,
-        warm: tiers.warm,
         cold: tiers.cold,
         ip_iterations: report.ip_iterations(),
         wall_ms,
@@ -113,60 +93,25 @@ fn emit_json() {
         "bitflip:1e-4",
         "exact",
         &Engine::new(),
-        &request(bitflip(), 1e-6, TierPolicy::exact()),
+        &request(bitflip(), 1e-6, TierPolicy::Exact),
     );
     let on = pass(
         "bitflip_fast",
         "bitflip:1e-4",
         "fast",
         &Engine::new(),
-        &request(bitflip(), 1e-6, TierPolicy::fast()),
+        &request(bitflip(), 1e-6, TierPolicy::Fast),
     );
 
-    // Tier 1 demonstration: seed a store at quantum 1e-6, then re-analyze
-    // at 1.1e-6 (every content address changes) cold vs warm-started.
-    let store_dir = std::env::temp_dir().join(format!(
-        "gleipnir-solver-tiers-bench-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&store_dir);
-    let seed_engine = Engine::new();
-    let mut store = CertStore::open(&store_dir).expect("store dir");
     let seed = pass(
         "ampdamp_seed",
         "ampdamp:1e-4",
         "exact",
-        &seed_engine,
-        &request(ampdamp(), 1e-6, TierPolicy::exact()),
+        &Engine::new(),
+        &request(ampdamp(), 1e-6, TierPolicy::Exact),
     );
-    store.persist_new(&seed_engine).expect("persist seed certs");
 
-    let loaded = |label: &str| -> Engine {
-        let engine = Engine::new();
-        let stats = CertStore::open(&store_dir)
-            .expect("store dir")
-            .load_into(&engine)
-            .expect("load store");
-        assert!(stats.loaded > 0, "{label}: store should warm the engine");
-        engine
-    };
-    let rebucket_cold = pass(
-        "ampdamp_rebucket_cold",
-        "ampdamp:1e-4",
-        "exact",
-        &loaded("cold"),
-        &request(ampdamp(), 1.1e-6, TierPolicy::exact()),
-    );
-    let rebucket_warm = pass(
-        "ampdamp_rebucket_warm",
-        "ampdamp:1e-4",
-        "warm",
-        &loaded("warm"),
-        &request(ampdamp(), 1.1e-6, warm_only()),
-    );
-    let _ = std::fs::remove_dir_all(&store_dir);
-
-    let passes = [&off, &on, &seed, &rebucket_cold, &rebucket_warm];
+    let passes = [&off, &on, &seed];
     let pass_json: Vec<String> = passes
         .iter()
         .map(|s| {
@@ -174,7 +119,7 @@ fn emit_json() {
                 concat!(
                     "{{\"name\":\"{}\",\"noise\":\"{}\",\"policy\":\"{}\",",
                     "\"sdp_solves\":{},\"cache_hits\":{},",
-                    "\"tiers\":{{\"closed_form\":{},\"warm\":{},\"cold\":{}}},",
+                    "\"tiers\":{{\"closed_form\":{},\"cold\":{}}},",
                     "\"ip_iterations\":{},\"wall_ms\":{:.3},\"error_bound\":{:e},",
                     "\"profile\":{{\"setup_ms\":{:.3},\"residual_ms\":{:.3},",
                     "\"schur_ms\":{:.3},\"factor_ms\":{:.3},\"direction_ms\":{:.3},",
@@ -187,7 +132,6 @@ fn emit_json() {
                 s.sdp_solves,
                 s.cache_hits,
                 s.closed_form,
-                s.warm,
                 s.cold,
                 s.ip_iterations,
                 s.wall_ms,
@@ -209,8 +153,6 @@ fn emit_json() {
             "{{\"bench\":\"solver_tiers\",",
             "\"workload\":{{\"name\":\"ising_chain_12x12\",\"qubits\":{},\"gates\":{},\"width\":{}}},",
             "\"ising288_ip_iterations\":{{\"tiering_off\":{},\"tiering_on\":{}}},",
-            "\"warm_vs_cold\":{{\"cold_ip_iterations\":{},\"warm_ip_iterations\":{},",
-            "\"cold_wall_ms\":{:.3},\"warm_wall_ms\":{:.3}}},",
             "\"passes\":[{}]}}\n"
         ),
         p.n_qubits(),
@@ -218,10 +160,6 @@ fn emit_json() {
         WIDTH,
         off.ip_iterations,
         on.ip_iterations,
-        rebucket_cold.ip_iterations,
-        rebucket_warm.ip_iterations,
-        rebucket_cold.wall_ms,
-        rebucket_warm.wall_ms,
         pass_json.join(",")
     );
     // Default to the repo root so `cargo bench` from anywhere in the
@@ -250,7 +188,7 @@ fn bench_per_gate(c: &mut Criterion) {
                 .expect("Pauli closed form")
         })
     });
-    group.bench_function("tier2_cold_sdp", |b| {
+    group.bench_function("cold_sdp", |b| {
         b.iter(|| unconstrained_diamond(&gate, &noisy, &SolverOptions::default()).unwrap())
     });
     group.finish();

@@ -20,11 +20,10 @@ use crate::engine::{self, EngineHandle};
 use crate::request::AnalysisRequest;
 use crate::tiers::{closed_form_gate_bound, TierCounts};
 use crate::{unconstrained_diamond, AnalysisError};
-use gleipnir_circuit::{Gate, Program};
+use gleipnir_circuit::Gate;
 use gleipnir_linalg::CMat;
-use gleipnir_noise::NoiseModel;
 use gleipnir_sdp::SolverOptions;
-use gleipnir_sim::{BasisState, DensityMatrix};
+use gleipnir_sim::DensityMatrix;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -44,9 +43,8 @@ pub struct WorstCaseReport {
     /// How the bound engine's tiers answered the gates. Worst case is the
     /// one method where Tier 0 is *lossless*: the unconstrained diamond
     /// norm is exactly what the closed form certifies, so under
-    /// [`crate::TierPolicy::fast`] every Pauli-type gate skips its SDP
-    /// with no extra looseness. (Tier 1 does not apply — unconstrained
-    /// problems have no δ neighborhood to ride.)
+    /// [`crate::TierPolicy::Fast`] every Pauli-type gate skips its SDP
+    /// with no extra looseness.
     pub tier_counts: TierCounts,
     /// Interior-point iterations the analysis's SDP solves spent.
     pub ip_iterations: usize,
@@ -132,7 +130,7 @@ pub(crate) fn run_worst_case(
         // Tier 0: for the unconstrained norm the closed form is lossless
         // (it certifies exactly this quantity); never cached, like the
         // solve stage.
-        if tiers.closed_form {
+        if tiers == crate::TierPolicy::Fast {
             if let Some(eps) = closed_form_gate_bound(&g.gate.matrix(), &noisy) {
                 tier_counts.closed_form += 1;
                 local.insert(key, (eps, true));
@@ -154,7 +152,6 @@ pub(crate) fn run_worst_case(
                             dim: g.gate.matrix().rows() as u32,
                             n_kraus: noisy.kraus().len() as u32,
                             dual: std::sync::Arc::new(r.dual),
-                            tier: r.tier,
                         },
                     );
                 }
@@ -196,20 +193,7 @@ pub(crate) fn run_lqr_full_sim(
         AnalysisError::Unsupported("LQR-full-sim baseline requires a basis input state".into())
     })?;
     let start = Instant::now();
-    let bound = lqr_full_sim_impl(request.program(), input, request.noise(), opts)?;
-    Ok(LqrReport {
-        bound,
-        gate_count: request.program().gate_count(),
-        elapsed: start.elapsed(),
-    })
-}
-
-fn lqr_full_sim_impl(
-    program: &Program,
-    input: &BasisState,
-    noise: &NoiseModel,
-    opts: &SolverOptions,
-) -> Result<f64, AnalysisError> {
+    let program = request.program();
     if input.n_qubits() != program.n_qubits() {
         return Err(AnalysisError::WidthMismatch {
             input: input.n_qubits(),
@@ -227,16 +211,20 @@ fn lqr_full_sim_impl(
     })?;
 
     let mut rho = DensityMatrix::from_basis(input);
-    let mut total = 0.0;
+    let mut bound = 0.0;
     for g in gates {
         let qubits: Vec<usize> = g.qubits.iter().map(|q| q.0).collect();
         let rho_prime = exact_local_density(&rho, &qubits);
-        let noisy = noise.noisy_gate(&g.gate, &g.qubits);
+        let noisy = request.noise().noisy_gate(&g.gate, &g.qubits);
         let r = rho_delta_diamond(&g.gate.matrix(), &noisy, &rho_prime, 0.0, opts)?;
-        total += r.bound;
+        bound += r.bound;
         rho.apply_gate(&g.gate, &g.qubits);
     }
-    Ok(total)
+    Ok(LqrReport {
+        bound,
+        gate_count: program.gate_count(),
+        elapsed: start.elapsed(),
+    })
 }
 
 /// The exact reduced density matrix on `qubits` in operand order.
@@ -257,52 +245,13 @@ fn exact_local_density(rho: &DensityMatrix, qubits: &[usize]) -> CMat {
     }
 }
 
-/// One-shot worst-case analysis, kept as a shim over a private engine.
-///
-/// # Errors
-///
-/// [`AnalysisError`] if an SDP fails.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Engine::analyze` with `Method::WorstCase` (see README's migration table)"
-)]
-pub fn worst_case_bound(
-    program: &Program,
-    noise: &NoiseModel,
-    opts: &SolverOptions,
-) -> Result<WorstCaseReport, AnalysisError> {
-    let engine = crate::Engine::with_options(*opts)?;
-    let request = AnalysisRequest::builder(program.clone())
-        .noise(noise.clone())
-        .method(crate::Method::WorstCase)
-        .build()?;
-    run_worst_case(&engine.handle(), &request)
-}
-
-/// One-shot LQR-full-sim analysis, kept as a shim.
-///
-/// # Errors
-///
-/// [`AnalysisError::Unsupported`] for branching programs or oversized
-/// registers, or SDP failures.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Engine::analyze` with `Method::LqrFullSim` (see README's migration table)"
-)]
-pub fn lqr_full_sim_bound(
-    program: &Program,
-    input: &BasisState,
-    noise: &NoiseModel,
-    opts: &SolverOptions,
-) -> Result<f64, AnalysisError> {
-    lqr_full_sim_impl(program, input, noise, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{AnalysisRequest, Engine, Method, Report};
-    use gleipnir_circuit::ProgramBuilder;
+    use gleipnir_circuit::{Program, ProgramBuilder};
+    use gleipnir_noise::NoiseModel;
+    use gleipnir_sim::BasisState;
 
     fn worst_case(program: &Program, noise: &NoiseModel) -> WorstCaseReport {
         let engine = Engine::new();
@@ -375,7 +324,7 @@ mod tests {
         let request = AnalysisRequest::builder(b.build())
             .noise(NoiseModel::uniform_bit_flip(p))
             .method(Method::WorstCase)
-            .tiering(crate::TierPolicy::fast())
+            .tiering(crate::TierPolicy::Fast)
             .build()
             .unwrap();
         let report = match engine.analyze(&request).unwrap() {

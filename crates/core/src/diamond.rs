@@ -33,12 +33,9 @@
 //! [`gleipnir_sdp::SdpSolution::certified_dual_bound`], valid even with
 //! residual dual infeasibility — not the primal estimate.
 
-use crate::tiers::BoundTier;
 use gleipnir_linalg::{herm_to_real_sym, CMat};
 use gleipnir_noise::{choi_of_unitary, Channel};
-use gleipnir_sdp::{
-    SdpError, SdpProblem, SdpSolution, SdpStatus, SolverOptions, SolverProfile, SparseSym,
-};
+use gleipnir_sdp::{SdpError, SdpProblem, SdpStatus, SolverOptions, SolverProfile, SparseSym};
 use std::fmt;
 
 /// The outcome of a diamond-norm SDP.
@@ -59,9 +56,6 @@ pub struct DiamondResult {
     /// ([`gleipnir_sdp::SdpProblem::certified_dual_bound_for`]); the
     /// persistent certificate store re-checks exactly this on load.
     pub dual: Vec<f64>,
-    /// Which tier of the bound engine produced this result (a cold
-    /// interior-point solve unless the tiered dispatch says otherwise).
-    pub tier: BoundTier,
     /// Per-phase wall-time profile of the interior-point solve behind this
     /// result (zeroed for closed-form answers).
     pub profile: SolverProfile,
@@ -192,30 +186,6 @@ pub fn rho_delta_diamond(
 ) -> Result<DiamondResult, DiamondError> {
     let (problem, trace_bound) = rho_delta_problem(ideal, noisy, rho_prime, delta)?;
     solve_problem(&problem, trace_bound, opts)
-}
-
-/// The `(ρ̂, δ)`-diamond norm solved with a **Tier 1 warm start**: the
-/// interior-point iteration begins from `warm_dual` (a neighboring cache
-/// entry's weak-duality vector — same gate/Kraus, nearby judgment). The
-/// returned bound is certified from the *final* iterate exactly like a
-/// cold solve, so a poor donor can cost iterations, never soundness; a
-/// donor the solver rejects outright (wrong length for this problem
-/// shape, non-finite entries) falls back to the cold start.
-pub(crate) fn rho_delta_diamond_warm(
-    ideal: &CMat,
-    noisy: &Channel,
-    rho_prime: &CMat,
-    delta: f64,
-    opts: &SolverOptions,
-    warm_dual: &[f64],
-) -> Result<DiamondResult, DiamondError> {
-    let (problem, trace_bound) = rho_delta_problem(ideal, noisy, rho_prime, delta)?;
-    match problem.solve_warm(opts, warm_dual) {
-        Ok(sol) => Ok(diamond_result(sol, trace_bound, BoundTier::WarmStarted)),
-        // A mismatched or malformed donor (or a numerical failure along
-        // the warm path) degrades to the cold solve — never to a wrong ε.
-        Err(_) => solve_problem(&problem, trace_bound, opts),
-    }
 }
 
 /// Builds the `(ρ̂, δ)`-diamond SDP without solving it — the
@@ -413,22 +383,16 @@ fn solve_problem(
     opts: &SolverOptions,
 ) -> Result<DiamondResult, DiamondError> {
     let sol = problem.solve(opts)?;
-    Ok(diamond_result(sol, trace_bound, BoundTier::ColdSolve))
-}
-
-/// Converts a solver iterate into the certified diamond result.
-fn diamond_result(sol: SdpSolution, trace_bound: f64, tier: BoundTier) -> DiamondResult {
     let bound = (-sol.certified_dual_bound(trace_bound)).max(0.0);
     let estimate = (-sol.primal_objective).max(0.0);
-    DiamondResult {
+    Ok(DiamondResult {
         bound,
         estimate,
         iterations: sol.iterations,
         converged: sol.status == SdpStatus::Optimal,
         dual: sol.y,
-        tier,
         profile: sol.profile,
-    }
+    })
 }
 
 /// Sanity helper used by tests and benches: a brute-force **lower** bound on

@@ -252,7 +252,7 @@ fn same_walk_config(
         && format!("{:?}", h.resolve_options(old)) == format!("{:?}", h.resolve_options(new))
         && old.cache_enabled() == new.cache_enabled()
         && old.delta_quantum().to_bits() == new.delta_quantum().to_bits()
-        && format!("{:?}", old.tier_policy()) == format!("{:?}", new.tier_policy())
+        && old.tier_policy() == new.tier_policy()
 }
 
 /// Plans both programs, sharing the prefix walk when the configurations

@@ -47,7 +47,7 @@ use crate::refine::{
 use crate::report::Report;
 use crate::request::{AnalysisRequest, Method};
 use crate::testkit::ScriptedGate;
-use crate::tiers::{BoundTier, TierStats, TierTotals};
+use crate::tiers::{TierStats, TierTotals};
 use crate::AnalysisError;
 use gleipnir_linalg::CMat;
 use gleipnir_sdp::{SdpError, SolverOptions};
@@ -65,28 +65,17 @@ const CACHE_SHARDS: usize = 16;
 
 /// A rendezvous for one in-flight SDP solve: the leading thread fills the
 /// result, every joining thread waits on it.
+#[derive(Default)]
 pub(crate) struct InflightSlot {
-    result: Mutex<Option<Result<(f64, BoundTier), DiamondError>>>,
+    result: Mutex<Option<Result<f64, DiamondError>>>,
     ready: Condvar,
-    /// Whether the lead is guaranteed to produce a cold (not warm-started)
-    /// certificate. Exact-policy lookups may only join cold leads — a
-    /// warm-started dual's ε bits are not bit-reproducible.
-    cold: bool,
 }
 
 impl InflightSlot {
-    fn new(cold: bool) -> Self {
-        InflightSlot {
-            result: Mutex::new(None),
-            ready: Condvar::new(),
-            cold,
-        }
-    }
-
     /// Blocks until the leading thread completes (or abandons) the solve.
     /// Progress is guaranteed: a lead is only ever held by a thread
     /// actively solving, and [`LeadGuard`] fills the slot even on panic.
-    pub(crate) fn wait(&self) -> Result<(f64, BoundTier), DiamondError> {
+    pub(crate) fn wait(&self) -> Result<f64, DiamondError> {
         let mut slot = lock(&self.result);
         loop {
             if let Some(result) = slot.as_ref() {
@@ -132,18 +121,12 @@ impl Drop for LeadGuard<'_> {
 
 /// The outcome of an in-flight-aware cache lookup.
 pub(crate) enum Lookup<'a> {
-    /// A finished certificate answered the judgment (ε plus the tier that
-    /// produced it).
-    Hit(f64, BoundTier),
+    /// A finished certificate answered the judgment.
+    Hit(f64),
     /// Another thread is solving this key right now; wait on the slot.
     Join(Arc<InflightSlot>),
     /// The caller won the lead: solve, then [`LeadGuard::complete`].
     Lead(LeadGuard<'a>),
-    /// The key is in flight under a possibly-warm lead the caller may not
-    /// trust (exact policy): solve privately, publish nothing. Rare race
-    /// path — only reachable when fast- and exact-policy requests overlap
-    /// on one key.
-    Bypass,
 }
 
 /// A cached, re-verifiable SDP certificate: the certified bound ε plus the
@@ -162,9 +145,6 @@ pub(crate) struct Certificate {
     pub n_kraus: u32,
     /// The weak-duality dual vector `y` behind `eps`.
     pub dual: Arc<Vec<f64>>,
-    /// Which tier produced `eps` (loaded store entries count as cold — the
-    /// solve that originally paid for them was one).
-    pub tier: BoundTier,
 }
 
 /// The engine's shared, content-addressed SDP bound cache with in-flight
@@ -172,11 +152,6 @@ pub(crate) struct Certificate {
 pub(crate) struct SdpCache {
     shards: Vec<Mutex<HashMap<Vec<u64>, Certificate>>>,
     inflight: Mutex<HashMap<Vec<u64>, Arc<InflightSlot>>>,
-    /// Tier-1 warm-start index: coarse neighbor key (ρ′ rounded to 1e-4,
-    /// δ coordinates zeroed) → the full keys of every stored certificate
-    /// matching it. [`SdpCache::nearest_dual`] searches one coarse bucket
-    /// instead of the whole store.
-    neighbors: Mutex<HashMap<Vec<u64>, Vec<Vec<u64>>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
     inflight_dedup: AtomicUsize,
@@ -186,60 +161,6 @@ pub(crate) struct SdpCache {
     inserts: AtomicUsize,
 }
 
-/// How far (in multiples of the queried δ bucket width) a stored
-/// certificate's effective δ may sit from the queried one and still donate
-/// its dual as a warm start. Beyond this the dual is too stale to help.
-const WARM_NEIGHBOR_WINDOW_BUCKETS: f64 = 8.0;
-
-/// Expected word count of a `(ρ̂, δ)` content address (see
-/// [`key_rho_delta`]); the warm-start index only trusts keys whose layout
-/// it can parse.
-fn rho_delta_key_len(dim: usize, n_kraus: usize) -> usize {
-    let dd2 = 2 * dim * dim;
-    1 + dd2 + 1 + n_kraus * dd2 + 1 + dd2 + 4
-}
-
-/// The coarse neighbor key of a `(ρ̂, δ)` content address: ρ′ rounded to
-/// 1e-4 per component (so judgments whose quantized ρ′ differ only in the
-/// fine digits collide) and the `(bucket, quantum)` δ coordinates zeroed
-/// (δ proximity is *searched* by [`SdpCache::nearest_dual`], not matched).
-/// `None` when the key is not a structurally valid `(ρ̂, δ)` address.
-fn warm_neighbor_coarse_key(key: &[u64], dim: usize, n_kraus: usize) -> Option<Vec<u64>> {
-    if key.first() != Some(&KEY_RHO_DELTA) || !(dim == 2 || dim == 4) || n_kraus == 0 {
-        return None;
-    }
-    if key.len() != rho_delta_key_len(dim, n_kraus) {
-        return None;
-    }
-    let dd2 = 2 * dim * dim;
-    let mut coarse = key.to_vec();
-    let rho_start = key.len() - 4 - dd2;
-    for w in &mut coarse[rho_start..rho_start + dd2] {
-        let v = f64::from_bits(*w);
-        if !v.is_finite() {
-            return None;
-        }
-        let c = (v * 1e4).round() / 1e4;
-        // Canonicalize −0.0 so it collides with +0.0.
-        *w = (if c == 0.0 { 0.0 } else { c }).to_bits();
-    }
-    let len = coarse.len();
-    coarse[len - 4] = 0;
-    coarse[len - 3] = 0;
-    Some(coarse)
-}
-
-/// The effective δ a `(ρ̂, δ)` key certifies: `bucket · quantum`.
-fn key_delta_eff(key: &[u64]) -> Option<f64> {
-    if key.len() < 4 {
-        return None;
-    }
-    let bucket = key[key.len() - 4];
-    let quantum = f64::from_bits(key[key.len() - 3]);
-    let delta = bucket as f64 * quantum;
-    delta.is_finite().then_some(delta)
-}
-
 impl SdpCache {
     fn new() -> Self {
         SdpCache {
@@ -247,7 +168,6 @@ impl SdpCache {
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
             inflight: Mutex::new(HashMap::new()),
-            neighbors: Mutex::new(HashMap::new()),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             inflight_dedup: AtomicUsize::new(0),
@@ -271,83 +191,10 @@ impl SdpCache {
         found
     }
 
-    /// Stores a certificate under its content address (and, for `(ρ̂, δ)`
-    /// certificates carrying a dual vector, registers it in the Tier-1
-    /// warm-start neighbor index).
+    /// Stores a certificate under its content address.
     pub(crate) fn insert(&self, key: Vec<u64>, cert: Certificate) {
-        let coarse = (!cert.dual.is_empty())
-            .then(|| warm_neighbor_coarse_key(&key, cert.dim as usize, cert.n_kraus as usize))
-            .flatten();
-        let full = coarse.as_ref().map(|_| key.clone());
         lock(self.shard(&key)).insert(key, cert);
         self.inserts.fetch_add(1, Ordering::Relaxed);
-        if let (Some(coarse), Some(full)) = (coarse, full) {
-            let mut map = lock(&self.neighbors);
-            let list = map.entry(coarse).or_default();
-            if !list.contains(&full) {
-                list.push(full);
-            }
-        }
-    }
-
-    /// Tier-1 probe: the best stored dual among the key's **neighbors** —
-    /// certificates for the same gate/Kraus/solver-options whose quantized
-    /// ρ′ agrees to coarse (1e-4) precision and whose effective δ lies
-    /// within [`WARM_NEIGHBOR_WINDOW_BUCKETS`] bucket widths of the
-    /// queried one (adjacent δ buckets, re-bucketed quanta, and fine-digit
-    /// ρ′ drift all qualify). The exact key itself never matches — that
-    /// would be a plain cache hit.
-    ///
-    /// Deterministic by construction: candidates are ranked by
-    /// `(|Δδ_eff|, key)` — a total order over the candidate *set*, which
-    /// for a fixed prior cache state does not depend on insertion order or
-    /// thread scheduling. No counter side effects.
-    pub(crate) fn nearest_dual(
-        &self,
-        key: &[u64],
-        dim: u32,
-        n_kraus: u32,
-    ) -> Option<Arc<Vec<f64>>> {
-        let coarse = warm_neighbor_coarse_key(key, dim as usize, n_kraus as usize)?;
-        let query_delta = key_delta_eff(key)?;
-        let quantum = f64::from_bits(key[key.len() - 3]);
-        if !(quantum.is_finite() && quantum > 0.0) {
-            return None;
-        }
-        let window = WARM_NEIGHBOR_WINDOW_BUCKETS * quantum;
-        // Rank under the index lock and clone only the winning key — the
-        // candidate lists hold full content addresses (hundreds of words
-        // each), and this probe runs once per keyed unit on the
-        // sequential dispatch path.
-        let donor: Vec<u64> = {
-            let map = lock(&self.neighbors);
-            let candidates = map.get(&coarse)?;
-            let mut best: Option<(f64, &Vec<u64>)> = None;
-            for cand in candidates {
-                if cand.as_slice() == key {
-                    continue;
-                }
-                let Some(delta) = key_delta_eff(cand) else {
-                    continue;
-                };
-                let dist = (delta - query_delta).abs();
-                if dist > window {
-                    continue;
-                }
-                let better = match &best {
-                    None => true,
-                    Some((bd, bk)) => dist < *bd || (dist == *bd && cand < *bk),
-                };
-                if better {
-                    best = Some((dist, cand));
-                }
-            }
-            best?.1.clone()
-        };
-        lock(self.shard(&donor))
-            .get(&donor)
-            .filter(|c| !c.dual.is_empty())
-            .map(|c| Arc::clone(&c.dual))
     }
 
     /// The monotonic insert counter (see the field docs).
@@ -376,75 +223,40 @@ impl SdpCache {
         lock(self.shard(key)).contains_key(key)
     }
 
-    /// Side-effect-free peek at a finished **cold** certificate's ε — the
-    /// anytime first answer's cache source. Deliberately narrower than
-    /// [`SdpCache::get`] on every axis the anytime soundness contract
-    /// cares about: no hit/miss counting (an anytime probe must not
-    /// perturb the pinned counter fixtures), no in-flight interaction
-    /// (first answers never join or lead a solve), and warm-started
-    /// certificates are invisible — a warm ε may sit *below* the cold
-    /// exact ε, which would break "every intermediate answer ≥ the final
-    /// refined ε" (SOUNDNESS.md obligation 8).
-    pub(crate) fn peek_cold(&self, key: &[u64]) -> Option<f64> {
-        lock(self.shard(key))
-            .get(key)
-            .filter(|c| c.tier == BoundTier::ColdSolve)
-            .map(|c| c.eps)
+    /// Side-effect-free peek at a finished certificate's ε — the anytime
+    /// first answer's cache source. Deliberately narrower than
+    /// [`SdpCache::get`]: no hit/miss counting (an anytime probe must not
+    /// perturb the pinned counter fixtures) and no in-flight interaction
+    /// (first answers never join or lead a solve).
+    pub(crate) fn peek(&self, key: &[u64]) -> Option<f64> {
+        lock(self.shard(key)).get(key).map(|c| c.eps)
     }
 
     /// In-flight-aware lookup: a finished certificate wins; otherwise the
     /// caller either joins the thread already solving this key or becomes
     /// the lead itself. Lock order is inflight-map → shard, and
     /// [`SdpCache::finish_lead`] never holds both, so the nesting is safe.
-    ///
-    /// `accept_warm` is the caller's tier trust: an exact-policy request
-    /// (`accept_warm == false`) never accepts a warm-produced certificate's
-    /// ε bits — a stored [`BoundTier::WarmStarted`] entry is treated as a
-    /// miss and re-led cold (the re-solve's insert overwrites the warm
-    /// entry), and an in-flight possibly-warm lead is [`Lookup::Bypass`]ed.
-    /// `lead_cold` declares what the caller would produce *if it leads*
-    /// (no warm-start dual in hand ⇒ cold), which is what later arrivals'
-    /// join decisions key off.
-    pub(crate) fn lookup_or_lead(
-        &self,
-        key: &[u64],
-        accept_warm: bool,
-        lead_cold: bool,
-    ) -> Lookup<'_> {
-        let usable = |c: &Certificate| accept_warm || c.tier != BoundTier::WarmStarted;
+    pub(crate) fn lookup_or_lead(&self, key: &[u64]) -> Lookup<'_> {
         // Fast path: a bare shard probe, no global lock. Certificates are
         // only ever added (outside `clear_cache`), so a hit here is final —
         // this keeps the warm-cache path as parallel as the 16-way
         // sharding intends.
-        if let Some((eps, tier)) = lock(self.shard(key))
-            .get(key)
-            .filter(|c| usable(c))
-            .map(|c| (c.eps, c.tier))
-        {
+        if let Some(eps) = lock(self.shard(key)).get(key).map(|c| c.eps) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Lookup::Hit(eps, tier);
+            return Lookup::Hit(eps);
         }
         let mut inflight = lock(&self.inflight);
         // Re-probe *under* the in-flight lock: a lead inserts into the
         // cache before removing its in-flight entry, so a racer that
         // missed the fast probe sees the key in at least one of the two
         // maps here.
-        if let Some((eps, tier)) = lock(self.shard(key))
-            .get(key)
-            .filter(|c| usable(c))
-            .map(|c| (c.eps, c.tier))
-        {
+        if let Some(eps) = lock(self.shard(key)).get(key).map(|c| c.eps) {
             drop(inflight);
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Lookup::Hit(eps, tier);
+            return Lookup::Hit(eps);
         }
         match inflight.entry(key.to_vec()) {
             Entry::Occupied(e) => {
-                if !accept_warm && !e.get().cold {
-                    drop(inflight);
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    return Lookup::Bypass;
-                }
                 let slot = Arc::clone(e.get());
                 drop(inflight);
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -452,7 +264,7 @@ impl SdpCache {
                 Lookup::Join(slot)
             }
             Entry::Vacant(v) => {
-                v.insert(Arc::new(InflightSlot::new(lead_cold)));
+                v.insert(Arc::default());
                 drop(inflight);
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 Lookup::Lead(LeadGuard {
@@ -464,10 +276,7 @@ impl SdpCache {
     }
 
     fn finish_lead(&self, key: Vec<u64>, result: Result<Certificate, DiamondError>) {
-        let published = result
-            .as_ref()
-            .map(|c| (c.eps, c.tier))
-            .map_err(Clone::clone);
+        let published = result.as_ref().map(|c| c.eps).map_err(Clone::clone);
         if let Ok(cert) = result {
             self.insert(key.clone(), cert);
         }
@@ -502,7 +311,6 @@ impl SdpCache {
         for s in &self.shards {
             lock(s).clear();
         }
-        lock(&self.neighbors).clear();
         // The in-flight map is deliberately left alone: clearing it would
         // orphan threads waiting on a slot. Leads complete and remove
         // their own entries.
@@ -969,7 +777,7 @@ impl Engine {
     ///
     /// Soundness (SOUNDNESS.md obligation 8): the first bound is a
     /// certified upper bound on the refined ε, and the refinement runs the
-    /// request under [`crate::TierPolicy::exact`] — its ε is bit-identical
+    /// request under [`crate::TierPolicy::Exact`] — its ε is bit-identical
     /// to a cold exact-policy [`Engine::analyze`] of the same request.
     /// Nothing on the first-answer path writes the cache, enters the
     /// in-flight dedup protocol, or perturbs the cache counters.
@@ -1074,7 +882,6 @@ mod tests {
             dim: 2,
             n_kraus: 1,
             dual: Arc::new(Vec::new()),
-            tier: BoundTier::ColdSolve,
         }
     }
 
@@ -1173,123 +980,16 @@ mod tests {
         assert_eq!(sequential.threads(), 1);
     }
 
-    /// A structurally valid `(ρ̂, δ)` key for the identity gate with one
-    /// identity Kraus operator, at the given ρ′ and δ bucket.
-    fn rho_delta_key(rho_diag: [f64; 2], bucket: u64, quantum: f64) -> Vec<u64> {
-        let gate = CMat::identity(2);
-        let kraus = vec![CMat::identity(2)];
-        let rho = CMat::diag_real(&rho_diag);
-        key_rho_delta(
-            &gate,
-            &kraus,
-            &rho,
-            bucket,
-            quantum,
-            &SolverOptions::default(),
-        )
-    }
-
-    fn cert_with_dual(eps: f64, dual: Vec<f64>) -> Certificate {
-        Certificate {
-            eps,
-            dim: 2,
-            n_kraus: 1,
-            dual: Arc::new(dual),
-            tier: BoundTier::ColdSolve,
-        }
-    }
-
-    #[test]
-    fn nearest_dual_finds_adjacent_bucket() {
-        let cache = SdpCache::new();
-        let donor_key = rho_delta_key([1.0, 0.0], 5, 1e-6);
-        cache.insert(donor_key, cert_with_dual(0.5, vec![1.0, 2.0]));
-        let query = rho_delta_key([1.0, 0.0], 6, 1e-6);
-        let dual = cache.nearest_dual(&query, 2, 1).expect("adjacent bucket");
-        assert_eq!(*dual, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn nearest_dual_prefers_the_closest_bucket() {
-        let cache = SdpCache::new();
-        cache.insert(
-            rho_delta_key([1.0, 0.0], 3, 1e-6),
-            cert_with_dual(0.5, vec![3.0]),
-        );
-        cache.insert(
-            rho_delta_key([1.0, 0.0], 9, 1e-6),
-            cert_with_dual(0.5, vec![9.0]),
-        );
-        let query = rho_delta_key([1.0, 0.0], 8, 1e-6);
-        let dual = cache.nearest_dual(&query, 2, 1).expect("neighbor in range");
-        assert_eq!(*dual, vec![9.0], "bucket 9 is closer to 8 than bucket 3");
-    }
-
-    #[test]
-    fn nearest_dual_ignores_far_buckets_and_self() {
-        let cache = SdpCache::new();
-        cache.insert(
-            rho_delta_key([1.0, 0.0], 5, 1e-6),
-            cert_with_dual(0.5, vec![1.0]),
-        );
-        // Beyond the window: no donor.
-        let far = rho_delta_key([1.0, 0.0], 5 + 100, 1e-6);
-        assert!(cache.nearest_dual(&far, 2, 1).is_none());
-        // The exact key is a cache hit's job, not a neighbor.
-        let same = rho_delta_key([1.0, 0.0], 5, 1e-6);
-        assert!(cache.nearest_dual(&same, 2, 1).is_none());
-    }
-
-    #[test]
-    fn nearest_dual_tolerates_fine_rho_drift_but_not_coarse() {
-        let cache = SdpCache::new();
-        cache.insert(
-            rho_delta_key([1.0, 0.0], 5, 1e-6),
-            cert_with_dual(0.5, vec![7.0]),
-        );
-        // ρ′ differing below the 1e-4 coarsening still matches…
-        let fine = rho_delta_key([1.0 - 3e-8, 3e-8], 5 + 1, 1e-6);
-        assert!(cache.nearest_dual(&fine, 2, 1).is_some());
-        // …a coarsely different ρ′ does not.
-        let coarse = rho_delta_key([0.9, 0.1], 5 + 1, 1e-6);
-        assert!(cache.nearest_dual(&coarse, 2, 1).is_none());
-    }
-
-    #[test]
-    fn nearest_dual_matches_across_quanta_by_delta_eff() {
-        // bucket 10 at quantum 1e-6 (δ_eff = 1e-5) should serve a query at
-        // bucket 9 with quantum 1.1e-6 (δ_eff = 9.9e-6): different keys,
-        // nearly identical judgments.
-        let cache = SdpCache::new();
-        cache.insert(
-            rho_delta_key([1.0, 0.0], 10, 1e-6),
-            cert_with_dual(0.5, vec![4.0]),
-        );
-        let query = rho_delta_key([1.0, 0.0], 9, 1.1e-6);
-        assert!(cache.nearest_dual(&query, 2, 1).is_some());
-    }
-
-    #[test]
-    fn dual_less_certificates_never_donate() {
-        let cache = SdpCache::new();
-        cache.insert(rho_delta_key([1.0, 0.0], 5, 1e-6), cert(0.5));
-        let query = rho_delta_key([1.0, 0.0], 6, 1e-6);
-        assert!(cache.nearest_dual(&query, 2, 1).is_none());
-    }
-
     #[test]
     fn inflight_lookup_leads_then_hits() {
         let cache = SdpCache::new();
         let key = vec![1u64, 2, 3];
-        match cache.lookup_or_lead(&key, true, true) {
+        match cache.lookup_or_lead(&key) {
             Lookup::Lead(guard) => guard.complete(Ok(cert(0.5))),
             _ => panic!("fresh key must be a lead"),
         }
-        match cache.lookup_or_lead(&key, true, true) {
-            Lookup::Hit(eps, tier) => {
-                assert_eq!(eps, 0.5);
-                assert_eq!(tier, BoundTier::ColdSolve);
-            }
+        match cache.lookup_or_lead(&key) {
+            Lookup::Hit(eps) => assert_eq!(eps, 0.5),
             _ => panic!("completed lead must be a hit"),
         }
         assert_eq!(cache.inflight.lock().unwrap().len(), 0, "entry removed");
@@ -1299,103 +999,39 @@ mod tests {
     fn abandoned_lead_unblocks_joiners_with_an_error() {
         let cache = Arc::new(SdpCache::new());
         let key = vec![9u64];
-        let guard = match cache.lookup_or_lead(&key, true, true) {
+        let guard = match cache.lookup_or_lead(&key) {
             Lookup::Lead(g) => g,
             _ => panic!("fresh key must be a lead"),
         };
-        let joiner = match cache.lookup_or_lead(&key, true, true) {
+        let joiner = match cache.lookup_or_lead(&key) {
             Lookup::Join(slot) => slot,
             _ => panic!("second lookup must join the in-flight solve"),
         };
         drop(guard); // simulates a panic unwinding through the solve
         assert!(joiner.wait().is_err(), "joiner must observe the failure");
         // The failed key is not cached; the next lookup leads again.
-        assert!(matches!(
-            cache.lookup_or_lead(&key, true, true),
-            Lookup::Lead(_)
-        ));
+        assert!(matches!(cache.lookup_or_lead(&key), Lookup::Lead(_)));
     }
 
     #[test]
     fn concurrent_leads_share_one_solve() {
         let cache = Arc::new(SdpCache::new());
         let key = vec![7u64, 7];
-        let guard = match cache.lookup_or_lead(&key, true, true) {
+        let guard = match cache.lookup_or_lead(&key) {
             Lookup::Lead(g) => g,
             _ => panic!("lead"),
         };
         let waiter = {
             let cache = Arc::clone(&cache);
             let key = key.clone();
-            std::thread::spawn(move || match cache.lookup_or_lead(&key, true, true) {
-                Lookup::Join(slot) => slot.wait().map(|(eps, _)| eps),
-                Lookup::Hit(eps, _) => Ok(eps),
-                Lookup::Lead(_) | Lookup::Bypass => panic!("only one lead per key"),
+            std::thread::spawn(move || match cache.lookup_or_lead(&key) {
+                Lookup::Join(slot) => slot.wait(),
+                Lookup::Hit(eps) => Ok(eps),
+                Lookup::Lead(_) => panic!("only one lead per key"),
             })
         };
         guard.complete(Ok(cert(0.25)));
         assert_eq!(waiter.join().unwrap().unwrap(), 0.25);
         assert_eq!(cache.get(&key), Some(0.25));
-    }
-
-    /// A warm-produced certificate (non-empty dual, `WarmStarted` tier).
-    fn warm_cert(eps: f64) -> Certificate {
-        Certificate {
-            eps,
-            dim: 2,
-            n_kraus: 1,
-            dual: Arc::new(vec![1.0]),
-            tier: BoundTier::WarmStarted,
-        }
-    }
-
-    #[test]
-    fn exact_lookups_never_hit_warm_certificates() {
-        let cache = SdpCache::new();
-        let key = rho_delta_key([1.0, 0.0], 5, 1e-6);
-        cache.insert(key.clone(), warm_cert(0.7));
-        // A fast-policy lookup accepts the warm entry…
-        match cache.lookup_or_lead(&key, true, false) {
-            Lookup::Hit(eps, tier) => {
-                assert_eq!(eps, 0.7);
-                assert_eq!(tier, BoundTier::WarmStarted);
-            }
-            _ => panic!("fast policy must accept a warm certificate"),
-        }
-        // …an exact-policy lookup re-leads a cold solve instead.
-        match cache.lookup_or_lead(&key, false, true) {
-            Lookup::Lead(guard) => guard.complete(Ok(cert(0.69))),
-            _ => panic!("exact policy must re-lead past a warm certificate"),
-        }
-        // The cold re-solve overwrote the warm entry for everyone.
-        match cache.lookup_or_lead(&key, false, true) {
-            Lookup::Hit(eps, tier) => {
-                assert_eq!(eps, 0.69);
-                assert_eq!(tier, BoundTier::ColdSolve);
-            }
-            _ => panic!("cold re-solve must be a hit"),
-        };
-    }
-
-    #[test]
-    fn exact_lookups_bypass_warm_inflight_leads() {
-        let cache = SdpCache::new();
-        let key = vec![3u64, 1, 4];
-        // A fast-policy lead with a warm-start dual in hand (cold = false).
-        let guard = match cache.lookup_or_lead(&key, true, false) {
-            Lookup::Lead(g) => g,
-            _ => panic!("fresh key must be a lead"),
-        };
-        // An exact-policy arrival may not join it…
-        assert!(matches!(
-            cache.lookup_or_lead(&key, false, true),
-            Lookup::Bypass
-        ));
-        // …but a fast-policy arrival may.
-        assert!(matches!(
-            cache.lookup_or_lead(&key, true, false),
-            Lookup::Join(_)
-        ));
-        guard.complete(Ok(warm_cert(0.5)));
     }
 }

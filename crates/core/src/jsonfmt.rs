@@ -92,8 +92,8 @@ pub fn report_json(label: &str, program: &Program, report: &Report) -> String {
     if report.as_state_aware().is_some() || report.as_worst_case().is_some() {
         let t = report.tier_counts();
         fields.push(format!(
-            "\"tiers\":{{\"closed_form\":{},\"warm\":{},\"cold\":{}}}",
-            t.closed_form, t.warm, t.cold
+            "\"tiers\":{{\"closed_form\":{},\"cold\":{}}}",
+            t.closed_form, t.cold
         ));
         fields.push(format!("\"ip_iterations\":{}", report.ip_iterations()));
     }
@@ -106,14 +106,13 @@ pub fn report_json(label: &str, program: &Program, report: &Report) -> String {
             .iter()
             .map(|s| {
                 format!(
-                    "{{\"width\":{},\"bound\":{},\"tn_delta\":{},\"sdp_solves\":{},\"cache_hits\":{},\"tiers\":{{\"closed_form\":{},\"warm\":{},\"cold\":{}}},\"ip_iterations\":{}}}",
+                    "{{\"width\":{},\"bound\":{},\"tn_delta\":{},\"sdp_solves\":{},\"cache_hits\":{},\"tiers\":{{\"closed_form\":{},\"cold\":{}}},\"ip_iterations\":{}}}",
                     s.width,
                     json_f64(s.bound),
                     json_f64(s.tn_delta),
                     s.sdp_solves,
                     s.cache_hits,
                     s.tier_counts.closed_form,
-                    s.tier_counts.warm,
                     s.tier_counts.cold,
                     s.ip_iterations
                 )

@@ -49,7 +49,6 @@ use gleipnir_linalg::CMat;
 use gleipnir_mps::Mps;
 use gleipnir_noise::NoiseModel;
 use gleipnir_sdp::{SolverOptions, SolverProfile};
-use gleipnir_sim::BasisState;
 use gleipnir_telemetry as telemetry;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -256,8 +255,8 @@ impl StateAwareReport {
     }
 
     /// How the bound engine answered this analysis's gate judgments, by
-    /// tier: closed forms, warm-started solves, cold solves. All zero
-    /// except `cold` under the default [`crate::TierPolicy::exact`].
+    /// tier: closed forms and cold solves. `closed_form` is zero under the
+    /// default [`crate::TierPolicy::Exact`].
     /// `gates = sdp_solves + cache_hits + tier_counts.closed_form` under
     /// every policy.
     pub fn tier_counts(&self) -> TierCounts {
@@ -273,9 +272,9 @@ impl StateAwareReport {
 
     /// Aggregated per-phase interior-point timings across this analysis's
     /// SDP solves (all-zero when every judgment was answered by cache hits
-    /// or closed forms). Phase walls sum across solves, so
-    /// `solver_profile().total_ms` approximates the CPU time spent inside
-    /// the solver, not the stage's wall clock.
+    /// or closed forms). Phase times sum across solves that ran on several
+    /// pool workers at once, so `solver_profile().total_ms` is the CPU time
+    /// spent inside the solver, not the stage's wall clock.
     pub fn solver_profile(&self) -> SolverProfile {
         self.solver_profile
     }
@@ -514,111 +513,12 @@ pub(crate) fn assemble_report(
     }
 }
 
-/// Configuration for the deprecated one-shot [`Analyzer`].
-#[deprecated(
-    since = "0.2.0",
-    note = "build an `AnalysisRequest` with `Method::StateAware` and run it on an `Engine`"
-)]
-#[derive(Clone, Debug)]
-pub struct AnalyzerConfig {
-    /// MPS bond-dimension budget `w` (paper Fig. 14's knob).
-    pub mps_width: usize,
-    /// Interior-point options for the per-gate SDPs.
-    pub sdp_options: SolverOptions,
-    /// Memoize per-gate SDP solves across identical judgments.
-    pub cache: bool,
-    /// δ bucket width used by the cache (default 1e-6).
-    pub delta_quantum: f64,
-}
-
-#[allow(deprecated)]
-impl AnalyzerConfig {
-    /// Default configuration with the given MPS width.
-    pub fn with_mps_width(w: usize) -> Self {
-        AnalyzerConfig {
-            mps_width: w,
-            sdp_options: SolverOptions::default(),
-            cache: true,
-            delta_quantum: 1e-6,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl Default for AnalyzerConfig {
-    /// The paper's §7.1 configuration: `w = 128`.
-    fn default() -> Self {
-        Self::with_mps_width(128)
-    }
-}
-
-/// The pre-[`crate::Engine`] one-shot entry point, kept as a thin shim over
-/// a private engine. Each `Analyzer` owns its own cache; to share
-/// certificates across analyses, widths, and threads, use an
-/// [`crate::Engine`] directly.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Engine::analyze` with an `AnalysisRequest` (see README's migration table)"
-)]
-#[derive(Debug)]
-#[allow(deprecated)]
-pub struct Analyzer {
-    engine: crate::Engine,
-    config: AnalyzerConfig,
-}
-
-#[allow(deprecated)]
-impl Analyzer {
-    /// Creates an analyzer with the given configuration.
-    pub fn new(config: AnalyzerConfig) -> Self {
-        Analyzer {
-            // The deprecated one-shot shim keeps its infallible signature;
-            // a malformed GLEIPNIR_THREADS panics here with a clear message
-            // (the `Engine` API surfaces it as `InvalidConfig` instead).
-            engine: crate::Engine::with_options(config.sdp_options)
-                .expect("GLEIPNIR_THREADS must be a non-negative integer"),
-            config,
-        }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &AnalyzerConfig {
-        &self.config
-    }
-
-    /// Analyzes a noisy program from a basis input state, producing the
-    /// judgment `(ρ̂₀, 0) ⊢ P̃_ω ≤ ε` as a [`StateAwareReport`].
-    ///
-    /// # Errors
-    ///
-    /// [`AnalysisError`] on width mismatch or SDP failure.
-    pub fn analyze(
-        &self,
-        program: &Program,
-        input: &BasisState,
-        noise: &NoiseModel,
-    ) -> Result<StateAwareReport, AnalysisError> {
-        let request = crate::AnalysisRequest::builder(program.clone())
-            .input(input)
-            .noise(noise.clone())
-            .method(crate::Method::StateAware {
-                mps_width: self.config.mps_width,
-            })
-            .cache(self.config.cache)
-            .delta_quantum(self.config.delta_quantum)
-            .build()?;
-        let report = self.engine.analyze(&request)?;
-        report
-            .into_state_aware()
-            .ok_or_else(|| AnalysisError::Unsupported("state-aware report expected".into()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{AnalysisRequest, Engine, Method, Report};
     use gleipnir_circuit::ProgramBuilder;
+    use gleipnir_sim::BasisState;
 
     fn bit_flip() -> NoiseModel {
         NoiseModel::uniform_bit_flip(1e-4)
@@ -868,17 +768,5 @@ mod tests {
         let report = analyze(&b.build(), &BasisState::zeros(4), 8);
         assert!(report.error_bound() > 0.0);
         assert!(report.error_bound() < 1.0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_analyzer_shim_still_works() {
-        let mut b = ProgramBuilder::new(2);
-        b.h(0).cnot(0, 1);
-        let report = Analyzer::new(AnalyzerConfig::with_mps_width(4))
-            .analyze(&b.build(), &BasisState::zeros(2), &bit_flip())
-            .unwrap();
-        assert!(report.error_bound() > 0.5e-4);
-        assert!(report.error_bound() < 2.5e-4);
     }
 }

@@ -34,13 +34,10 @@
 //!          dual: dual_len × f64                                  (all LE)
 //! ```
 //!
-//! `tier` records which solve path produced the ε bits — `0` for a cold
-//! interior-point solve, `1` for a warm-started one (other values are
-//! rejected). Version 1 omitted the field, so loaders had to assume every
-//! record was cold; an `exact`-policy request could then be served a
-//! warm-produced dual's ε bits through the shared cache. Version 2 makes
-//! the tier part of the record so [`verify_record`] restores it and the
-//! cache's exact-policy filtering keeps working across restarts.
+//! `tier` is always `0` (a cold interior-point solve) and any other value
+//! is rejected. Older binaries could stamp `1` on warm-started ε bits; such
+//! a record fails verification like any corrupt one, so its key degrades
+//! to a cache miss and is re-solved cold.
 //!
 //! When one key appears more than once the **last** record wins (append =
 //! supersede). A version bump makes old files *stale*: the loader rejects
@@ -298,14 +295,8 @@ impl CertStore {
             .into_iter()
             // A certificate without a weak-duality dual vector could never
             // re-certify on load (re-verification needs `y`), so it must
-            // not be written. The tiered engine keeps closed-form answers
-            // out of the cache entirely; this filter is the defensive
-            // backstop.
-            .filter(|(key, cert)| {
-                !matches!(cert.tier, crate::tiers::BoundTier::ClosedForm)
-                    && !cert.dual.is_empty()
-                    && !self.persisted.contains(key)
-            })
+            // not be written.
+            .filter(|(key, cert)| !cert.dual.is_empty() && !self.persisted.contains(key))
             .collect();
         if fresh.is_empty() {
             self.last_insert_count = Some(insert_snapshot);
@@ -501,12 +492,8 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 fn encode_record(out: &mut Vec<u8>, key: &[u64], cert: &Certificate) {
-    // Closed-form answers never reach the store (`persist_new` filters
-    // them), so the wire only has to distinguish cold from warm.
-    let tier: u32 = match cert.tier {
-        crate::tiers::BoundTier::WarmStarted => 1,
-        _ => 0,
-    };
+    // Every cached certificate comes from a cold solve (tier 0).
+    let tier: u32 = 0;
     let mut payload = Vec::with_capacity(28 + key.len() * 8 + cert.dual.len() * 8);
     payload.extend_from_slice(&cert.dim.to_le_bytes());
     payload.extend_from_slice(&cert.n_kraus.to_le_bytes());
@@ -625,11 +612,9 @@ fn verify_record(record: &Record) -> Result<Certificate, String> {
     if !record.eps.is_finite() || record.eps < 0.0 {
         return Err("non-finite or negative ε".into());
     }
-    let tier = match record.tier {
-        0 => crate::tiers::BoundTier::ColdSolve,
-        1 => crate::tiers::BoundTier::WarmStarted,
-        other => return Err(format!("unknown tier {other}")),
-    };
+    if record.tier != 0 {
+        return Err(format!("unknown tier {}", record.tier));
+    }
     let d = record.dim as usize;
     let n_kraus = record.n_kraus as usize;
     if !(d == 2 || d == 4) || n_kraus == 0 || n_kraus > 64 {
@@ -708,9 +693,6 @@ fn verify_record(record: &Record) -> Result<Certificate, String> {
         dim: record.dim,
         n_kraus: record.n_kraus,
         dual: Arc::new(record.dual.clone()),
-        // Restore the producing tier so exact-policy cache lookups keep
-        // filtering warm-produced ε bits across restarts and fleet syncs.
-        tier,
     })
 }
 
@@ -731,16 +713,19 @@ mod tests {
         dir
     }
 
-    fn populated_engine() -> Engine {
-        let engine = Engine::new();
+    fn populating_request() -> AnalysisRequest {
         let mut b = ProgramBuilder::new(2);
         b.h(0).cnot(0, 1).x(1).cnot(0, 1);
-        let request = AnalysisRequest::builder(b.build())
+        AnalysisRequest::builder(b.build())
             .noise(NoiseModel::uniform_bit_flip(1e-4))
             .method(Method::StateAware { mps_width: 4 })
             .build()
-            .unwrap();
-        engine.analyze(&request).unwrap();
+            .unwrap()
+    }
+
+    fn populated_engine() -> Engine {
+        let engine = Engine::new();
+        engine.analyze(&populating_request()).unwrap();
         assert!(engine.cache_stats().entries > 0);
         engine
     }
@@ -856,11 +841,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Rewrites the first record's tier field in place and fixes the
-    /// checksum so the structural layer still passes.
-    fn retag_first_tier(path: &Path, tier: u32) {
-        let mut bytes = std::fs::read(path).unwrap();
-        let rec_start = HEADER_LEN as usize;
+    /// Rewrites the tier field of the record framed at `rec_start` and
+    /// fixes its checksum so the structural layer still passes.
+    fn retag_tier(bytes: &mut [u8], rec_start: usize, tier: u32) {
         let payload_len =
             u32::from_le_bytes(bytes[rec_start..rec_start + 4].try_into().unwrap()) as usize;
         let payload_start = rec_start + 4;
@@ -869,7 +852,6 @@ mod tests {
         let sum = fnv1a64(&bytes[payload_start..payload_start + payload_len]);
         let sum_off = payload_start + payload_len;
         bytes[sum_off..sum_off + 8].copy_from_slice(&sum.to_le_bytes());
-        std::fs::write(path, &bytes).unwrap();
     }
 
     #[test]
@@ -880,28 +862,43 @@ mod tests {
         let mut store = CertStore::open(&dir).unwrap();
         store.persist_new(&engine).unwrap();
         let path = store.path().unwrap().to_path_buf();
+        let pristine = std::fs::read(&path).unwrap();
+        let (first, _) = decode_record(&pristine[HEADER_LEN as usize..]).unwrap();
+        assert_eq!(first.tier, 0, "every record is written cold");
 
-        // A warm-tagged record (same ε, same dual) still certificate-
-        // verifies and comes back tagged warm, so exact-policy filtering
-        // survives a restart.
-        retag_first_tier(&path, 1);
-        let fresh = Engine::new();
-        let stats = CertStore::open(&dir).unwrap().load_into(&fresh).unwrap();
-        assert_eq!(stats.loaded, entries, "{stats:?}");
-        let warm = fresh
-            .sdp_cache()
-            .export()
-            .into_iter()
-            .filter(|(_, c)| c.tier == crate::tiers::BoundTier::WarmStarted)
-            .count();
-        assert_eq!(warm, 1, "exactly the retagged record is warm");
+        // Tier 1 (stamped on warm-started ε bits by older binaries) and an
+        // unknown value alike are rejections, not guesses.
+        for tier in [1, 7] {
+            let mut bytes = pristine.clone();
+            retag_tier(&mut bytes, HEADER_LEN as usize, tier);
+            std::fs::write(&path, &bytes).unwrap();
+            let fresh = Engine::new();
+            let stats = CertStore::open(&dir).unwrap().load_into(&fresh).unwrap();
+            assert_eq!(stats.rejected, 1, "tier {tier}: {stats:?}");
+            assert_eq!(stats.loaded, entries - 1);
+            assert!(!fresh.sdp_cache().contains(&first.key));
 
-        // An unknown tier value is a rejection, not a guess.
-        retag_first_tier(&path, 7);
-        let fresh2 = Engine::new();
-        let stats = CertStore::open(&dir).unwrap().load_into(&fresh2).unwrap();
+            // The rejected key is a plain miss: the next analysis re-solves
+            // it cold, reproducing the original ε bits.
+            let report = fresh.analyze(&populating_request()).unwrap();
+            assert_eq!(report.sdp_solves(), 1, "tier {tier}");
+            let resolved = fresh
+                .sdp_cache()
+                .export()
+                .into_iter()
+                .find(|(k, _)| *k == first.key)
+                .expect("re-solved key is cached")
+                .1;
+            assert_eq!(resolved.eps.to_bits(), first.eps.to_bits(), "tier {tier}");
+        }
+
+        // The same record arriving from a peer is rejected by fleet sync.
+        // Records follow the 24-byte sync header.
+        let mut sync = store.encode_since(0);
+        retag_tier(&mut sync, 24, 1);
+        let stats = import_sync(&sync, &Engine::new()).unwrap();
         assert_eq!(stats.rejected, 1, "{stats:?}");
-        assert_eq!(stats.loaded, entries - 1);
+        assert_eq!(stats.added, entries - 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

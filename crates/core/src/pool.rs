@@ -146,9 +146,8 @@ struct PoolShared {
 /// A fixed-size pool of worker threads executing submitted jobs FIFO.
 ///
 /// Workers are spawned **lazily on the first submitted job**: engines
-/// built for pool-free work (the deprecated one-shot shims, worst-case /
-/// LQR requests, CLI commands that never analyze) pay nothing for the
-/// configured cap.
+/// built for pool-free work (worst-case / LQR requests, CLI commands
+/// that never analyze) pay nothing for the configured cap.
 pub(crate) struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Mutex<Vec<JoinHandle<()>>>,

@@ -14,7 +14,7 @@
 //! obligation 8).
 //!
 //! The **refinement** is the unmodified exact analysis (the request
-//! re-run under [`TierPolicy::exact`](crate::TierPolicy::exact)), pushed
+//! re-run under [`TierPolicy::Exact`](crate::TierPolicy::Exact)), pushed
 //! onto the engine's worker pool in the
 //! [`PriorityClass::Refinement`](crate::PriorityClass::Refinement) class
 //! and published here under a [`RefineToken`] for clients to poll
@@ -353,10 +353,7 @@ pub(crate) fn compute_first_answer(
         .obligations
         .iter()
         .map(|ob| {
-            let peeked = ob
-                .cached
-                .as_ref()
-                .and_then(|c| h.shared.cache.peek_cold(&c.key));
+            let peeked = ob.cached.as_ref().and_then(|c| h.shared.cache.peek(&c.key));
             match peeked {
                 Some(eps) => {
                     sources.cache += 1;

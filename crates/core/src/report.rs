@@ -95,7 +95,7 @@ impl Report {
     /// How the bound engine's tiers answered the gate judgments (for
     /// adaptive: summed over the trajectory; all zero for methods that
     /// never hit the tiered solve stage). Under the default
-    /// [`crate::TierPolicy::exact`] everything lands in
+    /// [`crate::TierPolicy::Exact`] everything lands in
     /// [`TierCounts::cold`].
     pub fn tier_counts(&self) -> TierCounts {
         match self {
@@ -127,8 +127,9 @@ impl Report {
     /// Aggregated per-phase interior-point solver timings (for adaptive:
     /// summed over the trajectory; all-zero for methods that never reach
     /// the SDP solver, and for analyses answered entirely by cache hits or
-    /// closed forms). Phase walls accumulate across solves, so `total_ms`
-    /// approximates solver CPU time rather than the analysis's wall clock.
+    /// closed forms). Phase times accumulate across solves that ran on
+    /// several pool workers, so `total_ms` is solver CPU time rather than
+    /// the analysis's wall clock.
     pub fn solver_profile(&self) -> SolverProfile {
         match self {
             Report::StateAware(r) => r.solver_profile(),

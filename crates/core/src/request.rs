@@ -217,7 +217,7 @@ impl AnalysisRequest {
             solver_options: None,
             cache: true,
             delta_quantum: 1e-6,
-            tiers: TierPolicy::exact(),
+            tiers: TierPolicy::Exact,
             program,
         }
     }
@@ -260,19 +260,19 @@ impl AnalysisRequest {
     }
 
     /// Which tiers of the bound engine this request may use (default
-    /// [`TierPolicy::exact`] — cold solves only, bit-identical to the
+    /// [`TierPolicy::Exact`] — cold solves only, bit-identical to the
     /// pre-tiering engine).
     pub fn tier_policy(&self) -> TierPolicy {
         self.tiers
     }
 
-    /// This request with its tier policy forced to [`TierPolicy::exact`] —
+    /// This request with its tier policy forced to [`TierPolicy::Exact`] —
     /// what an anytime refinement runs, so the refined ε is bit-identical
     /// to a cold exact-policy analysis of the same request regardless of
     /// the tiering the caller asked for.
     pub(crate) fn exact_clone(&self) -> AnalysisRequest {
         let mut exact = self.clone();
-        exact.tiers = TierPolicy::exact();
+        exact.tiers = TierPolicy::Exact;
         exact
     }
 }
@@ -330,11 +330,10 @@ impl AnalysisRequestBuilder {
     }
 
     /// Selects the bound-engine tiers this request may use (default
-    /// [`TierPolicy::exact`]). [`TierPolicy::fast`] answers Pauli-type
-    /// channels with the certified closed form and warm-starts the
-    /// remaining SDPs from neighboring cached duals; every tier's answer
-    /// stays a sound certified upper bound, but the produced ε may differ
-    /// at the bit level from an exact-policy run.
+    /// [`TierPolicy::Exact`]). [`TierPolicy::Fast`] answers Pauli-type
+    /// channels with the certified closed form and solves the rest cold;
+    /// the closed form stays a sound certified upper bound, but the
+    /// produced ε may differ at the bit level from an exact-policy run.
     pub fn tiering(mut self, tiers: TierPolicy) -> Self {
         self.tiers = tiers;
         self

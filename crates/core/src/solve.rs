@@ -9,17 +9,14 @@
 //!
 //! * **cache hit / in-flight join** — a finished certificate (or a solve
 //!   already running on another thread) answers it outright;
-//! * **Tier 0, closed form** — the noisy gate's residual channel is
-//!   Pauli-type, so the certified analytic bound substitutes for the SDP
-//!   (zero interior-point iterations). The value is *not* cached and never
-//!   enters the in-flight protocol — it is cheaper to recompute than to
-//!   store, and keeping it out of both means exact-policy requests on the
-//!   same engine can never observe it (not even by joining a concurrent
-//!   fast-policy solve);
-//! * **Tier 1, warm-started solve** — a neighboring cached certificate
-//!   (same gate/Kraus, coarse-equal ρ′, nearby δ_eff) donates its dual
-//!   vector as the interior-point starting iterate;
-//! * **Tier 2, cold solve** — the classic solve.
+//! * **Tier 0, closed form** (fast policy only) — the noisy gate's
+//!   residual channel is Pauli-type, so the certified analytic bound
+//!   substitutes for the SDP (zero interior-point iterations). The value is
+//!   *not* cached and never enters the in-flight protocol — it is cheaper
+//!   to recompute than to store, and keeping it out of both means
+//!   exact-policy requests on the same engine can never observe it (not
+//!   even by joining a concurrent fast-policy solve);
+//! * **cold solve** — the classic interior-point solve.
 //!
 //! ## Deduplication, determinism, and accounting
 //!
@@ -33,13 +30,10 @@
 //! accounting are identical for any pool size** — including 1, which is
 //! byte-for-byte the sequential analysis.
 //!
-//! Tiering preserves that invariant: warm-start donors are chosen by a
-//! *sequential* pre-dispatch probe ([`crate::engine::SdpCache::nearest_dual`])
-//! over the cache as it stood before this stage's own solves, with a total
-//! order on candidates — so for a fixed engine state the tier decisions
-//! (and hence every ε bit) are independent of scheduling. With the default
-//! [`TierPolicy::exact`] the stage is bit-identical to the pre-tiering
-//! engine.
+//! Tiering preserves that invariant: the closed form is a pure function of
+//! the gate and its channel, so the tier decisions (and hence every ε bit)
+//! are independent of scheduling. With the default [`TierPolicy::Exact`]
+//! the stage is bit-identical to the pre-tiering engine.
 //!
 //! The stats mirror what the old sequential walk counted: the first
 //! obligation of a key is the solve (or the hit, if a certificate
@@ -51,7 +45,7 @@
 //! `cache_hits`, so `gates = sdp_solves + cache_hits + closed_form` under
 //! any policy.
 
-use crate::diamond::{rho_delta_diamond, rho_delta_diamond_warm};
+use crate::diamond::rho_delta_diamond;
 use crate::engine::{Certificate, EngineHandle, Lookup};
 use crate::error::AnalysisError;
 use crate::plan::SolveObligation;
@@ -70,11 +64,12 @@ pub(crate) struct SolveOutcome {
     /// Certified bounds, indexed like the plan's obligation list.
     pub epsilons: Vec<f64>,
     /// Which tier produced each ε, indexed like `epsilons` (cache hits and
-    /// in-flight joins report the tier of the certificate that answered
-    /// them). The differential analyzer names these per changed gate.
+    /// in-flight joins report [`BoundTier::ColdSolve`]: every certificate
+    /// comes from a cold solve). The differential analyzer names these per
+    /// changed gate.
     pub tiers: Vec<BoundTier>,
-    /// SDPs actually solved by this stage (warm + cold; Tier 0 answers are
-    /// counted in `tier_counts.closed_form` instead).
+    /// SDPs actually solved by this stage (Tier 0 answers are counted in
+    /// `tier_counts.closed_form` instead).
     pub sdp_solves: usize,
     /// Judgments answered from the engine's cache (or by folding onto a
     /// solve this stage performed once).
@@ -109,20 +104,18 @@ enum Unit {
 
 /// How a unit's value was obtained (drives the accounting).
 enum UnitValue {
-    /// This stage answered it via a bound-engine tier.
-    Answered {
+    /// This stage answered it with the Tier 0 closed form.
+    ClosedForm(f64),
+    /// This stage paid for a cold interior-point solve.
+    Solved {
         eps: f64,
-        tier: BoundTier,
-        /// Interior-point iterations (0 for Tier 0).
         iterations: usize,
-        /// Per-phase solver timings (zeroed for Tier 0).
         profile: SolverProfile,
     },
-    /// A finished certificate answered it (with the tier that produced the
-    /// certificate).
-    CacheHit(f64, BoundTier),
+    /// A finished certificate answered it.
+    CacheHit(f64),
     /// Another thread's in-flight solve answered it.
-    Joined(f64, BoundTier),
+    Joined(f64),
 }
 
 /// A dispatched-but-not-joined solve stage. The caller may overlap other
@@ -134,9 +127,7 @@ pub(crate) struct PendingSolve {
     n_obligations: usize,
 }
 
-/// Folds obligations into units, resolves Tier-1 warm-start donors
-/// (sequentially, against the pre-stage cache state), and dispatches the
-/// units over the pool.
+/// Folds obligations into units and dispatches them over the pool.
 pub(crate) fn spawn_solve(
     h: &EngineHandle,
     obligations: Vec<SolveObligation>,
@@ -163,34 +154,8 @@ pub(crate) fn spawn_solve(
     }
     drop(by_key); // releases the borrow on `obligations`
 
-    // Tier-1 donor resolution, strictly before dispatch: the probe sees
-    // only certificates that existed before this stage's own solves, so
-    // the donor choice (and therefore every warm-started ε) is a
-    // deterministic function of the pre-request engine state — pool size
-    // and scheduling can't change it.
-    let warm_duals: Vec<Option<Arc<Vec<f64>>>> = units
-        .iter()
-        .map(|u| {
-            if !policy.warm_start {
-                return None;
-            }
-            let Unit::Keyed(obs) = u else { return None };
-            let ob = &obligations[obs[0]];
-            let cached = ob.cached.as_ref().expect("keyed unit has a judgment");
-            if h.shared.cache.contains(&cached.key) {
-                return None; // a finished certificate will answer it
-            }
-            h.shared.cache.nearest_dual(
-                &cached.key,
-                ob.gate_matrix.rows() as u32,
-                ob.noisy.kraus().len() as u32,
-            )
-        })
-        .collect();
-
     let units = Arc::new(units);
     let obligations = Arc::new(obligations);
-    let warm_duals = Arc::new(warm_duals);
     let shared = Arc::clone(&h.shared);
     let task_units = Arc::clone(&units);
     // First failure cancels the units not yet claimed (the old sequential
@@ -210,10 +175,8 @@ pub(crate) fn spawn_solve(
             return Ok(None);
         }
         let claim_ns = telemetry::now_ns();
-        let mut via_bypass = false;
         let closed_form = |ob: &SolveObligation| -> Option<f64> {
-            policy
-                .closed_form
+            (policy == TierPolicy::Fast)
                 .then(|| closed_form_gate_bound(&ob.gate_matrix, &ob.noisy))
                 .flatten()
         };
@@ -221,12 +184,7 @@ pub(crate) fn spawn_solve(
             Unit::Exact(i) => {
                 let ob = &obligations[*i];
                 match closed_form(ob) {
-                    Some(eps) => Ok(UnitValue::Answered {
-                        eps,
-                        tier: BoundTier::ClosedForm,
-                        iterations: 0,
-                        profile: SolverProfile::default(),
-                    }),
+                    Some(eps) => Ok(UnitValue::ClosedForm(eps)),
                     None => rho_delta_diamond(
                         &ob.gate_matrix,
                         &ob.noisy,
@@ -234,9 +192,8 @@ pub(crate) fn spawn_solve(
                         ob.delta,
                         &opts,
                     )
-                    .map(|r| UnitValue::Answered {
+                    .map(|r| UnitValue::Solved {
                         eps: r.bound,
-                        tier: r.tier,
                         iterations: r.iterations,
                         profile: r.profile,
                     })
@@ -257,85 +214,39 @@ pub(crate) fn spawn_solve(
                     closed_form(ob)
                 };
                 if let Some(eps) = analytic {
-                    Ok(UnitValue::Answered {
-                        eps,
-                        tier: BoundTier::ClosedForm,
-                        iterations: 0,
-                        profile: SolverProfile::default(),
-                    })
+                    Ok(UnitValue::ClosedForm(eps))
                 } else {
-                    // An exact-policy request (`!warm_start`) never trusts
-                    // warm-produced ε bits: warm certificates read as
-                    // misses (re-led cold), warm in-flight leads are
-                    // bypassed with a private cold solve.
-                    match shared.cache.lookup_or_lead(
-                        &cached.key,
-                        policy.warm_start,
-                        warm_duals[u].is_none(),
-                    ) {
-                        Lookup::Hit(eps, tier) => Ok(UnitValue::CacheHit(eps, tier)),
+                    match shared.cache.lookup_or_lead(&cached.key) {
+                        Lookup::Hit(eps) => Ok(UnitValue::CacheHit(eps)),
                         Lookup::Join(slot) => slot
                             .wait()
-                            .map(|(eps, tier)| UnitValue::Joined(eps, tier))
+                            .map(UnitValue::Joined)
                             .map_err(AnalysisError::Diamond),
-                        Lookup::Bypass => {
-                            via_bypass = true;
-                            rho_delta_diamond(
-                                &ob.gate_matrix,
-                                &ob.noisy,
-                                &cached.rho_q,
-                                cached.delta_eff,
-                                &opts,
-                            )
-                            .map(|r| UnitValue::Answered {
-                                eps: r.bound,
-                                tier: r.tier,
-                                iterations: r.iterations,
-                                profile: r.profile,
-                            })
-                            .map_err(AnalysisError::from)
-                        }
-                        Lookup::Lead(guard) => {
-                            let result = match &warm_duals[u] {
-                                Some(y0) => rho_delta_diamond_warm(
-                                    &ob.gate_matrix,
-                                    &ob.noisy,
-                                    &cached.rho_q,
-                                    cached.delta_eff,
-                                    &opts,
-                                    y0,
-                                ),
-                                None => rho_delta_diamond(
-                                    &ob.gate_matrix,
-                                    &ob.noisy,
-                                    &cached.rho_q,
-                                    cached.delta_eff,
-                                    &opts,
-                                ),
-                            };
-                            match result {
-                                Ok(r) => {
-                                    let eps = r.bound;
-                                    guard.complete(Ok(Certificate {
-                                        eps,
-                                        dim: ob.gate_matrix.rows() as u32,
-                                        n_kraus: ob.noisy.kraus().len() as u32,
-                                        tier: r.tier,
-                                        dual: Arc::new(r.dual),
-                                    }));
-                                    Ok(UnitValue::Answered {
-                                        eps,
-                                        tier: r.tier,
-                                        iterations: r.iterations,
-                                        profile: r.profile,
-                                    })
-                                }
-                                Err(e) => {
-                                    guard.complete(Err(e.clone()));
-                                    Err(AnalysisError::Diamond(e))
-                                }
+                        Lookup::Lead(guard) => match rho_delta_diamond(
+                            &ob.gate_matrix,
+                            &ob.noisy,
+                            &cached.rho_q,
+                            cached.delta_eff,
+                            &opts,
+                        ) {
+                            Ok(r) => {
+                                guard.complete(Ok(Certificate {
+                                    eps: r.bound,
+                                    dim: ob.gate_matrix.rows() as u32,
+                                    n_kraus: ob.noisy.kraus().len() as u32,
+                                    dual: Arc::new(r.dual),
+                                }));
+                                Ok(UnitValue::Solved {
+                                    eps: r.bound,
+                                    iterations: r.iterations,
+                                    profile: r.profile,
+                                })
                             }
-                        }
+                            Err(e) => {
+                                guard.complete(Err(e.clone()));
+                                Err(AnalysisError::Diamond(e))
+                            }
+                        },
                     }
                 }
             }
@@ -345,20 +256,11 @@ pub(crate) fn spawn_solve(
             // time histogram (tracing on or off); the obligation span and
             // its re-emitted solver-phase children only exist for traced
             // requests.
-            if let UnitValue::Answered { profile, tier, .. } = value {
-                if *tier != BoundTier::ClosedForm {
-                    telemetry::global().ip_solve_ms.observe_ms(profile.total_ms);
-                }
+            if let UnitValue::Solved { profile, .. } = value {
+                telemetry::global().ip_solve_ms.observe_ms(profile.total_ms);
             }
             if let Some(ctx) = trace_ctx {
-                record_obligation_span(
-                    ctx,
-                    &task_units[u],
-                    value,
-                    via_bypass,
-                    dispatch_ns,
-                    claim_ns,
-                );
+                record_obligation_span(ctx, &task_units[u], value, dispatch_ns, claim_ns);
             }
         }
         if outcome.is_err() {
@@ -386,32 +288,23 @@ fn record_obligation_span(
     ctx: telemetry::TraceCtx,
     unit: &Unit,
     value: &UnitValue,
-    via_bypass: bool,
     dispatch_ns: u64,
     claim_ns: u64,
 ) {
     use telemetry::detail as d;
     let (detail, iterations, profile) = match value {
-        UnitValue::Answered {
-            tier: BoundTier::ClosedForm,
-            ..
-        } => match unit {
+        UnitValue::ClosedForm(_) => match unit {
             Unit::Exact(_) => (d::OBLIGATION_CLOSED_FORM, 0, None),
             Unit::Keyed(_) => (d::OBLIGATION_ANALYTIC, 0, None),
         },
-        UnitValue::Answered {
-            tier,
+        UnitValue::Solved {
             iterations,
             profile,
             ..
         } => {
             let detail = match unit {
                 Unit::Exact(_) => d::OBLIGATION_EXACT,
-                Unit::Keyed(_) if via_bypass => d::OBLIGATION_BYPASS,
-                Unit::Keyed(_) => match tier {
-                    BoundTier::WarmStarted => d::OBLIGATION_LEAD_WARM,
-                    _ => d::OBLIGATION_LEAD_COLD,
-                },
+                Unit::Keyed(_) => d::OBLIGATION_LEAD_COLD,
             };
             (detail, *iterations, Some(profile))
         }
@@ -486,11 +379,7 @@ impl PendingSolve {
                 Ok(None) => {}
                 Ok(Some(value)) => {
                     let (eps, tier) = match value {
-                        UnitValue::Answered {
-                            eps,
-                            tier: BoundTier::ClosedForm,
-                            ..
-                        } => {
+                        UnitValue::ClosedForm(eps) => {
                             // Tier 0 judgments (and their folded
                             // duplicates) are their own accounting
                             // category — the cache was never consulted
@@ -498,19 +387,15 @@ impl PendingSolve {
                             tier_counts.closed_form += 1 + followers.len();
                             (eps, BoundTier::ClosedForm)
                         }
-                        UnitValue::Answered {
+                        UnitValue::Solved {
                             eps,
-                            tier,
                             iterations,
                             profile,
                         } => {
                             sdp_solves += 1;
                             ip_iterations += iterations;
                             solver_profile.add(&profile);
-                            match tier {
-                                BoundTier::WarmStarted => tier_counts.warm += 1,
-                                _ => tier_counts.cold += 1,
-                            }
+                            tier_counts.cold += 1;
                             // Followers replay the sequential accounting:
                             // the first occurrence paid the certificate,
                             // the rest are cache hits deduped against the
@@ -519,19 +404,19 @@ impl PendingSolve {
                             inflight_dedup += followers.len();
                             h.cache().note_follower_hits(followers.len());
                             h.cache().note_inflight_dedup(followers.len());
-                            (eps, tier)
+                            (eps, BoundTier::ColdSolve)
                         }
-                        UnitValue::CacheHit(eps, tier) => {
+                        UnitValue::CacheHit(eps) => {
                             cache_hits += 1 + followers.len();
                             h.cache().note_follower_hits(followers.len());
-                            (eps, tier)
+                            (eps, BoundTier::ColdSolve)
                         }
-                        UnitValue::Joined(eps, tier) => {
+                        UnitValue::Joined(eps) => {
                             cache_hits += 1 + followers.len();
                             inflight_dedup += 1 + followers.len();
                             h.cache().note_follower_hits(followers.len());
                             h.cache().note_inflight_dedup(followers.len());
-                            (eps, tier)
+                            (eps, BoundTier::ColdSolve)
                         }
                     };
                     epsilons[first] = eps;

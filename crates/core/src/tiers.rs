@@ -2,9 +2,9 @@
 //! what a request allows, and the counters that flow into reports,
 //! `--json` output, and the server's `/metrics`.
 //!
-//! A per-gate `(ρ̂, δ)`-diamond judgment can be answered three ways, tried
-//! in order of decreasing cheapness (see `docs/PERFORMANCE.md` for the
-//! decision tree and `docs/SOUNDNESS.md` for why each is sound):
+//! A per-gate `(ρ̂, δ)`-diamond judgment can be answered two ways (see
+//! `docs/PERFORMANCE.md` for the decision tree and `docs/SOUNDNESS.md`
+//! for why each is sound):
 //!
 //! * **Tier 0 — closed form** ([`BoundTier::ClosedForm`]): the noisy
 //!   gate's residual channel classifies as Pauli-type
@@ -12,23 +12,15 @@
 //!   bound substitutes for the SDP. Zero interior-point iterations; the
 //!   answer ignores `(ρ̂, δ)` and is therefore an upper bound on the
 //!   constrained optimum by monotonicity.
-//! * **Tier 1 — warm-started solve** ([`BoundTier::WarmStarted`]): a
-//!   neighboring cache entry (same gate/Kraus, same ρ′ to coarse
-//!   precision, nearby effective δ) donates its weak-duality dual vector
-//!   as the interior-point starting iterate
-//!   ([`gleipnir_sdp::SdpProblem::solve_warm`]). The result carries its
-//!   own freshly verified certificate.
-//! * **Tier 2 — cold solve** ([`BoundTier::ColdSolve`]): today's full
+//! * **Cold solve** ([`BoundTier::ColdSolve`]): the full
 //!   interior-point solve from the standard cold start.
 //!
-//! Tiering is **opt-in per request** ([`TierPolicy`], default
-//! [`TierPolicy::exact`]): Tier 0 and Tier 1 both change the produced ε at
-//! the bit level (sound either way), and the default must preserve the
-//! engine's bit-exactness contract (`tests/pipeline_determinism.rs`).
-//! With a fixed engine state, tiering is still deterministic: warm-start
-//! donors are chosen by a sequential pre-dispatch probe over the cache as
-//! it stood *before* the request's own solves, with a total order on
-//! candidates — so pool size never changes the answer.
+//! Tier 0 is **opt-in per request** ([`TierPolicy::Fast`]; the default is
+//! [`TierPolicy::Exact`]): it changes the produced ε at the bit level
+//! (sound either way), and the default must preserve the engine's
+//! bit-exactness contract (`tests/pipeline_determinism.rs`). The closed
+//! form is a pure function of the gate and its channel, so pool size never
+//! changes the answer under either policy.
 
 use crate::engine::EngineHandle;
 use gleipnir_linalg::CMat;
@@ -41,8 +33,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 pub enum BoundTier {
     /// Certified analytic closed form (Pauli-type residual channel).
     ClosedForm,
-    /// Interior-point solve warm-started from a neighboring dual.
-    WarmStarted,
     /// Interior-point solve from the standard cold start.
     ColdSolve,
 }
@@ -52,43 +42,20 @@ impl BoundTier {
     pub fn name(&self) -> &'static str {
         match self {
             BoundTier::ClosedForm => "closed_form",
-            BoundTier::WarmStarted => "warm",
             BoundTier::ColdSolve => "cold",
         }
     }
 }
 
-/// Which tiers a request may use (see the module docs). The default is
-/// [`TierPolicy::exact`] — cold solves only, preserving the engine's
-/// bit-exactness contract; [`TierPolicy::fast`] enables everything.
+/// Which tiers a request may use (see the module docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TierPolicy {
-    /// Allow Tier 0 closed-form answers for Pauli-type channels.
-    pub closed_form: bool,
-    /// Allow Tier 1 warm starts from neighboring cached duals.
-    pub warm_start: bool,
-}
-
-impl TierPolicy {
+pub enum TierPolicy {
     /// Cold solves only (the default): bit-identical to the pre-tiering
     /// engine.
-    pub fn exact() -> Self {
-        TierPolicy::default()
-    }
-
-    /// All tiers enabled: closed forms where provable, warm starts where a
-    /// neighbor exists, cold solves otherwise.
-    pub fn fast() -> Self {
-        TierPolicy {
-            closed_form: true,
-            warm_start: true,
-        }
-    }
-
-    /// Whether this policy is the exact (all-off) one.
-    pub fn is_exact(&self) -> bool {
-        !self.closed_form && !self.warm_start
-    }
+    #[default]
+    Exact,
+    /// Tier 0 closed forms where provable, cold solves otherwise.
+    Fast,
 }
 
 /// Per-request tier accounting: how many gate judgments each tier
@@ -99,22 +66,19 @@ pub struct TierCounts {
     /// Judgments answered by the Tier 0 closed form (including duplicates
     /// folded onto one classification).
     pub closed_form: usize,
-    /// SDPs solved with a Tier 1 warm start.
-    pub warm: usize,
-    /// SDPs solved cold (Tier 2).
+    /// SDPs solved cold.
     pub cold: usize,
 }
 
 impl TierCounts {
     /// Total judgments the tiers answered (cache hits excluded).
     pub fn total(&self) -> usize {
-        self.closed_form + self.warm + self.cold
+        self.closed_form + self.cold
     }
 
     /// Element-wise accumulation.
     pub fn add(&mut self, other: TierCounts) {
         self.closed_form += other.closed_form;
-        self.warm += other.warm;
         self.cold += other.cold;
     }
 }
@@ -127,12 +91,10 @@ impl TierCounts {
 pub struct TierStats {
     /// Judgments answered by the closed form.
     pub closed_form: usize,
-    /// Warm-started SDP solves.
-    pub warm: usize,
     /// Cold SDP solves.
     pub cold: usize,
-    /// Interior-point iterations spent across all solves (warm + cold) —
-    /// the currency the tiers save.
+    /// Interior-point iterations spent across all solves — the currency
+    /// the closed form saves.
     pub ip_iterations: usize,
 }
 
@@ -140,7 +102,6 @@ pub struct TierStats {
 #[derive(Debug, Default)]
 pub(crate) struct TierTotals {
     closed_form: AtomicUsize,
-    warm: AtomicUsize,
     cold: AtomicUsize,
     ip_iterations: AtomicUsize,
 }
@@ -153,7 +114,6 @@ impl TierTotals {
             }
         };
         add(&self.closed_form, counts.closed_form);
-        add(&self.warm, counts.warm);
         add(&self.cold, counts.cold);
         add(&self.ip_iterations, ip_iterations);
     }
@@ -161,7 +121,6 @@ impl TierTotals {
     pub(crate) fn snapshot(&self) -> TierStats {
         TierStats {
             closed_form: self.closed_form.load(Ordering::Relaxed),
-            warm: self.warm.load(Ordering::Relaxed),
             cold: self.cold.load(Ordering::Relaxed),
             ip_iterations: self.ip_iterations.load(Ordering::Relaxed),
         }
@@ -185,142 +144,11 @@ pub(crate) fn note_engine_totals(h: &EngineHandle, counts: TierCounts, ip_iterat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Certificate;
-    use crate::{AnalysisRequest, Engine, Method, StateAwareReport};
     use gleipnir_circuit::Gate;
-    use gleipnir_noise::NoiseModel;
-    use std::sync::Arc;
-
-    /// A small non-Pauli workload (amplitude damping forces the SDP
-    /// tiers) at the given δ quantization and policy.
-    fn run(engine: &Engine, quantum: f64, tiers: TierPolicy) -> StateAwareReport {
-        let program = {
-            let mut b = gleipnir_circuit::ProgramBuilder::new(4);
-            for q in 0..4 {
-                b.h(q);
-            }
-            for q in 0..3 {
-                b.rzz(q, q + 1, 0.8);
-            }
-            for q in 0..4 {
-                b.rx(q, 0.6);
-            }
-            b.build()
-        };
-        let request = AnalysisRequest::builder(program)
-            .noise(NoiseModel::uniform_amplitude_damping(1e-3))
-            .method(Method::StateAware { mps_width: 2 })
-            .delta_quantum(quantum)
-            .tiering(tiers)
-            .build()
-            .unwrap();
-        engine
-            .analyze(&request)
-            .unwrap()
-            .into_state_aware()
-            .unwrap()
-    }
-
-    /// Seeds an engine with certificates at quantum 1e-6 — the donors a
-    /// re-bucketed (1.1e-6) request warm-starts from.
-    fn seeded_engine() -> Engine {
-        let engine = Engine::new();
-        let seeded = run(&engine, 1e-6, TierPolicy::exact());
-        assert!(seeded.sdp_solves() > 0);
-        engine
-    }
-
-    fn warm_only() -> TierPolicy {
-        TierPolicy {
-            closed_form: false,
-            warm_start: true,
-        }
-    }
-
-    /// Overwrites every cached certificate's dual vector via `mutate`,
-    /// keeping keys (and the neighbor index) intact.
-    fn corrupt_duals(engine: &Engine, mutate: impl Fn(usize, &[f64]) -> Vec<f64>) {
-        for (i, (key, cert)) in engine.sdp_cache().export().into_iter().enumerate() {
-            engine.sdp_cache().insert(
-                key,
-                Certificate {
-                    dual: Arc::new(mutate(i, &cert.dual)),
-                    ..cert
-                },
-            );
-        }
-    }
-
-    /// A corrupted or mismatched donor dual must degrade to a cold solve
-    /// with the **bit-exact** cold ε — never a wrong bound. (The positive
-    /// control — intact donors produce genuine warm starts — is asserted
-    /// first, so the degradation is attributable to the corruption.)
-    #[test]
-    fn corrupted_neighbor_duals_degrade_to_bit_exact_cold_solves() {
-        // Oracle: the re-bucketed request solved on a fresh engine (all
-        // cold — its certificates live under the other quantum's keys).
-        let oracle = run(&seeded_engine(), 1.1e-6, TierPolicy::exact());
-        let oracle_bits = oracle.error_bound().to_bits();
-        assert_eq!(oracle.tier_counts().warm, 0);
-
-        // Positive control: intact donors warm-start every solve and
-        // reproduce the bound to within solver slop.
-        let control = run(&seeded_engine(), 1.1e-6, warm_only());
-        assert_eq!(control.tier_counts().warm, control.sdp_solves());
-        assert!(control.tier_counts().warm > 0);
-        assert!((control.error_bound() - oracle.error_bound()).abs() < 1e-6);
-
-        // Corruptions: wrong length, non-finite entries, emptied out.
-        let corruptions: [(&str, fn(usize, &[f64]) -> Vec<f64>); 3] = [
-            ("truncated", |_, d| d[..1.min(d.len())].to_vec()),
-            ("non-finite", |_, d| vec![f64::NAN; d.len()]),
-            ("emptied", |_, _| Vec::new()),
-        ];
-        for (name, mutate) in corruptions {
-            let engine = seeded_engine();
-            corrupt_duals(&engine, mutate);
-            let report = run(&engine, 1.1e-6, warm_only());
-            assert_eq!(
-                report.tier_counts().warm,
-                0,
-                "{name}: a garbage donor must not count as a warm start"
-            );
-            assert_eq!(report.tier_counts().cold, report.sdp_solves(), "{name}");
-            assert_eq!(
-                report.error_bound().to_bits(),
-                oracle_bits,
-                "{name}: the fallback must be the bit-exact cold solve"
-            );
-        }
-    }
-
-    /// Mixed corruption: some donors intact, some garbage — each unit
-    /// independently warm-starts or falls back, and the bound stays
-    /// certified.
-    #[test]
-    fn partially_corrupted_donors_split_between_warm_and_cold() {
-        let engine = seeded_engine();
-        corrupt_duals(&engine, |i, d| {
-            if i % 2 == 0 {
-                d.to_vec()
-            } else {
-                vec![f64::INFINITY; d.len()]
-            }
-        });
-        let report = run(&engine, 1.1e-6, warm_only());
-        let t = report.tier_counts();
-        assert_eq!(t.warm + t.cold, report.sdp_solves());
-        assert!(t.warm > 0, "intact donors must still be used");
-        assert!(t.cold > 0, "corrupted donors must fall back");
-        let oracle = run(&seeded_engine(), 1.1e-6, TierPolicy::exact());
-        assert!((report.error_bound() - oracle.error_bound()).abs() < 1e-6);
-    }
 
     #[test]
     fn policy_constructors() {
-        assert!(TierPolicy::exact().is_exact());
-        assert!(!TierPolicy::fast().is_exact());
-        assert_eq!(TierPolicy::default(), TierPolicy::exact());
+        assert_eq!(TierPolicy::default(), TierPolicy::Exact);
     }
 
     #[test]
@@ -337,20 +165,17 @@ mod tests {
     fn counts_accumulate() {
         let mut a = TierCounts {
             closed_form: 1,
-            warm: 2,
             cold: 3,
         };
         a.add(TierCounts {
             closed_form: 10,
-            warm: 0,
             cold: 1,
         });
-        assert_eq!(a.total(), 17);
+        assert_eq!(a.total(), 15);
         let totals = TierTotals::default();
         totals.note(a, 42);
         let snap = totals.snapshot();
         assert_eq!(snap.closed_form, 11);
-        assert_eq!(snap.warm, 2);
         assert_eq!(snap.cold, 4);
         assert_eq!(snap.ip_iterations, 42);
     }

@@ -38,8 +38,8 @@ pub enum NoiseModel {
     /// Uniform amplitude damping: every gate is followed by decay with
     /// probability `γ` on its (first) operand qubit. Unlike the bit-flip
     /// and depolarizing models this channel is **not** a Pauli mixture —
-    /// it is the stock model that exercises the SDP tiers (warm-started
-    /// and cold interior-point solves) rather than the closed form.
+    /// it is the stock model that exercises the cold interior-point solve
+    /// rather than the closed form.
     UniformAmplitudeDamping {
         /// The decay probability.
         gamma: f64,

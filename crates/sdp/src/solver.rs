@@ -72,17 +72,21 @@ impl fmt::Display for SdpError {
 
 impl std::error::Error for SdpError {}
 
-/// Cumulative wall-time and allocation accounting for one interior-point
-/// solve, broken down by phase.
+/// Cumulative time and allocation accounting for one interior-point solve,
+/// broken down by phase.
 ///
 /// Every phase of [`SdpProblem::solve`] is timed, so the phase fields sum to
 /// approximately [`SolverProfile::total_ms`] (the difference is timer
-/// overhead). Profiles are additive: benchmark passes aggregate the
-/// per-solve profiles of hundreds of SDPs with [`SolverProfile::add`].
+/// overhead). Profiles are additive: reports and benchmark passes aggregate
+/// the per-solve profiles of hundreds of SDPs with [`SolverProfile::add`].
+/// A single solve runs on one thread, so its profile is wall time; an
+/// aggregate over solves that ran on several pool workers at once is CPU
+/// time summed across those workers and can exceed the wall time of the
+/// analysis.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SolverProfile {
-    /// Pre-loop work: dense `C`, norms, the constraint index, workspace
-    /// allocation, and warm-start initialization.
+    /// Pre-loop work: dense `C`, norms, the starting iterate, the
+    /// constraint index, and workspace allocation.
     pub setup_ms: f64,
     /// Per-iteration residuals, objectives, and convergence metrics.
     pub residual_ms: f64,
@@ -100,7 +104,7 @@ pub struct SolverProfile {
     /// Post-loop certificate work: final residuals and the exact
     /// dual-slack minimum eigenvalue.
     pub cert_ms: f64,
-    /// Total wall time of the solve.
+    /// Total time of the solve (summed over solves in an aggregate).
     pub total_ms: f64,
     /// Heap allocations the iteration loop itself still performs after the
     /// workspace refactor (e.g. Schur regularization retries). Internal
@@ -121,7 +125,7 @@ impl SolverProfile {
             + self.cert_ms
     }
 
-    /// The seven phases as `(name, wall_ms)` pairs, in execution order.
+    /// The seven phases as `(name, ms)` pairs, in execution order.
     /// This is the bridge the telemetry layer uses to re-emit a solve's
     /// phases as child spans *after* the solve returns — the solver hot
     /// path itself records nothing.
@@ -251,20 +255,6 @@ impl SdpProblem {
     }
 }
 
-/// Relative margin added to the shifted dual slack when warm-starting: the
-/// initial `Z` sits this far inside the cone (scaled by the objective
-/// magnitude). Tuned on the diamond-norm workload: too small (≤ 1e-5) and
-/// the first Newton systems are nearly singular — the solve takes *longer*
-/// than cold; 1e-3…1e-2 is a flat optimum (~20–30% fewer iterations).
-const WARM_Z_MARGIN: f64 = 1e-2;
-
-/// Warm-start primal scale: `X₀ = I`. The cold start's `ξ_p·I` (ξ_p ≳ 10)
-/// exists to dominate unknown optima; a warm start trusts the donor that
-/// the problem is the one it came from, whose primal optimum has unit-scale
-/// trace, and the smaller initial complementarity saves further iterations
-/// (356 vs 387 on the tuning workload). Values in [0.5, 2] measure flat.
-const WARM_X_SCALE: f64 = 1.0;
-
 impl SdpProblem {
     /// Solves the SDP from the standard cold start.
     ///
@@ -273,49 +263,6 @@ impl SdpProblem {
     /// [`SdpError::Numerical`] if the Schur complement stays singular after
     /// regularization or the iterates lose positive definiteness.
     pub fn solve(&self, opts: &SolverOptions) -> Result<SdpSolution, SdpError> {
-        self.solve_with_start(opts, None)
-    }
-
-    /// Solves the SDP **warm-started** from an externally supplied dual
-    /// vector `y0` — typically the certified dual of a *neighboring*
-    /// problem (same `C` and `Aᵢ`, slightly perturbed `b`, e.g. an
-    /// adjacent δ bucket of a diamond-norm SDP). The dual iterate starts at
-    /// `y0` with `Z = C − Aᵀ(y0)` shifted just inside the PSD cone, so the
-    /// dual side begins essentially converged and the iterations that
-    /// remain drive the primal.
-    ///
-    /// Soundness does not depend on the starting point: the returned
-    /// [`SdpSolution::certified_dual_bound`] is recomputed from the *final*
-    /// iterate's exact dual slack, exactly as in a cold solve. A poor `y0`
-    /// can only cost iterations or bound tightness, never correctness —
-    /// and even a solve that stalls immediately still reports the sound
-    /// weak-duality bound that `y0` itself proves.
-    ///
-    /// # Errors
-    ///
-    /// [`SdpError::Numerical`] if `y0` has the wrong length or non-finite
-    /// entries, or on the same numerical failures as [`SdpProblem::solve`].
-    pub fn solve_warm(&self, opts: &SolverOptions, y0: &[f64]) -> Result<SdpSolution, SdpError> {
-        if y0.len() != self.n_constraints() {
-            return Err(SdpError::Numerical(format!(
-                "warm-start dual has {} entries but the problem has {} constraints",
-                y0.len(),
-                self.n_constraints()
-            )));
-        }
-        if y0.iter().any(|v| !v.is_finite()) {
-            return Err(SdpError::Numerical(
-                "warm-start dual contains non-finite entries".into(),
-            ));
-        }
-        self.solve_with_start(opts, Some(y0))
-    }
-
-    fn solve_with_start(
-        &self,
-        opts: &SolverOptions,
-        warm: Option<&[f64]>,
-    ) -> Result<SdpSolution, SdpError> {
         let t_total = Instant::now();
         let mut profile = SolverProfile::default();
 
@@ -335,21 +282,6 @@ impl SdpProblem {
         let mut x = BlockMat::scaled_identity(dims, xi_p);
         let mut z = BlockMat::scaled_identity(dims, xi_d);
         let mut y = vec![0.0; m];
-        if let Some(y0) = warm {
-            // Dual warm start: y at the supplied vector, Z at the exact
-            // dual slack pushed `shift` inside the cone. The resulting
-            // dual infeasibility is exactly `shift·I` — small — while
-            // bᵀy starts near the neighboring problem's optimum.
-            let slack = self.dual_slack(y0);
-            let lam_min = slack.min_eigenvalue();
-            if lam_min.is_finite() {
-                let shift = (-lam_min).max(0.0) + WARM_Z_MARGIN * (1.0 + c_max);
-                y.copy_from_slice(y0);
-                z = slack;
-                z.axpy(shift, &BlockMat::scaled_identity(dims, 1.0));
-                x = BlockMat::scaled_identity(dims, WARM_X_SCALE);
-            }
-        }
 
         // The constraint index and the per-solve workspaces: everything the
         // iteration loop needs is allocated once, here.
@@ -975,16 +907,20 @@ mod tests {
         assert!((sol.primal_objective + 3.0).abs() < 1e-6);
     }
 
-    #[test]
-    fn solution_is_feasible_and_gap_closed() {
+    /// A small strictly feasible SDP.
+    fn small_problem() -> SdpProblem {
         let mut c = SparseSym::new();
         c.push(0, 0, 0, 1.0).push(0, 1, 1, -1.0).push(0, 0, 2, 0.3);
         let mut a1 = SparseSym::new();
         a1.push(0, 0, 0, 1.0).push(0, 1, 1, 1.0).push(0, 2, 2, 1.0);
         let mut a2 = SparseSym::new();
         a2.push(0, 0, 1, 1.0);
-        let p = SdpProblem::new(vec![3], c, vec![a1, a2], vec![2.0, 0.25]);
-        let sol = p.solve(&opts()).unwrap();
+        SdpProblem::new(vec![3], c, vec![a1, a2], vec![2.0, 0.25])
+    }
+
+    #[test]
+    fn solution_is_feasible_and_gap_closed() {
+        let sol = small_problem().solve(&opts()).unwrap();
         assert_eq!(sol.status, SdpStatus::Optimal);
         assert!(sol.primal_infeasibility < 1e-7);
         assert!(sol.dual_infeasibility < 1e-7);
@@ -1036,87 +972,6 @@ mod tests {
         let p = SdpProblem::new(vec![2], c, vec![a1, a2], vec![1e-6, 1.0]);
         let sol = p.solve(&opts()).unwrap();
         assert!((sol.primal_objective - (1.0 - 1e-6)).abs() < 1e-5);
-    }
-
-    /// A small strictly feasible SDP with a tunable right-hand side, so
-    /// tests can build "neighboring" problems (same C and Aᵢ, perturbed b).
-    fn neighborly_problem(rhs: f64) -> SdpProblem {
-        let mut c = SparseSym::new();
-        c.push(0, 0, 0, 1.0).push(0, 1, 1, -1.0).push(0, 0, 2, 0.3);
-        let mut a1 = SparseSym::new();
-        a1.push(0, 0, 0, 1.0).push(0, 1, 1, 1.0).push(0, 2, 2, 1.0);
-        let mut a2 = SparseSym::new();
-        a2.push(0, 0, 1, 1.0);
-        SdpProblem::new(vec![3], c, vec![a1, a2], vec![2.0, rhs])
-    }
-
-    #[test]
-    fn warm_start_from_own_dual_matches_cold_solve() {
-        let p = neighborly_problem(0.25);
-        let cold = p.solve(&opts()).unwrap();
-        let warm = p.solve_warm(&opts(), &cold.y).unwrap();
-        assert_eq!(warm.status, SdpStatus::Optimal);
-        assert!(
-            (warm.primal_objective - cold.primal_objective).abs() < 1e-6,
-            "{} vs {}",
-            warm.primal_objective,
-            cold.primal_objective
-        );
-        // The certified bounds agree to solver tolerance, and the restart
-        // never needs more iterations than the cold solve.
-        let r = 3.0; // tr X = 2 on the feasible set; 3 is a valid bound
-        assert!((warm.certified_dual_bound(r) - cold.certified_dual_bound(r)).abs() < 1e-6);
-        assert!(
-            warm.iterations <= cold.iterations,
-            "warm {} > cold {}",
-            warm.iterations,
-            cold.iterations
-        );
-    }
-
-    #[test]
-    fn warm_start_from_neighbor_dual_is_sound_and_no_slower() {
-        // Solve at b₂ = 0.25, then warm-start the perturbed problem
-        // b₂ = 0.26 from the neighbor's dual. (The *savings* claim is
-        // asserted on real diamond problems in gleipnir-core's tier tests,
-        // where the bench measures it; this toy is too small to always
-        // show a margin, so here we pin soundness and no regression.)
-        let near = neighborly_problem(0.25).solve(&opts()).unwrap();
-        let perturbed = neighborly_problem(0.26);
-        let cold = perturbed.solve(&opts()).unwrap();
-        let warm = perturbed.solve_warm(&opts(), &near.y).unwrap();
-        assert!((warm.primal_objective - cold.primal_objective).abs() < 1e-6);
-        let r = 3.0;
-        // Weak duality holds from any start: the certificate must not
-        // exceed the (cold-verified) optimum.
-        assert!(warm.certified_dual_bound(r) <= cold.primal_objective + 1e-7);
-        assert!(
-            warm.iterations <= cold.iterations + 2,
-            "neighbor warm start regressed badly: warm {} vs cold {}",
-            warm.iterations,
-            cold.iterations
-        );
-    }
-
-    #[test]
-    fn warm_start_rejects_malformed_duals() {
-        let p = neighborly_problem(0.25);
-        assert!(p.solve_warm(&opts(), &[1.0]).is_err(), "wrong length");
-        assert!(
-            p.solve_warm(&opts(), &[f64::NAN, 0.0]).is_err(),
-            "non-finite"
-        );
-    }
-
-    #[test]
-    fn warm_start_from_garbage_is_still_sound() {
-        // A wildly wrong (but finite) dual must not corrupt the result:
-        // the solver recovers and the certificate stays a lower bound.
-        let p = neighborly_problem(0.25);
-        let cold = p.solve(&opts()).unwrap();
-        let warm = p.solve_warm(&opts(), &[1e3, -1e3]).unwrap();
-        assert!((warm.primal_objective - cold.primal_objective).abs() < 1e-5);
-        assert!(warm.certified_dual_bound(3.0) <= cold.primal_objective + 1e-6);
     }
 
     #[test]
@@ -1286,7 +1141,7 @@ mod tests {
 
     #[test]
     fn solver_profile_phases_sum_to_total() {
-        let sol = neighborly_problem(0.25).solve(&opts()).unwrap();
+        let sol = small_problem().solve(&opts()).unwrap();
         let p = sol.profile;
         assert!(sol.iterations > 0, "toy problem should iterate");
         assert!(p.total_ms > 0.0, "total wall must be measured");

@@ -203,7 +203,7 @@ impl Metrics {
                 "\"batch_ok\":{},\"batch_err\":{},\"http_err\":{}}},",
                 "\"diff\":{{\"requests_total\":{},\"errors\":{},\"prefix_gates_reused\":{}}},",
                 "\"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},\"inflight_dedup\":{}}},",
-                "\"tiers\":{{\"closed_form\":{},\"warm\":{},\"cold\":{},\"ip_iterations\":{}}},",
+                "\"tiers\":{{\"closed_form\":{},\"cold\":{},\"ip_iterations\":{}}},",
                 "\"stage_totals_ms\":{{\"plan\":{},\"solve\":{},\"assemble\":{}}},",
                 "\"store\":{{\"enabled\":{},\"loaded\":{},\"rejected\":{},\"appended\":{}}},",
                 "\"peers\":{{\"certs_served\":{},\"pull_ok\":{},\"pull_err\":{},",
@@ -244,7 +244,6 @@ impl Metrics {
             v.cache.entries,
             v.cache.inflight_dedup,
             v.tiers.closed_form,
-            v.tiers.warm,
             v.tiers.cold,
             v.tiers.ip_iterations,
             us(&self.plan_us),
@@ -465,7 +464,6 @@ impl Metrics {
             "SDP judgments answered, by tier.",
             &[
                 (&[("tier", "closed_form")][..], tiers.closed_form as u64),
-                (&[("tier", "warm")][..], tiers.warm as u64),
                 (&[("tier", "cold")][..], tiers.cold as u64),
             ],
         );

@@ -73,27 +73,18 @@ pub fn parse_method_spec(name: Option<&str>, width: usize) -> Result<Method, Str
 }
 
 /// Parses a tier-policy spec: `exact` (default — cold SDP solves only,
-/// bit-identical to the pre-tiering engine), `fast` (closed forms + warm
-/// starts), `closed` (closed forms only), or `warm` (warm starts only).
-/// `None` defaults to `exact`.
+/// bit-identical to the pre-tiering engine) or `fast` (Tier 0 closed forms
+/// where provable). `None` defaults to `exact`.
 ///
 /// # Errors
 ///
 /// A message naming the unknown policy.
 pub fn parse_tier_spec(name: Option<&str>) -> Result<TierPolicy, String> {
     match name {
-        None | Some("exact") => Ok(TierPolicy::exact()),
-        Some("fast") => Ok(TierPolicy::fast()),
-        Some("closed") => Ok(TierPolicy {
-            closed_form: true,
-            warm_start: false,
-        }),
-        Some("warm") => Ok(TierPolicy {
-            closed_form: false,
-            warm_start: true,
-        }),
+        None | Some("exact") => Ok(TierPolicy::Exact),
+        Some("fast") => Ok(TierPolicy::Fast),
         Some(other) => Err(format!(
-            "unknown tier policy `{other}` (expected exact|fast|closed|warm)"
+            "unknown tier policy `{other}` (expected exact|fast)"
         )),
     }
 }
@@ -135,14 +126,13 @@ mod tests {
 
     #[test]
     fn tier_specs() {
-        assert!(parse_tier_spec(None).unwrap().is_exact());
-        assert!(parse_tier_spec(Some("exact")).unwrap().is_exact());
-        assert_eq!(parse_tier_spec(Some("fast")).unwrap(), TierPolicy::fast());
-        let closed = parse_tier_spec(Some("closed")).unwrap();
-        assert!(closed.closed_form && !closed.warm_start);
-        let warm = parse_tier_spec(Some("warm")).unwrap();
-        assert!(!warm.closed_form && warm.warm_start);
-        assert!(parse_tier_spec(Some("turbo")).is_err());
+        assert_eq!(parse_tier_spec(None).unwrap(), TierPolicy::Exact);
+        assert_eq!(parse_tier_spec(Some("exact")).unwrap(), TierPolicy::Exact);
+        assert_eq!(parse_tier_spec(Some("fast")).unwrap(), TierPolicy::Fast);
+        for gone in ["closed", "warm", "turbo"] {
+            let err = parse_tier_spec(Some(gone)).unwrap_err();
+            assert!(err.contains("unknown tier policy"), "{gone}: {err}");
+        }
     }
 
     #[test]

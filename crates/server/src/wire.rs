@@ -12,7 +12,7 @@
 //!   "noise": "bitflip:1e-4",    // bitflip:P | depolarizing:P1,P2 | ampdamp:G | none
 //!   "input": "00",              // basis bits, defaults to all zeros
 //!   "cache": true,
-//!   "tiers": "exact"            // exact | fast | closed | warm
+//!   "tiers": "exact"            // exact | fast
 //! }
 //! ```
 //!
@@ -231,10 +231,7 @@ mod tests {
         let spec = analyze_spec_from_json(&parse(&body).unwrap()).unwrap();
         assert_eq!(spec.name, "ghz");
         assert!(!spec.request.cache_enabled());
-        assert_eq!(
-            spec.request.tier_policy(),
-            gleipnir_core::TierPolicy::fast()
-        );
+        assert_eq!(spec.request.tier_policy(), gleipnir_core::TierPolicy::Fast);
     }
 
     #[test]
@@ -248,6 +245,8 @@ mod tests {
             ),
             (r#"{"source":"qubits 1;\nh q0;","input":"000"}"#, "binary"),
             (r#"{"source":"qubits 1;\nh q0;","tiers":"turbo"}"#, "tier"),
+            (r#"{"source":"qubits 1;\nh q0;","tiers":"warm"}"#, "tier"),
+            (r#"{"source":"qubits 1;\nh q0;","tiers":"closed"}"#, "tier"),
             (r#"{"source":"not glq"}"#, "parse"),
         ] {
             let err = analyze_spec_from_json(&parse(body).unwrap()).unwrap_err();

@@ -153,12 +153,8 @@ pub mod detail {
     pub const OBLIGATION_CACHE_HIT: u32 = 3;
     /// `Obligation` span: joined another request's in-flight solve.
     pub const OBLIGATION_JOINED: u32 = 4;
-    /// `Obligation` span: lead solve, warm-started from a donor dual.
-    pub const OBLIGATION_LEAD_WARM: u32 = 5;
     /// `Obligation` span: lead solve, cold start.
     pub const OBLIGATION_LEAD_COLD: u32 = 6;
-    /// `Obligation` span: uncached direct solve (cache bypassed).
-    pub const OBLIGATION_BYPASS: u32 = 7;
     /// `Obligation` span: exact (unconstrained) diamond-norm unit.
     pub const OBLIGATION_EXACT: u32 = 8;
 
@@ -182,9 +178,7 @@ pub mod detail {
                 OBLIGATION_ANALYTIC => "analytic",
                 OBLIGATION_CACHE_HIT => "cache_hit",
                 OBLIGATION_JOINED => "inflight_join",
-                OBLIGATION_LEAD_WARM => "lead_warm",
                 OBLIGATION_LEAD_COLD => "lead_cold",
-                OBLIGATION_BYPASS => "bypass",
                 OBLIGATION_EXACT => "exact",
                 _ => "unknown",
             }),
@@ -414,7 +408,7 @@ mod tests {
             id: 42,
             parent: 7,
             name: SpanName::Obligation,
-            detail: detail::OBLIGATION_LEAD_WARM,
+            detail: detail::OBLIGATION_LEAD_COLD,
             value: 12345,
             value2: 678,
             start_ns: 1_000_000,

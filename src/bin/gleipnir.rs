@@ -4,7 +4,7 @@
 //! ```text
 //! gleipnir analyze  <file.glq> [--method state|adaptive|worst|lqr] [--width W]
 //!                              [--noise SPEC] [--input BITS] [--threads N]
-//!                              [--tiers exact|fast|closed|warm]
+//!                              [--tiers exact|fast]
 //!                              [--derivation] [--trace] [--anytime] [--json]
 //! gleipnir batch    <a.glq> <b.glq> … [--method M] [--width W] [--noise SPEC]
 //!                              [--threads N] [--tiers T] [--json]
@@ -89,7 +89,7 @@ fn usage() -> String {
      \x20        --noise bitflip:P|depolarizing:P1,P2|ampdamp:G|none   --derivation\n\
      \x20        --trace   (analyze only: print the span tree — plan/solve/assemble,\n\
      \x20        per-obligation pool timing, solver phases — after the report)\n\
-     \x20        --tiers exact|fast|closed|warm   (bound-engine tiers; default exact)\n\
+     \x20        --tiers exact|fast   (bound-engine tiers; default exact)\n\
      \x20        --anytime   (analyze only: print a certified bound immediately, then\n\
      \x20        the exact refined bound when the background solve lands)\n\
      \x20        --threads N   (0/unset = GLEIPNIR_THREADS, then all cores)\n\
@@ -325,11 +325,10 @@ fn analyze(args: &[String]) -> Result<(), String> {
         report.elapsed()
     );
     let tiers = report.tier_counts();
-    if tiers.closed_form + tiers.warm > 0 {
+    if tiers.closed_form > 0 {
         println!(
-            "bound tiers: {} closed form, {} warm-started, {} cold ({} IP iterations)",
+            "bound tiers: {} closed form, {} cold ({} IP iterations)",
             tiers.closed_form,
-            tiers.warm,
             tiers.cold,
             report.ip_iterations()
         );

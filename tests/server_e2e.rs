@@ -899,12 +899,7 @@ fn analyze_trace_covers_the_whole_pipeline() {
     );
     let lead = obligations
         .iter()
-        .find(|o| {
-            matches!(
-                o.get("detail").and_then(json::Json::as_str),
-                Some("lead_cold") | Some("lead_warm")
-            )
-        })
+        .find(|o| o.get("detail").and_then(json::Json::as_str) == Some("lead_cold"))
         .expect("a cold analyze has at least one lead solve");
     let phases = lead.get("children").unwrap().as_array().unwrap();
     assert_eq!(

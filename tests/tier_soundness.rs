@@ -1,23 +1,12 @@
 //! Soundness of the tiered bound engine (public-API level).
 //!
-//! The tiers may only ever *loosen* a bound, never undercut it:
-//!
-//! * **Tier 0** (closed form) substitutes an analytic upper bound for the
-//!   SDP optimum — so for every gate judgment the closed-form ε must
-//!   dominate the SDP-certified ε (the cold solve's answer) up to the
-//!   certified slack. Pinned per-gate over the whole determinism workload
-//!   suite, and per-channel against both the SDP's certified bound and its
-//!   primal estimate (a true lower bound on the optimum).
-//! * **Tier 1** (warm start) changes only the interior-point trajectory —
-//!   the result carries its own weak-duality certificate. Pinned by
-//!   replaying warm-started derivations against fresh cold solves, and by
-//!   the determinism requirement that warm-started runs are bit-identical
-//!   across pool sizes for a fixed prior engine state.
-//!
-//! The corrupted-donor degradation tests (a crafted neighbor dual that is
-//! garbage must fall back to a cold solve with the bit-exact cold ε) live
-//! in `crates/core/src/tiers.rs` — they need to plant certificates in the
-//! cache directly.
+//! Tier 0 (closed form) may only ever *loosen* a bound, never undercut it:
+//! it substitutes an analytic upper bound for the SDP optimum, so for every
+//! gate judgment the closed-form ε must dominate the SDP-certified ε (the
+//! cold solve's answer) up to the certified slack. Pinned per-gate over the
+//! whole determinism workload suite, and per-channel against both the SDP's
+//! certified bound and its primal estimate (a true lower bound on the
+//! optimum).
 
 use gleipnir::prelude::*;
 use gleipnir::workloads::{determinism_suite, ising_chain};
@@ -77,7 +66,7 @@ fn closed_form_dominates_sdp_optimum_on_determinism_suite() {
             &noise,
             width,
             1e-6,
-            TierPolicy::exact(),
+            TierPolicy::Exact,
         );
         let fast = analyze(
             &Engine::new(),
@@ -85,7 +74,7 @@ fn closed_form_dominates_sdp_optimum_on_determinism_suite() {
             &noise,
             width,
             1e-6,
-            TierPolicy::fast(),
+            TierPolicy::Fast,
         );
 
         let gates = fast.derivation().gate_rule_count();
@@ -159,106 +148,38 @@ fn closed_form_matches_sdp_per_channel() {
     }
 }
 
-/// End-to-end Tier 1: an engine whose cache holds certificates from a
-/// neighboring δ quantization answers a re-bucketed request with
-/// warm-started solves — fewer interior-point iterations, a certified
-/// bound that replays, and a value within a bucket's width of the cold
-/// answer.
-#[test]
-fn warm_start_rides_neighboring_certificates() {
-    let program = ising_chain(6, 4, 1.0, 1.0, 0.1);
-    // Amplitude damping is NOT a Pauli mixture: Tier 0 cannot answer it,
-    // so this exercises the SDP tiers.
-    let noise = NoiseModel::uniform_amplitude_damping(NOISE_P);
-
-    // Control: the re-bucketed request solved cold (the seed pass's
-    // certificates live under different keys, so everything misses).
-    let control_engine = Engine::new();
-    let seed = analyze(
-        &control_engine,
-        &program,
-        &noise,
-        2,
-        1e-6,
-        TierPolicy::exact(),
-    );
-    assert!(seed.sdp_solves() > 0);
-    let control = analyze(
-        &control_engine,
-        &program,
-        &noise,
-        2,
-        1.1e-6,
-        TierPolicy::exact(),
-    );
-    assert_eq!(control.tier_counts().warm, 0);
-    assert!(control.sdp_solves() > 0);
-
-    // Warm: identical prior state, warm starts allowed.
-    let warm_engine = Engine::new();
-    let _ = analyze(&warm_engine, &program, &noise, 2, 1e-6, TierPolicy::exact());
-    let warm = analyze(
-        &warm_engine,
-        &program,
-        &noise,
-        2,
-        1.1e-6,
-        TierPolicy {
-            closed_form: false,
-            warm_start: true,
-        },
-    );
-    assert_eq!(
-        warm.tier_counts().warm,
-        warm.sdp_solves(),
-        "every solve should have found a neighboring donor"
-    );
-    assert!(warm.tier_counts().warm > 0);
-    assert!(
-        warm.ip_iterations() < control.ip_iterations(),
-        "warm start saved no iterations: {} vs {}",
-        warm.ip_iterations(),
-        control.ip_iterations()
-    );
-    // The warm bound is its own certificate; it must replay against fresh
-    // cold solves and sit within solver slop + one δ bucket of the cold
-    // answer.
-    warm.replay(&noise, &Default::default(), 1e-6)
-        .expect("warm-started derivation must replay");
-    assert!(
-        (warm.error_bound() - control.error_bound()).abs() < 1e-6,
-        "warm {:e} vs cold {:e}",
-        warm.error_bound(),
-        control.error_bound()
-    );
-}
-
 /// Determinism under tiering: for a fixed prior engine state, a
-/// warm-started analysis is bit-identical across pool sizes (the donor
-/// probe is sequential and totally ordered).
+/// fast-policy analysis is bit-identical across pool sizes, whether its
+/// judgments land on the closed form (bit flip) or on cold solves next to
+/// cached certificates from another δ quantization (amplitude damping).
 #[test]
-fn warm_started_analysis_is_pool_size_invariant() {
+fn fast_policy_analysis_is_pool_size_invariant() {
     let program = ising_chain(5, 3, 1.0, 1.0, 0.1);
-    let noise = NoiseModel::uniform_amplitude_damping(NOISE_P);
     let run = |threads: usize| {
         let engine = Engine::with_options(gleipnir::core::EngineOptions {
             solver: Default::default(),
             threads,
         })
         .expect("explicit thread cap never fails");
-        let _ = analyze(&engine, &program, &noise, 2, 1e-6, TierPolicy::exact());
-        let warm = analyze(&engine, &program, &noise, 2, 1.1e-6, TierPolicy::fast());
-        (
-            warm.error_bound().to_bits(),
-            warm.tier_counts(),
-            warm.derivation().pretty(),
-        )
+        [
+            NoiseModel::uniform_bit_flip(NOISE_P),
+            NoiseModel::uniform_amplitude_damping(NOISE_P),
+        ]
+        .map(|noise| {
+            let _ = analyze(&engine, &program, &noise, 2, 1e-6, TierPolicy::Exact);
+            let fast = analyze(&engine, &program, &noise, 2, 1.1e-6, TierPolicy::Fast);
+            (
+                fast.error_bound().to_bits(),
+                fast.tier_counts(),
+                fast.derivation().pretty(),
+            )
+        })
     };
-    let sequential = run(1);
-    let wide = run(4);
-    assert_eq!(sequential.0, wide.0, "ε must not depend on pool size");
-    assert_eq!(sequential.1, wide.1, "tier decisions must not either");
-    assert_eq!(sequential.2, wide.2);
+    for (sequential, wide) in run(1).into_iter().zip(run(4)) {
+        assert_eq!(sequential.0, wide.0, "ε must not depend on pool size");
+        assert_eq!(sequential.1, wide.1, "tier decisions must not either");
+        assert_eq!(sequential.2, wide.2);
+    }
 }
 
 /// Tier 0 leaves no trace an exact-policy request could observe: after a
@@ -270,17 +191,10 @@ fn fast_policy_leaves_no_closed_form_trace_for_exact_requests() {
     let program = ising_chain(5, 3, 1.0, 1.0, 0.1);
     let noise = NoiseModel::uniform_bit_flip(NOISE_P);
 
-    let oracle = analyze(
-        &Engine::new(),
-        &program,
-        &noise,
-        2,
-        1e-6,
-        TierPolicy::exact(),
-    );
+    let oracle = analyze(&Engine::new(), &program, &noise, 2, 1e-6, TierPolicy::Exact);
 
     let engine = Engine::new();
-    let fast = analyze(&engine, &program, &noise, 2, 1e-6, TierPolicy::fast());
+    let fast = analyze(&engine, &program, &noise, 2, 1e-6, TierPolicy::Fast);
     assert_eq!(
         fast.tier_counts().closed_form,
         fast.derivation().gate_rule_count()
@@ -290,7 +204,7 @@ fn fast_policy_leaves_no_closed_form_trace_for_exact_requests() {
         0,
         "closed forms must not populate the cache"
     );
-    let exact = analyze(&engine, &program, &noise, 2, 1e-6, TierPolicy::exact());
+    let exact = analyze(&engine, &program, &noise, 2, 1e-6, TierPolicy::Exact);
     assert_eq!(
         exact.error_bound().to_bits(),
         oracle.error_bound().to_bits(),
@@ -300,89 +214,17 @@ fn fast_policy_leaves_no_closed_form_trace_for_exact_requests() {
     assert_eq!(exact.cache_hits(), oracle.cache_hits());
 }
 
-/// Certificates carry their producing tier, and the shared cache filters
-/// on it: a warm-started solve's ε bits may serve later *fast*-policy
-/// requests, but an *exact*-policy request must re-solve cold and land on
-/// the bit-exact cold-engine answer — sharing one engine between fast and
-/// exact callers can never leak warm bits into an exact report.
-#[test]
-fn warm_certificates_never_serve_exact_requests() {
-    let program = ising_chain(5, 3, 1.0, 1.0, 0.1);
-    // Amplitude damping: not Pauli, so the SDP tiers (not Tier 0) answer.
-    let noise = NoiseModel::uniform_amplitude_damping(NOISE_P);
-
-    // Oracle: the re-bucketed request solved cold on a fresh engine.
-    let oracle_engine = Engine::new();
-    let _ = analyze(
-        &oracle_engine,
-        &program,
-        &noise,
-        2,
-        1e-6,
-        TierPolicy::exact(),
-    );
-    let oracle = analyze(
-        &oracle_engine,
-        &program,
-        &noise,
-        2,
-        1.1e-6,
-        TierPolicy::exact(),
-    );
-
-    // Shared engine: seed, then a warm-start pass populates the cache
-    // with warm-produced certificates under the re-bucketed keys.
-    let engine = Engine::new();
-    let _ = analyze(&engine, &program, &noise, 2, 1e-6, TierPolicy::exact());
-    let warm = analyze(
-        &engine,
-        &program,
-        &noise,
-        2,
-        1.1e-6,
-        TierPolicy {
-            closed_form: false,
-            warm_start: true,
-        },
-    );
-    assert!(warm.tier_counts().warm > 0, "warm certificates were cached");
-
-    // The exact request skips the warm entries, re-solves them cold, and
-    // matches the cold oracle bit for bit.
-    let exact = analyze(&engine, &program, &noise, 2, 1.1e-6, TierPolicy::exact());
-    assert_eq!(
-        exact.error_bound().to_bits(),
-        oracle.error_bound().to_bits(),
-        "exact after warm must match the cold oracle ({:e} vs {:e})",
-        exact.error_bound(),
-        oracle.error_bound()
-    );
-    assert!(
-        exact.sdp_solves() >= warm.tier_counts().warm,
-        "every warm-produced entry must be re-solved, not served"
-    );
-
-    // The cold re-solves overwrote the warm entries, so a second exact
-    // request is served entirely from the (now cold) cache.
-    let again = analyze(&engine, &program, &noise, 2, 1.1e-6, TierPolicy::exact());
-    assert_eq!(again.sdp_solves(), 0, "cold re-solves are cached");
-    assert_eq!(
-        again.error_bound().to_bits(),
-        oracle.error_bound().to_bits()
-    );
-}
-
 /// The accounting invariant every policy preserves:
 /// `gates = sdp_solves + cache_hits + closed_form`.
 #[test]
 fn tier_accounting_partitions_the_gates() {
     let program = ising_chain(6, 4, 1.0, 1.0, 0.1);
     for (noise, tiers) in [
-        (NoiseModel::uniform_bit_flip(NOISE_P), TierPolicy::fast()),
-        (NoiseModel::uniform_bit_flip(NOISE_P), TierPolicy::exact()),
+        (NoiseModel::uniform_bit_flip(NOISE_P), TierPolicy::Fast),
+        (NoiseModel::uniform_bit_flip(NOISE_P), TierPolicy::Exact),
         (
             NoiseModel::uniform_amplitude_damping(NOISE_P),
-            TierPolicy::fast(),
+            TierPolicy::Fast,
         ),
     ] {
         let report = analyze(&Engine::new(), &program, &noise, 2, 1e-6, tiers);
@@ -394,6 +236,6 @@ fn tier_accounting_partitions_the_gates() {
         );
         // The tier split itself partitions the solves.
         let t = report.tier_counts();
-        assert_eq!(t.warm + t.cold, report.sdp_solves());
+        assert_eq!(t.cold, report.sdp_solves());
     }
 }
