@@ -35,7 +35,9 @@
 
 use gleipnir_linalg::{herm_to_real_sym, CMat};
 use gleipnir_noise::{choi_of_unitary, Channel};
-use gleipnir_sdp::{SdpError, SdpProblem, SdpStatus, SolverOptions, SolverProfile, SparseSym};
+use gleipnir_sdp::{
+    SdpError, SdpProblem, SdpSolution, SdpStatus, SolverOptions, SolverProfile, SparseSym,
+};
 use std::fmt;
 
 /// The outcome of a diamond-norm SDP.
@@ -382,17 +384,22 @@ fn solve_problem(
     trace_bound: f64,
     opts: &SolverOptions,
 ) -> Result<DiamondResult, DiamondError> {
-    let sol = problem.solve(opts)?;
+    Ok(diamond_result(problem.solve(opts)?, trace_bound))
+}
+
+/// The sound diamond-norm bound behind a finished solve of a posed
+/// diamond SDP (the solve stage's lanes finish through here too).
+pub(crate) fn diamond_result(sol: SdpSolution, trace_bound: f64) -> DiamondResult {
     let bound = (-sol.certified_dual_bound(trace_bound)).max(0.0);
     let estimate = (-sol.primal_objective).max(0.0);
-    Ok(DiamondResult {
+    DiamondResult {
         bound,
         estimate,
         iterations: sol.iterations,
         converged: sol.status == SdpStatus::Optimal,
         dual: sol.y,
         profile: sol.profile,
-    })
+    }
 }
 
 /// Sanity helper used by tests and benches: a brute-force **lower** bound on
@@ -474,6 +481,7 @@ mod tests {
     use super::*;
     use gleipnir_circuit::Gate;
     use gleipnir_linalg::{c64, C64};
+    use gleipnir_sdp::{SdpBatch, LANES};
 
     fn opts() -> SolverOptions {
         SolverOptions::default()
@@ -645,6 +653,190 @@ mod tests {
         )
         .unwrap();
         assert!((a.bound - b.bound).abs() < 1e-6);
+    }
+
+    /// A seeded generator of posed `(ρ̂, δ)`-diamond SDPs covering every
+    /// shape the solve stage batches: 1- and 2-qubit gates; bit-flip,
+    /// depolarizing and amplitude-damping noise; ρ′ real-only, sparse (a
+    /// basis projector) or complex; δ zero, tiny, moderate or vacuous.
+    fn generated_problems(seed: u64, count: usize) -> Vec<SdpProblem> {
+        use gleipnir_circuit::Qubit;
+        use gleipnir_noise::NoiseModel;
+        let mut s = seed;
+        let mut rnd = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        };
+        (0..count)
+            .map(|_| {
+                let theta = 3.0 * rnd();
+                let gate = match (rnd() * 7.0) as usize {
+                    0 => Gate::Cnot,
+                    1 => Gate::Rzz(theta),
+                    2 => Gate::Cz,
+                    3 => Gate::Rx(theta),
+                    4 => Gate::Ry(theta),
+                    5 => Gate::H,
+                    _ => Gate::Cnot,
+                };
+                let p = 1e-4 + 1e-2 * rnd();
+                let noise = match (rnd() * 3.0) as usize {
+                    0 => NoiseModel::uniform_bit_flip(p),
+                    1 => NoiseModel::uniform_depolarizing(p, p),
+                    _ => NoiseModel::uniform_amplitude_damping(p),
+                };
+                let qubits: Vec<Qubit> = (0..gate.arity()).map(Qubit).collect();
+                let noisy = noise.noisy_gate(&gate, &qubits);
+                let d = gate.matrix().rows();
+                let kind = (rnd() * 3.0) as usize;
+                let psi: Vec<C64> = (0..d)
+                    .map(|k| match kind {
+                        0 => c64(rnd() - 0.5, 0.0),
+                        1 => c64(if k == d - 1 { 1.0 } else { 0.0 }, 0.0),
+                        _ => c64(rnd() - 0.5, rnd() - 0.5),
+                    })
+                    .collect();
+                let norm = psi.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
+                let rho = CMat::from_fn(d, d, |r, c| {
+                    psi[r].mul_conj(psi[c]).scale(1.0 / (norm * norm))
+                });
+                let delta = [0.0, 1e-6, 0.3 * rnd(), 2.0][(rnd() * 4.0) as usize];
+                rho_delta_problem(&gate.matrix(), &noisy, &rho, delta)
+                    .expect("well-formed judgment")
+                    .0
+            })
+            .collect()
+    }
+
+    /// Solves `problems` the way the solve stage does, with at most
+    /// `width` lanes per batch: one batch per shape, each lane refilled
+    /// from the queue as soon as its solve ends.
+    fn solve_batched(problems: &[SdpProblem], width: usize) -> Vec<SdpSolution> {
+        let mut out: Vec<Option<SdpSolution>> = vec![None; problems.len()];
+        let mut batches: Vec<SdpBatch<usize>> = Vec::new();
+        let mut next = 0;
+        loop {
+            while next < problems.len() && batches.iter().all(|b| b.len() < width) {
+                let p = &problems[next];
+                let at = batches
+                    .iter()
+                    .position(|b| !b.is_empty() && b.accepts(p))
+                    .or_else(|| batches.iter().position(SdpBatch::is_empty));
+                let b = at.unwrap_or_else(|| {
+                    batches.push(SdpBatch::new(opts()));
+                    batches.len() - 1
+                });
+                batches[b].push(p.clone(), next);
+                next += 1;
+            }
+            if batches.iter().all(SdpBatch::is_empty) {
+                break;
+            }
+            for b in &mut batches {
+                b.step(|i, r| out[i] = Some(r.expect("solve")));
+            }
+        }
+        out.into_iter()
+            .map(|s| s.expect("every problem solved"))
+            .collect()
+    }
+
+    fn assert_same_solve(lone: &SdpSolution, lane: &SdpSolution, what: &str) {
+        assert_eq!(lane.iterations, lone.iterations, "{what}: iterations");
+        assert_eq!(lane.status, lone.status, "{what}: status");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&lane.y), bits(&lone.y), "{what}: dual vector");
+        assert_eq!(
+            lane.certified_dual_bound(20.0).to_bits(),
+            lone.certified_dual_bound(20.0).to_bits(),
+            "{what}: certified bound"
+        );
+    }
+
+    #[test]
+    fn batched_lanes_match_lone_solves_on_generated_problems() {
+        let problems = generated_problems(0x5d1a_ce5e_ed00_0001, 10);
+        let lone: Vec<SdpSolution> = problems.iter().map(|p| p.solve(&opts()).unwrap()).collect();
+        for width in 1..=LANES {
+            let batched = solve_batched(&problems, width);
+            for (i, (a, b)) in lone.iter().zip(&batched).enumerate() {
+                assert_same_solve(a, b, &format!("problem {i}, {width} lanes"));
+            }
+        }
+    }
+
+    /// A thread keeps a finished batch's lane workspaces for its next batch
+    /// of the same shape. Whatever earlier solves left in them, later
+    /// solves must match lone solves on fresh threads bit for bit.
+    #[test]
+    fn reused_workspaces_do_not_leak_into_later_solves() {
+        let earlier = generated_problems(0x5d1a_ce5e_ed00_0002, 12);
+        let later = generated_problems(0x5d1a_ce5e_ed00_0003, 12);
+        let fresh: Vec<SdpSolution> = later
+            .iter()
+            .map(|p| {
+                let p = p.clone();
+                std::thread::spawn(move || p.solve(&opts()).unwrap())
+                    .join()
+                    .expect("lone solve")
+            })
+            .collect();
+        solve_batched(&earlier, LANES);
+        for (i, (a, b)) in fresh.iter().zip(&solve_batched(&later, LANES)).enumerate() {
+            assert_same_solve(a, b, &format!("problem {i} after reuse"));
+        }
+    }
+
+    /// The solve behind a `cold_suite` pass's 88 `sdp.loop_allocs` has
+    /// this signature: a 2-qubit judgment whose pure ρ′ and δ = 1e-6 pin
+    /// the ρ′ constraint's right-hand side to 1.999998, so the Schur
+    /// complement needs one regularization retry at every iteration from
+    /// 12 to 99 and the solve stops at the iteration cap. Batched, that
+    /// lane diverges from its neighbours at every iteration; it and they
+    /// must still match their lone solves bit for bit.
+    #[test]
+    fn regularization_retries_stay_in_their_lane() {
+        use gleipnir_circuit::Qubit;
+        use gleipnir_noise::NoiseModel;
+        let noise = NoiseModel::uniform_bit_flip(1e-4);
+        let judgment = |gate: Gate, psi: [f64; 4], delta: f64| {
+            let noisy = noise.noisy_gate(&gate, &[Qubit(0), Qubit(1)]);
+            let rho = CMat::from_fn(4, 4, |r, c| c64(psi[r] * psi[c], 0.0));
+            rho_delta_problem(&gate.matrix(), &noisy, &rho, delta)
+                .expect("well-formed judgment")
+                .0
+        };
+        let straggler = judgment(Gate::Cnot, [0.6, 0.0, 0.0, 0.8], 1e-6);
+        let rhs = *straggler.rhs().last().expect("ρ′ constraint");
+        assert!((rhs - 1.999998).abs() < 1e-12, "ρ′ right-hand side {rhs}");
+        let lone = straggler.solve(&opts()).unwrap();
+        assert_eq!(lone.status, SdpStatus::MaxIterations);
+        assert_eq!(lone.iterations, 100);
+        assert_eq!(
+            lone.profile.loop_allocs, 88,
+            "one retry per iteration 12..=99"
+        );
+
+        let problems = vec![
+            judgment(Gate::Cnot, [0.5, -0.5, 0.5, 0.5], 0.01),
+            straggler,
+            judgment(Gate::Rzz(-0.2), [0.8, 0.0, 0.6, 0.0], 0.05),
+            judgment(Gate::Cnot, [0.0, 0.6, 0.8, 0.0], 0.2),
+            judgment(Gate::Cz, [0.5, 0.5, 0.5, 0.5], 0.02),
+            judgment(Gate::Rzz(1.1), [0.6, 0.0, 0.0, 0.8], 0.1),
+        ];
+        let lone: Vec<SdpSolution> = problems.iter().map(|p| p.solve(&opts()).unwrap()).collect();
+        let batched = solve_batched(&problems, LANES);
+        for (i, (a, b)) in lone.iter().zip(&batched).enumerate() {
+            assert_same_solve(a, b, &format!("problem {i}"));
+            assert_eq!(
+                a.profile.loop_allocs, b.profile.loop_allocs,
+                "problem {i}: retries"
+            );
+        }
+        assert_eq!(batched[1].profile.loop_allocs, 88);
     }
 
     #[test]

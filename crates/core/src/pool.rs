@@ -20,6 +20,12 @@
 //! set by itself. A pool of size 1 (`GLEIPNIR_THREADS=1`) therefore
 //! degenerates to exactly the sequential execution order.
 //!
+//! A thread need not finish one task before claiming the next: each
+//! participant runs the set's driver with its own [`Claims`], and may hold
+//! several claims open (the solve stage steps up to a lane batch of SDPs
+//! together). A driver never blocks on another thread while it holds open
+//! claims, so the claim discipline stays deadlock-free.
+//!
 //! Jobs submitted to the pool hold only a [`Weak`] pool reference, so the
 //! strong count is owned solely by the [`Engine`](crate::Engine): dropping
 //! the engine shuts the pool down from the caller's thread (never from a
@@ -320,8 +326,12 @@ impl PoolHandle {
     }
 }
 
+/// A claimer's routine: run by every thread that participates in a task
+/// set, each with its own [`Claims`].
+type Driver<T> = Box<dyn Fn(&mut Claims<'_, T>) + Send + Sync>;
+
 struct TaskSet<T> {
-    task: Box<dyn Fn(usize) -> Result<T, AnalysisError> + Send + Sync>,
+    driver: Driver<T>,
     n: usize,
     next: AtomicUsize,
     results: Vec<Mutex<Option<Result<T, AnalysisError>>>>,
@@ -336,34 +346,82 @@ struct TaskSet<T> {
     finished_at: Mutex<Option<Instant>>,
 }
 
+/// One participating thread's share of a task set. The thread claims
+/// indices from the shared cursor and completes each one exactly once, in
+/// any order — a claimer may hold several open at a time (the solve stage
+/// advances up to a lane batch of SDPs together).
+pub(crate) struct Claims<'a, T> {
+    set: &'a TaskSet<T>,
+    /// Claimed but not yet completed.
+    open: Vec<usize>,
+    claimed_any: bool,
+}
+
+impl<T> Claims<'_, T> {
+    /// Claims the next unclaimed index, or `None` once the cursor is
+    /// exhausted. Never blocks.
+    pub(crate) fn claim(&mut self) -> Option<usize> {
+        let i = self.set.next.fetch_add(1, Ordering::Relaxed);
+        if i >= self.set.n {
+            return None;
+        }
+        if !self.claimed_any {
+            self.claimed_any = true;
+            // Counted *before* the task completes so the join-side read
+            // (sequenced after the final `done` increment) sees every
+            // claimant.
+            self.set.participants.fetch_add(1, Ordering::Relaxed);
+            let mut started = lock(&self.set.started_at);
+            if started.is_none() {
+                *started = Some(Instant::now());
+            }
+        }
+        self.open.push(i);
+        Some(i)
+    }
+
+    /// Delivers the result of claimed index `i`.
+    pub(crate) fn complete(&mut self, i: usize, result: Result<T, AnalysisError>) {
+        if let Some(p) = self.open.iter().position(|&j| j == i) {
+            self.open.swap_remove(p);
+        }
+        self.set.deliver(i, result);
+    }
+}
+
 impl<T> TaskSet<T> {
-    /// Claims and runs tasks until the cursor is exhausted.
-    fn claim_loop(&self) {
-        let mut claimed_any = false;
+    fn deliver(&self, i: usize, result: Result<T, AnalysisError>) {
+        *lock(&self.results[i]) = Some(result);
+        let mut done = lock(&self.done);
+        *done += 1;
+        if *done == self.n {
+            *lock(&self.finished_at) = Some(Instant::now());
+            self.all_done.notify_all();
+        }
+    }
+
+    /// Runs the driver on this thread until the cursor is exhausted and
+    /// everything this thread claimed is complete. A panic completes the
+    /// thread's open claims with [`AnalysisError::Panicked`], and the
+    /// driver resumes claiming — the joining thread may be the only one
+    /// left to finish the set.
+    fn drive(&self) {
+        let mut claims = Claims {
+            set: self,
+            open: Vec::new(),
+            claimed_any: false,
+        };
         loop {
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            if i >= self.n {
-                break;
+            let run = panic::catch_unwind(AssertUnwindSafe(|| (self.driver)(&mut claims)));
+            let (msg, finished) = match run {
+                Ok(()) => ("claimed task abandoned".to_string(), true),
+                Err(payload) => (panic_message(payload), false),
+            };
+            for i in std::mem::take(&mut claims.open) {
+                self.deliver(i, Err(AnalysisError::Panicked(msg.clone())));
             }
-            if !claimed_any {
-                claimed_any = true;
-                // Counted *before* the task completes so the join-side read
-                // (sequenced after the final `done` increment) sees every
-                // claimant.
-                self.participants.fetch_add(1, Ordering::Relaxed);
-                let mut started = lock(&self.started_at);
-                if started.is_none() {
-                    *started = Some(Instant::now());
-                }
-            }
-            let result = panic::catch_unwind(AssertUnwindSafe(|| (self.task)(i)))
-                .unwrap_or_else(|payload| Err(AnalysisError::Panicked(panic_message(payload))));
-            *lock(&self.results[i]) = Some(result);
-            let mut done = lock(&self.done);
-            *done += 1;
-            if *done == self.n {
-                *lock(&self.finished_at) = Some(Instant::now());
-                self.all_done.notify_all();
+            if finished {
+                return;
             }
         }
     }
@@ -391,7 +449,7 @@ impl<T: Send + 'static> PendingRun<T> {
     /// Joins the run: the calling thread claims remaining tasks, waits for
     /// stragglers, and collects the results.
     pub(crate) fn join(self) -> RunOutcome<T> {
-        self.set.claim_loop();
+        self.set.drive();
         {
             let mut done = lock(&self.set.done);
             while *done < self.set.n {
@@ -435,8 +493,31 @@ where
     T: Send + 'static,
     F: Fn(usize) -> Result<T, AnalysisError> + Send + Sync + 'static,
 {
+    spawn_claiming(pool, class, n, move |claims| {
+        while let Some(i) = claims.claim() {
+            let result = task(i);
+            claims.complete(i, result);
+        }
+    })
+}
+
+/// Dispatches a task set whose participating threads each run `driver`
+/// with their own [`Claims`]: claim indices until [`Claims::claim`]
+/// returns `None`, and complete every claimed index before returning. A
+/// driver may hold several claims open at once, but must never block on
+/// another thread while it does.
+pub(crate) fn spawn_claiming<T, F>(
+    pool: &PoolHandle,
+    class: PriorityClass,
+    n: usize,
+    driver: F,
+) -> PendingRun<T>
+where
+    T: Send + 'static,
+    F: Fn(&mut Claims<'_, T>) + Send + Sync + 'static,
+{
     let set = Arc::new(TaskSet {
-        task: Box::new(task),
+        driver: Box::new(driver),
         n,
         next: AtomicUsize::new(0),
         results: (0..n).map(|_| Mutex::new(None)).collect(),
@@ -452,7 +533,7 @@ where
     let assists = pool.threads().saturating_sub(1).min(n);
     for _ in 0..assists {
         let set = Arc::clone(&set);
-        pool.submit(class, Box::new(move || set.claim_loop()));
+        pool.submit(class, Box::new(move || set.drive()));
     }
     PendingRun { set }
 }
@@ -649,6 +730,55 @@ mod tests {
             2,
             "threads > 1 spawns the regular workers, no extra one"
         );
+    }
+
+    #[test]
+    fn claimers_hold_several_claims_and_panics_release_them() {
+        // Each claimer holds up to three claims open and completes them
+        // out of order; the driver panics while holding claims that
+        // include index 5. Every index still gets exactly one result, the
+        // panic's open claims become `Panicked`, and claiming resumes.
+        for threads in [1, 3] {
+            let pool = Arc::new(WorkerPool::new(threads));
+            let out = spawn_claiming(
+                &handle(&pool),
+                PriorityClass::Interactive,
+                20,
+                |claims: &mut Claims<'_, usize>| {
+                    let mut held = Vec::new();
+                    loop {
+                        while held.len() < 3 {
+                            match claims.claim() {
+                                Some(i) => held.push(i),
+                                None => break,
+                            }
+                        }
+                        if held.is_empty() {
+                            return;
+                        }
+                        if held.contains(&5) {
+                            panic!("lane batch exploded");
+                        }
+                        while let Some(i) = held.pop() {
+                            claims.complete(i, Ok(i * 3));
+                        }
+                    }
+                },
+            )
+            .join();
+            assert_eq!(out.results.len(), 20);
+            for (i, r) in out.results.iter().enumerate() {
+                match r {
+                    Ok(v) => assert_eq!(*v, i * 3),
+                    Err(AnalysisError::Panicked(msg)) => {
+                        assert!(msg.contains("exploded"), "{msg}")
+                    }
+                    Err(e) => panic!("index {i}: {e}"),
+                }
+            }
+            assert!(matches!(out.results[5], Err(AnalysisError::Panicked(_))));
+            assert!(out.results.iter().filter(|r| r.is_ok()).count() >= 17);
+        }
     }
 
     #[test]

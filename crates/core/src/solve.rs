@@ -16,7 +16,10 @@
 //!   to recompute than to store, and keeping it out of both means
 //!   exact-policy requests on the same engine can never observe it (not
 //!   even by joining a concurrent fast-policy solve);
-//! * **cold solve** — the classic interior-point solve.
+//! * **cold solve** — the classic interior-point solve, advanced in a
+//!   lock-step [`SdpBatch`] lane next to up to three other same-shape
+//!   solves of the same thread (see [`Stage::drive`]); each lane's bits
+//!   are its lone solve's.
 //!
 //! ## Deduplication, determinism, and accounting
 //!
@@ -45,18 +48,18 @@
 //! `cache_hits`, so `gates = sdp_solves + cache_hits + closed_form` under
 //! any policy.
 
-use crate::diamond::rho_delta_diamond;
-use crate::engine::{Certificate, EngineHandle, Lookup};
+use crate::diamond::{diamond_result, rho_delta_problem, DiamondError};
+use crate::engine::{Certificate, EngineHandle, EngineShared, InflightSlot, LeadGuard, Lookup};
 use crate::error::AnalysisError;
 use crate::plan::SolveObligation;
-use crate::pool::{spawn_indexed, PendingRun};
+use crate::pool::{spawn_claiming, Claims, PendingRun};
 use crate::tiers::{closed_form_gate_bound, note_engine_totals, BoundTier, TierCounts, TierPolicy};
-use gleipnir_sdp::{SolverOptions, SolverProfile};
+use gleipnir_sdp::{SdpBatch, SdpError, SdpProblem, SdpSolution, SolverOptions, SolverProfile};
 use gleipnir_telemetry as telemetry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The solve stage's result: one ε per obligation (in plan order) plus the
 /// accounting the report surfaces.
@@ -155,126 +158,262 @@ pub(crate) fn spawn_solve(
     drop(by_key); // releases the borrow on `obligations`
 
     let units = Arc::new(units);
-    let obligations = Arc::new(obligations);
-    let shared = Arc::clone(&h.shared);
-    let task_units = Arc::clone(&units);
-    // First failure cancels the units not yet claimed (the old sequential
-    // walk stopped at its first failing gate; solving hundreds of further
-    // SDPs just to report the same error would waste minutes of CPU).
-    // Already-running units still finish — leads always complete.
-    let cancelled = Arc::new(AtomicBool::new(false));
-    // Captured once at dispatch: pool threads record their obligation
-    // spans against the submitting request's trace (the ambient context
-    // does not cross threads). `dispatch_ns` turns claim time into
-    // per-unit pool queue wait. Recording happens strictly *after* each
-    // unit's value is computed — observation only, never an input.
-    let trace_ctx = telemetry::active();
-    let dispatch_ns = telemetry::now_ns();
-    let pending = spawn_indexed(&h.pool, h.class, units.len(), move |u| {
-        if cancelled.load(Ordering::Relaxed) {
-            return Ok(None);
+    let stage = Arc::new(Stage {
+        shared: Arc::clone(&h.shared),
+        units: Arc::clone(&units),
+        obligations,
+        opts,
+        policy,
+        // First failure cancels the units not yet claimed (the old
+        // sequential walk stopped at its first failing gate; solving
+        // hundreds of further SDPs just to report the same error would
+        // waste minutes of CPU). Already-running units still finish —
+        // leads always complete.
+        cancelled: AtomicBool::new(false),
+        // Captured once at dispatch: pool threads record their obligation
+        // spans against the submitting request's trace (the ambient
+        // context does not cross threads). `dispatch_ns` turns claim time
+        // into per-unit pool queue wait. Recording happens strictly
+        // *after* each unit's value is computed — observation only, never
+        // an input.
+        trace_ctx: telemetry::active(),
+        dispatch_ns: telemetry::now_ns(),
+    });
+    let pending = spawn_claiming(&h.pool, h.class, units.len(), move |claims| {
+        stage.drive(claims)
+    });
+    PendingSolve {
+        pending,
+        units,
+        n_obligations,
+    }
+}
+
+/// Everything a participating thread needs to discharge the stage's units.
+struct Stage {
+    shared: Arc<EngineShared>,
+    units: Arc<Vec<Unit>>,
+    obligations: Vec<SolveObligation>,
+    opts: SolverOptions,
+    policy: TierPolicy,
+    cancelled: AtomicBool,
+    trace_ctx: Option<telemetry::TraceCtx>,
+    dispatch_ns: u64,
+}
+
+/// How a claimed unit proceeds.
+enum Start<'c> {
+    /// Answered on the spot (closed form, cache hit, or a failure).
+    Done(Result<UnitValue, AnalysisError>),
+    /// Another thread leads this key; wait on the slot.
+    Join(Arc<InflightSlot>),
+    /// This thread solves it: the posed SDP and its lead.
+    Solve(SdpProblem, Lead<'c>),
+}
+
+/// A lead solve riding in a lane: what its completion needs.
+struct Lead<'c> {
+    unit: usize,
+    claim_ns: u64,
+    /// When the solve entered its lane (its own wall time, for the
+    /// `ip_solve_ms` histogram).
+    started: Instant,
+    trace_bound: f64,
+    /// The cache lead for keyed units (`None` for exact units).
+    guard: Option<LeadGuard<'c>>,
+    dim: u32,
+    n_kraus: u32,
+}
+
+impl Stage {
+    /// One thread's share of the stage. Leads of the same shape fill the
+    /// lanes of a [`SdpBatch`] (one batch per shape in hand), and the
+    /// thread keeps claiming while every batch has a free lane — it never
+    /// waits for a batch to fill. Each step advances every batch one
+    /// interior-point iteration; a lane that finishes is published at once
+    /// and refilled by the next claim. Joins on other threads' leads are
+    /// only waited on once this thread holds no unpublished lead, so two
+    /// threads leading each other's keys cannot deadlock.
+    fn drive(&self, claims: &mut Claims<'_, Option<UnitValue>>) {
+        let mut batches: Vec<SdpBatch<Lead<'_>>> = Vec::new();
+        let mut joins: Vec<(usize, u64, Arc<InflightSlot>)> = Vec::new();
+        let mut exhausted = false;
+        loop {
+            while !exhausted && !batches.iter().any(SdpBatch::is_full) {
+                let Some(u) = claims.claim() else {
+                    exhausted = true;
+                    break;
+                };
+                let claim_ns = telemetry::now_ns();
+                if self.cancelled.load(Ordering::Relaxed) {
+                    claims.complete(u, Ok(None));
+                    continue;
+                }
+                match self.start(u, claim_ns) {
+                    Start::Done(outcome) => self.finish(claims, u, claim_ns, outcome),
+                    Start::Join(slot) => joins.push((u, claim_ns, slot)),
+                    Start::Solve(problem, lead) => {
+                        // Join a running batch of this shape, else reuse
+                        // an idle one, else open one.
+                        let slot = batches
+                            .iter()
+                            .position(|b| !b.is_empty() && b.accepts(&problem))
+                            .or_else(|| batches.iter().position(SdpBatch::is_empty));
+                        match slot {
+                            Some(b) => batches[b].push(problem, lead),
+                            None => {
+                                let mut batch = SdpBatch::new(self.opts);
+                                batch.push(problem, lead);
+                                batches.push(batch);
+                            }
+                        }
+                    }
+                }
+            }
+            if batches.iter().all(SdpBatch::is_empty) {
+                break;
+            }
+            for batch in &mut batches {
+                batch.step(|lead, result| self.finish_lead(claims, lead, result));
+            }
         }
-        let claim_ns = telemetry::now_ns();
+        for (u, claim_ns, slot) in joins {
+            let outcome = slot
+                .wait()
+                .map(UnitValue::Joined)
+                .map_err(AnalysisError::Diamond);
+            self.finish(claims, u, claim_ns, outcome);
+        }
+    }
+
+    /// Resolves a claimed unit as far as it goes without solving: the
+    /// Tier 0 closed form, a cache hit, a join, or a posed lead SDP.
+    fn start(&self, u: usize, claim_ns: u64) -> Start<'_> {
         let closed_form = |ob: &SolveObligation| -> Option<f64> {
-            (policy == TierPolicy::Fast)
+            (self.policy == TierPolicy::Fast)
                 .then(|| closed_form_gate_bound(&ob.gate_matrix, &ob.noisy))
                 .flatten()
         };
-        let outcome = match &task_units[u] {
+        let lead = |ob: &SolveObligation, trace_bound, guard| Lead {
+            unit: u,
+            claim_ns,
+            started: Instant::now(),
+            trace_bound,
+            guard,
+            dim: ob.gate_matrix.rows() as u32,
+            n_kraus: ob.noisy.kraus().len() as u32,
+        };
+        match &self.units[u] {
             Unit::Exact(i) => {
-                let ob = &obligations[*i];
-                match closed_form(ob) {
-                    Some(eps) => Ok(UnitValue::ClosedForm(eps)),
-                    None => rho_delta_diamond(
-                        &ob.gate_matrix,
-                        &ob.noisy,
-                        &ob.rho_prime,
-                        ob.delta,
-                        &opts,
-                    )
-                    .map(|r| UnitValue::Solved {
-                        eps: r.bound,
-                        iterations: r.iterations,
-                        profile: r.profile,
-                    })
-                    .map_err(AnalysisError::from),
+                let ob = &self.obligations[*i];
+                if let Some(eps) = closed_form(ob) {
+                    return Start::Done(Ok(UnitValue::ClosedForm(eps)));
+                }
+                match rho_delta_problem(&ob.gate_matrix, &ob.noisy, &ob.rho_prime, ob.delta) {
+                    Ok((problem, trace_bound)) => {
+                        Start::Solve(problem, lead(ob, trace_bound, None))
+                    }
+                    Err(e) => Start::Done(Err(AnalysisError::from(e))),
                 }
             }
             Unit::Keyed(obs) => {
-                let ob = &obligations[obs[0]];
+                let ob = &self.obligations[obs[0]];
                 let cached = ob.cached.as_ref().expect("keyed unit has a judgment");
                 // Tier 0 stays entirely outside the cache AND the in-flight
                 // protocol: the analytic value is never published anywhere a
                 // concurrent exact-policy request could observe it (joining
                 // an in-flight slot included). A finished certificate still
                 // wins — it is tighter (state-aware) and engine-consistent.
-                let analytic = if shared.cache.contains(&cached.key) {
+                let analytic = if self.shared.cache.contains(&cached.key) {
                     None
                 } else {
                     closed_form(ob)
                 };
                 if let Some(eps) = analytic {
-                    Ok(UnitValue::ClosedForm(eps))
-                } else {
-                    match shared.cache.lookup_or_lead(&cached.key) {
-                        Lookup::Hit(eps) => Ok(UnitValue::CacheHit(eps)),
-                        Lookup::Join(slot) => slot
-                            .wait()
-                            .map(UnitValue::Joined)
-                            .map_err(AnalysisError::Diamond),
-                        Lookup::Lead(guard) => match rho_delta_diamond(
-                            &ob.gate_matrix,
-                            &ob.noisy,
-                            &cached.rho_q,
-                            cached.delta_eff,
-                            &opts,
-                        ) {
-                            Ok(r) => {
-                                guard.complete(Ok(Certificate {
-                                    eps: r.bound,
-                                    dim: ob.gate_matrix.rows() as u32,
-                                    n_kraus: ob.noisy.kraus().len() as u32,
-                                    dual: Arc::new(r.dual),
-                                }));
-                                Ok(UnitValue::Solved {
-                                    eps: r.bound,
-                                    iterations: r.iterations,
-                                    profile: r.profile,
-                                })
-                            }
-                            Err(e) => {
-                                guard.complete(Err(e.clone()));
-                                Err(AnalysisError::Diamond(e))
-                            }
-                        },
-                    }
+                    return Start::Done(Ok(UnitValue::ClosedForm(eps)));
+                }
+                match self.shared.cache.lookup_or_lead(&cached.key) {
+                    Lookup::Hit(eps) => Start::Done(Ok(UnitValue::CacheHit(eps))),
+                    Lookup::Join(slot) => Start::Join(slot),
+                    Lookup::Lead(guard) => match rho_delta_problem(
+                        &ob.gate_matrix,
+                        &ob.noisy,
+                        &cached.rho_q,
+                        cached.delta_eff,
+                    ) {
+                        Ok((problem, trace_bound)) => {
+                            Start::Solve(problem, lead(ob, trace_bound, Some(guard)))
+                        }
+                        Err(e) => {
+                            guard.complete(Err(e.clone()));
+                            Start::Done(Err(AnalysisError::Diamond(e)))
+                        }
+                    },
                 }
             }
+        }
+    }
+
+    /// Publishes a finished lane: the certificate to the cache (waking any
+    /// joiners) and the unit's value to the task set.
+    fn finish_lead(
+        &self,
+        claims: &mut Claims<'_, Option<UnitValue>>,
+        lead: Lead<'_>,
+        result: Result<SdpSolution, SdpError>,
+    ) {
+        // Every actual interior-point solve feeds the global solve-time
+        // histogram (tracing on or off) with its own wall time.
+        telemetry::global()
+            .ip_solve_ms
+            .observe_ms(lead.started.elapsed().as_secs_f64() * 1e3);
+        let outcome = match result {
+            Ok(sol) => {
+                let r = diamond_result(sol, lead.trace_bound);
+                if let Some(guard) = lead.guard {
+                    guard.complete(Ok(Certificate {
+                        eps: r.bound,
+                        dim: lead.dim,
+                        n_kraus: lead.n_kraus,
+                        dual: Arc::new(r.dual),
+                    }));
+                }
+                Ok(UnitValue::Solved {
+                    eps: r.bound,
+                    iterations: r.iterations,
+                    profile: r.profile,
+                })
+            }
+            Err(e) => {
+                let e = DiamondError::Solver(e);
+                if let Some(guard) = lead.guard {
+                    guard.complete(Err(e.clone()));
+                }
+                Err(AnalysisError::Diamond(e))
+            }
         };
-        if let Ok(value) = &outcome {
-            // Every actual interior-point solve feeds the global solve-
-            // time histogram (tracing on or off); the obligation span and
-            // its re-emitted solver-phase children only exist for traced
-            // requests.
-            if let UnitValue::Solved { profile, .. } = value {
-                telemetry::global().ip_solve_ms.observe_ms(profile.total_ms);
-            }
-            if let Some(ctx) = trace_ctx {
-                record_obligation_span(ctx, &task_units[u], value, dispatch_ns, claim_ns);
-            }
+        self.finish(claims, lead.unit, lead.claim_ns, outcome);
+    }
+
+    /// Records the unit's obligation span (traced requests only), notes a
+    /// failure for cancellation, and delivers the unit's result.
+    fn finish(
+        &self,
+        claims: &mut Claims<'_, Option<UnitValue>>,
+        u: usize,
+        claim_ns: u64,
+        outcome: Result<UnitValue, AnalysisError>,
+    ) {
+        if let (Ok(value), Some(ctx)) = (&outcome, self.trace_ctx) {
+            record_obligation_span(ctx, &self.units[u], value, self.dispatch_ns, claim_ns);
         }
         if outcome.is_err() {
-            // The store is sequenced before this task's result slot is
+            // The store is sequenced before this unit's result slot is
             // written, so by the time join() collects, the triggering
             // failure is always recorded alongside any skipped units.
-            cancelled.store(true, Ordering::Relaxed);
+            self.cancelled.store(true, Ordering::Relaxed);
         }
-        outcome.map(Some)
-    });
-    PendingSolve {
-        pending,
-        units,
-        n_obligations,
+        claims.complete(u, outcome.map(Some));
     }
 }
 

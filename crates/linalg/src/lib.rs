@@ -11,6 +11,9 @@
 //!   the full product/adjoint/Kronecker toolkit;
 //! * [`RMat`] — dense real matrices with Cholesky and triangular solves
 //!   (used by the SDP solver);
+//! * [`LaneMat`] and the [`lanes`] kernels — `K` same-shape matrices
+//!   interleaved element by element, so the SDP solver can advance `K`
+//!   independent solves in lock step at each one's scalar bits;
 //! * [`eigh()`] / [`sym_eig`] — Hermitian and real-symmetric
 //!   eigendecomposition (Householder tridiagonalization + implicit QL);
 //! * [`svd_gram`] / [`svd_jacobi`] — singular value decompositions;
@@ -29,6 +32,7 @@ mod complex;
 mod cvec;
 pub mod eigh;
 mod embed;
+pub mod lanes;
 mod qr;
 mod quantum;
 mod rmat;
@@ -39,6 +43,7 @@ pub use complex::{c64, C64};
 pub use cvec::CVec;
 pub use eigh::{eigh, eigh_vals, herm_fn, herm_sqrt, sym_eig, sym_eigvals, EigError};
 pub use embed::{herm_to_real_sym, real_sym_to_herm};
+pub use lanes::{LaneMat, Lanes};
 pub use qr::{lq_thin, qr_thin};
 pub use quantum::{
     fidelity, is_density_matrix, ptrace_keep, purity, trace_distance, trace_norm_hermitian,

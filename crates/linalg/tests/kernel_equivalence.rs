@@ -15,7 +15,8 @@
 //! unchanged under `GLEIPNIR_THREADS=1` and the default thread count (the
 //! kernels are single-threaded; CI exercises both settings).
 
-use gleipnir_linalg::{axpy_slice, dot_slice, sym_eig, sym_eigvals, RMat};
+use gleipnir_linalg::lanes::{dot_terms, sym_sandwich_block};
+use gleipnir_linalg::{axpy_slice, dot_slice, sym_eig, sym_eigvals, LaneMat, RMat};
 
 /// Deterministic 64-bit LCG (Knuth MMIX constants) — no dev-dependency on
 /// an RNG crate, and the stream is identical on every platform.
@@ -391,5 +392,222 @@ fn eigvals_only_path_matches_full_decomposition_bitwise() {
         for (&lo, &lf) in vals_only.iter().zip(&vals_full) {
             assert!(lo.to_bits() == lf.to_bits(), "indefinite {n}x{n}");
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Lane kernels: K same-shape problems interleaved element by element.
+// Every lane must come out bit-identical to the scalar kernel run on that
+// lane's data alone. K = 4 takes the SSE2 path on x86-64; K = 3 and K = 1
+// take the portable path.
+// ---------------------------------------------------------------------
+
+fn pack<const K: usize>(mats: &[RMat]) -> LaneMat<K> {
+    let mut out = LaneMat::<K>::zeros(mats[0].rows(), mats[0].cols());
+    for (lane, m) in mats.iter().enumerate() {
+        out.set_lane(lane, m);
+    }
+    out
+}
+
+fn lane_of<const K: usize>(m: &LaneMat<K>, lane: usize) -> RMat {
+    let mut out = RMat::zeros(m.rows(), m.cols());
+    m.get_lane(lane, &mut out);
+    out
+}
+
+/// Lane Cholesky, both triangular solves and symmetrize against the
+/// scalar kernels, with lane `bad` holding an indefinite matrix.
+fn check_lane_factor_kernels<const K: usize>(rng: &mut Lcg, bad: usize) {
+    for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 13, 32, 33] {
+        let mats: Vec<RMat> = (0..K)
+            .map(|lane| {
+                let mut a = random_spd(rng, n);
+                if lane == bad {
+                    let last = n - 1;
+                    a.set(last, last, -1.0);
+                }
+                a
+            })
+            .collect();
+        let lanes = pack::<K>(&mats);
+        let mut chol = LaneMat::<K>::zeros(n, n);
+        let ok = lanes.cholesky_into(&mut chol);
+        let mut scalar = RMat::zeros(n, n);
+        for (lane, a) in mats.iter().enumerate() {
+            let want_ok = a.cholesky_into(&mut scalar);
+            assert_eq!(ok[lane], want_ok, "K {K} n {n} lane {lane}: definiteness");
+            if want_ok {
+                assert_bits_eq(&lane_of(&chol, lane), &scalar, "lane cholesky");
+            }
+        }
+
+        // Triangular solves against each lane's own (valid) factor.
+        let factors: Vec<RMat> = (0..K)
+            .map(|_| random_spd(rng, n).cholesky().unwrap())
+            .collect();
+        let l = pack::<K>(&factors);
+        let rhs: Vec<Vec<f64>> = (0..K)
+            .map(|_| (0..n).map(|_| rng.coeff()).collect())
+            .collect();
+        let mut fwd: Vec<[f64; K]> = (0..n).map(|i| std::array::from_fn(|k| rhs[k][i])).collect();
+        let mut bwd = fwd.clone();
+        l.solve_lower_in_place(&mut fwd);
+        l.solve_lower_transpose_in_place(&mut bwd);
+        for (lane, f) in factors.iter().enumerate() {
+            let mut want_f = rhs[lane].clone();
+            f.solve_lower_in_place(&mut want_f);
+            let mut want_b = rhs[lane].clone();
+            f.solve_lower_transpose_in_place(&mut want_b);
+            for i in 0..n {
+                assert_eq!(
+                    fwd[i][lane].to_bits(),
+                    want_f[i].to_bits(),
+                    "solve_lower K {K} n {n}"
+                );
+                assert_eq!(
+                    bwd[i][lane].to_bits(),
+                    want_b[i].to_bits(),
+                    "solve_lower_transpose K {K} n {n}"
+                );
+            }
+        }
+
+        let raw: Vec<RMat> = (0..K).map(|_| random_mat(rng, n, n)).collect();
+        let mut sym = pack::<K>(&raw);
+        sym.symmetrize_in_place();
+        for (lane, a) in raw.iter().enumerate() {
+            let mut want = a.clone();
+            want.symmetrize_in_place();
+            assert_bits_eq(&lane_of(&sym, lane), &want, "lane symmetrize");
+        }
+    }
+}
+
+#[test]
+fn lane_cholesky_solves_and_symmetrize_match_scalar_bitwise() {
+    let mut rng = Lcg::new(0x0bad_c0de_1234_5678);
+    check_lane_factor_kernels::<4>(&mut rng, 2);
+    check_lane_factor_kernels::<3>(&mut rng, 0);
+    check_lane_factor_kernels::<1>(&mut rng, usize::MAX);
+}
+
+/// The historical scalar sandwich `sym(X·A·Z⁻¹)` on one block: `U = X·A`
+/// by strided column updates in entry order, then `U·Z⁻¹` skipping zero
+/// `U` entries, then symmetrize.
+fn reference_sandwich(x: &RMat, entries: &[(usize, usize, f64)], zinv: &RMat) -> RMat {
+    let n = x.rows();
+    let mut u = RMat::zeros(n, n);
+    for &(r, c, v) in entries {
+        for i in 0..n {
+            let w = u.at(i, c) + v * x.at(i, r);
+            u.set(i, c, w);
+        }
+        if r != c {
+            for i in 0..n {
+                let w = u.at(i, r) + v * x.at(i, c);
+                u.set(i, r, w);
+            }
+        }
+    }
+    let mut t = RMat::zeros(n, n);
+    for i in 0..n {
+        for k in 0..n {
+            let w = u.at(i, k);
+            if w == 0.0 {
+                continue;
+            }
+            for j in 0..n {
+                let s = t.at(i, j) + w * zinv.at(k, j);
+                t.set(i, j, s);
+            }
+        }
+    }
+    naive_symmetrize(&t)
+}
+
+fn check_lane_sandwich_and_dots<const K: usize>(rng: &mut Lcg) {
+    for n in [1usize, 3, 8, 17, 32] {
+        // X is bit-symmetric in the solver (every update ends in a
+        // symmetrize); zero rows in some lanes make V zero there, so the
+        // per-lane select is exercised next to live lanes.
+        let xs: Vec<RMat> = (0..K)
+            .map(|lane| {
+                let mut x = random_mat(rng, n, n).symmetrize();
+                if lane % 2 == 1 && n > 2 {
+                    for k in 0..n {
+                        x.set(1, k, 0.0);
+                        x.set(k, 1, 0.0);
+                    }
+                }
+                x
+            })
+            .collect();
+        let mut zs: Vec<RMat> = (0..K).map(|_| random_mat(rng, n, n).symmetrize()).collect();
+        // Index 1 appears only as the diagonal entry (1, 1), so row 1 of
+        // V is exactly zero in the lanes whose X has a zero row 1.
+        let mut entries: Vec<(usize, usize, f64)> = Vec::new();
+        if n > 2 {
+            entries.push((1, 1, 1.5));
+        }
+        for _ in 0..rng.size(4) {
+            let (a, b) = (rng.size(n) - 1, rng.size(n) - 1);
+            let (r, c) = (a.min(b), a.max(b));
+            let touches_one = n > 2 && (r == 1 || c == 1);
+            if !touches_one && !entries.iter().any(|&(rr, cc, _)| (rr, cc) == (r, c)) {
+                entries.push((r, c, rng.coeff() + 2.0));
+            }
+        }
+        let mut rows: Vec<usize> = entries.iter().flat_map(|&(r, c, _)| [r, c]).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        // A non-finite Z⁻¹ entry in a row whose V entries are zero in that
+        // lane: the scalar kernel skips the product, so the lane must too.
+        if n > 2 && K > 1 {
+            zs[1].set(1, 0, f64::INFINITY);
+        }
+        let x = pack::<K>(&xs);
+        let z = pack::<K>(&zs);
+        let mut v = LaneMat::<K>::zeros(n, n);
+        let mut out = LaneMat::<K>::zeros(n, n);
+        sym_sandwich_block(&x, &entries, &rows, &z, &mut v, &mut out);
+        for lane in 0..K {
+            let want = reference_sandwich(&xs[lane], &entries, &zs[lane]);
+            let got = lane_of(&out, lane);
+            for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                assert!(
+                    g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                    "sandwich K {K} n {n} lane {lane} element {i}: {g:e} vs {w:e}"
+                );
+            }
+        }
+
+        // The flattened inner-product program, against a sequential sum.
+        let terms: Vec<(u32, f64)> = (0..rng.size(9))
+            .map(|_| ((rng.size(n * n) - 1) as u32, rng.coeff()))
+            .collect();
+        let start: [f64; K] = std::array::from_fn(|_| rng.coeff());
+        let got = dot_terms(start, &terms, out.as_slice());
+        for lane in 0..K {
+            let flat = lane_of(&out, lane);
+            let mut want = start[lane];
+            for &(off, w) in &terms {
+                want += w * flat.as_slice()[off as usize];
+            }
+            assert!(
+                got[lane].to_bits() == want.to_bits() || (got[lane].is_nan() && want.is_nan()),
+                "dot_terms K {K} n {n} lane {lane}"
+            );
+        }
+    }
+}
+
+#[test]
+fn lane_sandwich_and_dots_match_scalar_bitwise() {
+    let mut rng = Lcg::new(0x5eed_1a4e_5a4d_0001);
+    for _ in 0..4 {
+        check_lane_sandwich_and_dots::<4>(&mut rng);
+        check_lane_sandwich_and_dots::<3>(&mut rng);
+        check_lane_sandwich_and_dots::<1>(&mut rng);
     }
 }

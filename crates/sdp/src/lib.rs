@@ -40,5 +40,6 @@ mod solver;
 pub use blockmat::BlockMat;
 pub use problem::{SdpProblem, SparseSym};
 pub use solver::{
-    largest_eigenvalue_sdp, SdpError, SdpSolution, SdpStatus, SolverOptions, SolverProfile,
+    largest_eigenvalue_sdp, SdpBatch, SdpError, SdpSolution, SdpStatus, SolverOptions,
+    SolverProfile, LANES,
 };

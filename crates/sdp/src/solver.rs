@@ -22,7 +22,9 @@
 //! any trace bound `R` on the feasible set).
 
 use crate::{BlockMat, SdpProblem, SparseSym};
-use gleipnir_linalg::{axpy_slice, RMat};
+use gleipnir_linalg::lanes::{dot_terms, sym_sandwich_block};
+use gleipnir_linalg::{LaneMat, Lanes, RMat};
+use std::cell::RefCell;
 use std::fmt;
 use std::time::Instant;
 
@@ -75,14 +77,15 @@ impl std::error::Error for SdpError {}
 /// Cumulative time and allocation accounting for one interior-point solve,
 /// broken down by phase.
 ///
-/// Every phase of [`SdpProblem::solve`] is timed, so the phase fields sum to
-/// approximately [`SolverProfile::total_ms`] (the difference is timer
-/// overhead). Profiles are additive: reports and benchmark passes aggregate
-/// the per-solve profiles of hundreds of SDPs with [`SolverProfile::add`].
-/// A single solve runs on one thread, so its profile is wall time; an
-/// aggregate over solves that ran on several pool workers at once is CPU
-/// time summed across those workers and can exceed the wall time of the
-/// analysis.
+/// Every phase of an [`SdpBatch`] iteration is timed once for all its lanes
+/// and charged to each lane that ran it in equal shares, so a lane's phase
+/// fields sum to approximately [`SolverProfile::total_ms`] (the difference
+/// is the lane's share of timer overhead) and a profile is the lane's
+/// share of CPU time — its wall time only for a lone solve. Profiles are
+/// additive: reports and benchmark passes aggregate the per-solve profiles
+/// of hundreds of SDPs with [`SolverProfile::add`]; an aggregate over
+/// solves that ran on several pool workers at once is CPU time summed
+/// across those workers and can exceed the wall time of the analysis.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SolverProfile {
     /// Pre-loop work: dense `C`, norms, the starting iterate, the
@@ -255,266 +258,895 @@ impl SdpProblem {
     }
 }
 
+/// The lane width of [`SdpBatch`]: how many solves one lock-step batch
+/// advances together.
+pub const LANES: usize = 4;
+
 impl SdpProblem {
-    /// Solves the SDP from the standard cold start.
+    /// Solves the SDP from the standard cold start: a batch of one
+    /// through [`SdpBatch`], so a lone solve and a batched lane run the
+    /// same code and produce the same bits.
     ///
     /// # Errors
     ///
     /// [`SdpError::Numerical`] if the Schur complement stays singular after
     /// regularization or the iterates lose positive definiteness.
     pub fn solve(&self, opts: &SolverOptions) -> Result<SdpSolution, SdpError> {
-        let t_total = Instant::now();
-        let mut profile = SolverProfile::default();
+        let mut batch = SdpBatch::new(*opts);
+        batch.push(self.clone(), ());
+        let mut out = None;
+        while out.is_none() {
+            batch.step(|(), r| out = Some(r));
+        }
+        out.expect("a batch of one finishes its lane")
+    }
+}
 
-        let dims = self.block_dims();
-        let m = self.n_constraints();
+/// Up to [`LANES`] same-shape SDPs advanced in lock step, one
+/// interior-point iteration per [`SdpBatch::step`].
+///
+/// Lane `k` runs solve `k`'s operations in exactly the order a lone solve
+/// runs them, so every lane's result is bit-identical to
+/// [`SdpProblem::solve`] on its problem, whichever problems share the
+/// batch and whenever each joined. The Schur complement, its Cholesky
+/// factor and the triangular solves are stored lane-interleaved
+/// (`[f64; K]` per element, see [`gleipnir_linalg::lanes`]); everything
+/// whose control flow can differ per lane — convergence and
+/// factorization exits, the step-length schedule, regularization retries,
+/// the eigenvalue line searches — runs on each lane's own scalar path.
+///
+/// Problems share a batch when they have the same block shape and the
+/// same constraints except the last, which (like `C` and `b`) may differ
+/// per lane: the per-gate diamond SDPs differ only in the ρ′ constraint.
+/// A lane that finishes frees its slot at once, so a caller can refill it
+/// with [`SdpBatch::push`] between steps.
+///
+/// # Examples
+///
+/// ```
+/// use gleipnir_sdp::{SdpBatch, SdpProblem, SparseSym};
+///
+/// // minimize ⟨diag(c, 1), X⟩ s.t. tr X = 1 → min(c, 1), for two c's.
+/// let problem = |c0: f64| {
+///     let mut c = SparseSym::new();
+///     c.push(0, 0, 0, c0).push(0, 1, 1, 1.0);
+///     let mut tr = SparseSym::new();
+///     tr.push(0, 0, 0, 1.0).push(0, 1, 1, 1.0);
+///     SdpProblem::new(vec![2], c, vec![tr], vec![1.0])
+/// };
+/// let mut batch = SdpBatch::new(Default::default());
+/// batch.push(problem(-2.0), "a");
+/// assert!(batch.accepts(&problem(0.5)));
+/// batch.push(problem(0.5), "b");
+/// let mut done = Vec::new();
+/// while !batch.is_empty() {
+///     batch.step(|tag, sol| done.push((tag, sol)));
+/// }
+/// for (tag, sol) in done {
+///     let lone = problem(if tag == "a" { -2.0 } else { 0.5 }).solve(&Default::default())?;
+///     assert_eq!(sol?.y, lone.y);
+/// }
+/// # Ok::<(), gleipnir_sdp::SdpError>(())
+/// ```
+pub struct SdpBatch<T> {
+    opts: SolverOptions,
+    template: Option<Template>,
+    lanes: Vec<Lane<T>>,
+    /// Set with the template's shape.
+    ws: Option<Workspaces>,
+}
+
+impl<T> SdpBatch<T> {
+    /// An empty batch.
+    pub fn new(opts: SolverOptions) -> Self {
+        SdpBatch {
+            opts,
+            template: None,
+            lanes: Vec::with_capacity(LANES),
+            ws: None,
+        }
+    }
+
+    /// Solves in flight.
+    pub fn len(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// Whether no solve is in flight.
+    pub fn is_empty(&self) -> bool {
+        self.lanes.is_empty()
+    }
+
+    /// Whether every lane is taken.
+    pub fn is_full(&self) -> bool {
+        self.lanes.len() == LANES
+    }
+
+    /// Whether `problem` can join now: a lane is free and, unless the
+    /// batch is empty, the problem has the batch's shape (block dims,
+    /// constraint count, and every constraint but the last).
+    pub fn accepts(&self, problem: &SdpProblem) -> bool {
+        !self.is_full()
+            && (self.is_empty() || self.template.as_ref().is_some_and(|t| t.matches(problem)))
+    }
+
+    /// Starts solving `problem` in a free lane; `tag` comes back with its
+    /// result from [`SdpBatch::step`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`SdpBatch::accepts`] holds for `problem`.
+    pub fn push(&mut self, problem: SdpProblem, tag: T) {
+        assert!(self.accepts(&problem), "problem does not fit this batch");
+        let t_setup = Instant::now();
+        if !self.template.as_ref().is_some_and(|t| t.matches(&problem)) {
+            let tpl = Template::new(&problem);
+            if !self.ws.as_ref().is_some_and(|w| w.fits(&tpl)) {
+                if let Some(old) = self.ws.take() {
+                    old.give_back();
+                }
+                self.ws = Some(Workspaces::take(&tpl));
+            }
+            self.template = Some(tpl);
+        }
+        let n_shared = self.template.as_ref().expect("template set").shared.len();
+        let mut lane = Lane::new(problem, n_shared, tag);
+        lane.profile.setup_ms = ms_since(t_setup);
+        lane.profile.total_ms = lane.profile.setup_ms;
+        self.lanes.push(lane);
+    }
+
+    /// Advances every lane by one interior-point iteration and hands each
+    /// lane that finished (converged, stalled, hit the iteration cap, or
+    /// lost positive definiteness) to `done`, freeing its slot.
+    ///
+    /// Each lane's [`SolverProfile`] is charged every phase's wall time
+    /// divided by the lanes that ran the phase, so profiles summed over
+    /// lanes are CPU time.
+    pub fn step(&mut self, mut done: impl FnMut(T, Result<SdpSolution, SdpError>)) {
+        if self.lanes.is_empty() {
+            return;
+        }
+        let t_step = Instant::now();
+        let opts = self.opts;
+        let tpl = self
+            .template
+            .as_ref()
+            .expect("a non-empty batch has a template");
+        let ws = self.ws.as_mut().expect("a non-empty batch has workspaces");
+        let lanes = &mut self.lanes;
+        let mut phases_ms = 0.0;
+
+        let mut live = Live::default();
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            if lane.iter < opts.max_iterations {
+                live.push(i);
+            } else {
+                lane.exit = Some((opts.max_iterations, SdpStatus::MaxIterations));
+            }
+        }
+
+        // Residuals and convergence metrics.
+        let t = Instant::now();
+        let ran = live;
+        live.retain(|i| lanes[i].residuals(&tpl.index, opts.tolerance));
+        phases_ms += charge(lanes, ran, Phase::Residual, t);
+
+        // Near-degenerate constraints (e.g. a (ρ̂, 0) diamond norm with a
+        // pure ρ̂) can push the iterates onto the boundary before the
+        // tolerance is met. The dual certificate from the current iterate
+        // is still sound, so factorization failure ends the lane's
+        // iteration rather than erroring out.
+        let t = Instant::now();
+        let ran = live;
+        live.retain(|i| lanes[i].invert_z());
+        phases_ms += charge(lanes, ran, Phase::Factor, t);
+
+        if live.n == 1 {
+            let w = ws.narrow.get_or_insert_with(|| Wide::new(&tpl.dims, tpl.m));
+            phases_ms += iterate(w, tpl, lanes, live, &mut ws.retry);
+        } else if live.n > 1 {
+            let w = ws.wide.get_or_insert_with(|| Wide::new(&tpl.dims, tpl.m));
+            phases_ms += iterate(w, tpl, lanes, live, &mut ws.retry);
+        }
+
+        // Timer gaps and packing between phases, split evenly.
+        let overhead = (ms_since(t_step) - phases_ms).max(0.0) / lanes.len() as f64;
+        for lane in lanes.iter_mut() {
+            lane.profile.total_ms += overhead;
+        }
+        let mut i = 0;
+        while i < lanes.len() {
+            if lanes[i].exit.is_some() {
+                let lane = lanes.swap_remove(i);
+                let (tag, sol) = lane.finish();
+                done(tag, Ok(sol));
+            } else {
+                i += 1;
+            }
+        }
+    }
+}
+
+impl<T> Drop for SdpBatch<T> {
+    fn drop(&mut self) {
+        if let Some(ws) = self.ws.take() {
+            ws.give_back();
+        }
+    }
+}
+
+/// A batch's workspaces for one problem shape, each allocated on first
+/// use.
+///
+/// The 4-lane workspace holds every lane's Schur complement and factor —
+/// megabytes at the 2-qubit diamond shape — and fresh memory page-faults
+/// on first touch, at a cost that follows the host's memory state rather
+/// than the solve. So a thread keeps a finished batch's workspaces
+/// ([`SPARES_KEPT`] shapes at most) and its next batch of the same shape
+/// takes them back. Reuse cannot change a bit: an iteration writes every
+/// workspace entry before it reads it, except the sandwich blocks, whose
+/// dirty flags travel with them.
+struct Workspaces {
+    dims: Vec<usize>,
+    m: usize,
+    narrow: Option<Wide<1>>,
+    wide: Option<Wide<LANES>>,
+    /// Scratch for regularization retries: the failing lane's Schur
+    /// complement and its factor (allocated on the first retry).
+    retry: Option<(RMat, RMat)>,
+}
+
+/// How many shapes' workspaces a thread keeps between batches.
+const SPARES_KEPT: usize = 4;
+
+thread_local! {
+    static SPARES: RefCell<Vec<Workspaces>> = const { RefCell::new(Vec::new()) };
+}
+
+impl Workspaces {
+    /// The thread's spare workspaces for `tpl`'s shape, or empty ones.
+    fn take(tpl: &Template) -> Self {
+        SPARES
+            .try_with(|spares| {
+                let mut spares = spares.borrow_mut();
+                let i = spares.iter().position(|w| w.fits(tpl))?;
+                Some(spares.remove(i))
+            })
+            .ok()
+            .flatten()
+            .unwrap_or_else(|| Workspaces {
+                dims: tpl.dims.clone(),
+                m: tpl.m,
+                narrow: None,
+                wide: None,
+                retry: None,
+            })
+    }
+
+    /// Keeps these workspaces for the thread's next batch, dropping the
+    /// oldest spares beyond [`SPARES_KEPT`].
+    fn give_back(self) {
+        // Fails only while the thread exits; the workspaces are then freed.
+        let _ = SPARES.try_with(|spares| {
+            let mut spares = spares.borrow_mut();
+            if spares.len() == SPARES_KEPT {
+                spares.remove(0);
+            }
+            spares.push(self);
+        });
+    }
+
+    fn fits(&self, tpl: &Template) -> bool {
+        self.dims == tpl.dims && self.m == tpl.m
+    }
+}
+
+/// What every lane of a batch shares: the block shape, the constraints
+/// before the last, and their index.
+struct Template {
+    dims: Vec<usize>,
+    m: usize,
+    shared: Vec<SparseSym>,
+    index: ConstraintIndex,
+}
+
+impl Template {
+    fn new(p: &SdpProblem) -> Self {
+        let m = p.n_constraints();
+        let shared = p.constraints()[..m.saturating_sub(1)].to_vec();
+        Template {
+            dims: p.block_dims().to_vec(),
+            m,
+            index: ConstraintIndex::build(&shared, p.block_dims()),
+            shared,
+        }
+    }
+
+    fn matches(&self, p: &SdpProblem) -> bool {
+        p.block_dims() == self.dims.as_slice()
+            && p.n_constraints() == self.m
+            && p.constraints()[..self.shared.len()] == self.shared[..]
+    }
+}
+
+/// Indices of the lanes still in an iteration, in slot order.
+#[derive(Clone, Copy, Default)]
+struct Live {
+    idx: [usize; LANES],
+    n: usize,
+}
+
+impl Live {
+    fn push(&mut self, i: usize) {
+        self.idx[self.n] = i;
+        self.n += 1;
+    }
+
+    fn iter(self) -> impl Iterator<Item = usize> {
+        self.idx.into_iter().take(self.n)
+    }
+
+    fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        let mut n = 0;
+        for s in 0..self.n {
+            let i = self.idx[s];
+            if keep(i) {
+                self.idx[n] = i;
+                n += 1;
+            }
+        }
+        self.n = n;
+    }
+}
+
+/// The timed phases of an iteration (see [`SolverProfile`]).
+#[derive(Clone, Copy)]
+enum Phase {
+    Residual,
+    Schur,
+    Factor,
+    Direction,
+    Step,
+}
+
+/// Charges the wall time since `t` to the lanes in `ran`, split evenly;
+/// returns the time.
+fn charge<T>(lanes: &mut [Lane<T>], ran: Live, phase: Phase, t: Instant) -> f64 {
+    let ms = ms_since(t);
+    if ran.n == 0 {
+        return ms;
+    }
+    let share = ms / ran.n as f64;
+    for i in ran.iter() {
+        let p = &mut lanes[i].profile;
+        *match phase {
+            Phase::Residual => &mut p.residual_ms,
+            Phase::Schur => &mut p.schur_ms,
+            Phase::Factor => &mut p.factor_ms,
+            Phase::Direction => &mut p.direction_ms,
+            Phase::Step => &mut p.step_ms,
+        } += share;
+        p.total_ms += share;
+    }
+    ms
+}
+
+/// The lane-interleaved workspaces of a `K`-wide iteration.
+struct Wide<const K: usize> {
+    x: Vec<LaneMat<K>>,
+    zinv: Vec<LaneMat<K>>,
+    v: Vec<LaneMat<K>>,
+    sw: Vec<LaneMat<K>>,
+    sw_dirty: Vec<bool>,
+    /// The Schur complement, stored transposed (row `l` holds
+    /// `M_kl` for every `k`) so each sandwich's inner products are
+    /// written contiguously; symmetrizing the transpose gives the same
+    /// bits because IEEE addition commutes.
+    m: LaneMat<K>,
+    chol: LaneMat<K>,
+    rhs: Vec<Lanes<K>>,
+}
+
+impl<const K: usize> Wide<K> {
+    fn new(dims: &[usize], m: usize) -> Self {
+        let blocks = || dims.iter().map(|&d| LaneMat::zeros(d, d)).collect();
+        Wide {
+            x: blocks(),
+            zinv: blocks(),
+            v: blocks(),
+            sw: blocks(),
+            sw_dirty: vec![false; dims.len()],
+            m: LaneMat::zeros(m, m),
+            chol: LaneMat::zeros(m, m),
+            rhs: vec![[0.0; K]; m],
+        }
+    }
+}
+
+/// The rest of one iteration for the `live` lanes (at most `K`), after
+/// the residuals and `Z⁻¹`: Schur complement, its factorization, the
+/// predictor and corrector directions, and the step. Returns the wall
+/// time charged to phases.
+fn iterate<T, const K: usize>(
+    w: &mut Wide<K>,
+    tpl: &Template,
+    lanes: &mut [Lane<T>],
+    mut live: Live,
+    retry: &mut Option<(RMat, RMat)>,
+) -> f64 {
+    debug_assert!(live.n >= 1 && live.n <= K);
+    // Slot s carries lane `slot[s]`; spare slots repeat the first lane so
+    // every lane of the kernels computes on real data.
+    let slot: [usize; K] = std::array::from_fn(|s| live.idx[if s < live.n { s } else { 0 }]);
+    let n_shared = tpl.shared.len();
+    let mut phases_ms = 0.0;
+
+    // Schur complement M_kl = ⟨A_k, sym(X·A_l·Z⁻¹)⟩.
+    let t = Instant::now();
+    for (s, &i) in slot.iter().enumerate() {
+        let lane = &lanes[i];
+        for bl in 0..tpl.dims.len() {
+            w.x[bl].set_lane(s, lane.x.block(bl));
+            w.zinv[bl].set_lane(s, lane.w.zinv.block(bl));
+        }
+    }
+    for l in 0..n_shared {
+        tpl.index
+            .sandwich_lanes(l, &w.x, &w.zinv, &mut w.v, &mut w.sw, &mut w.sw_dirty);
+        // `sw` is exactly +0.0 on every block outside constraint l's
+        // support, so a block-disjoint pair's inner product is +0.0
+        // whether computed (±0.0 terms cannot move a +0.0 accumulator) or
+        // skipped — writing the constant is bit-identical.
+        let ml = tpl.index.masks[l];
+        let row = w.m.row_mut(l);
+        for (k, out) in row[..n_shared].iter_mut().enumerate() {
+            *out = if tpl.index.masks[k] & ml == 0 {
+                [0.0; K]
+            } else {
+                tpl.index.dot_lanes(k, &w.sw)
+            };
+        }
+        for (s, &i) in slot.iter().enumerate() {
+            let own = &lanes[i].own;
+            for (k, out) in row[n_shared..].iter_mut().enumerate() {
+                out[s] = if own.masks[k] & ml == 0 {
+                    0.0
+                } else {
+                    own.dot_lane(k, &w.sw, s)
+                };
+            }
+        }
+    }
+    // The last constraint's sparsity is the lane's own: slot s's sandwich
+    // runs with lane s's entries (on every lane of the kernel, of which
+    // only lane s is read back).
+    for (s, &i) in slot.iter().enumerate() {
+        let own = &lanes[i].own;
+        for l in n_shared..tpl.m {
+            own.sandwich_lanes(
+                l - n_shared,
+                &w.x,
+                &w.zinv,
+                &mut w.v,
+                &mut w.sw,
+                &mut w.sw_dirty,
+            );
+            let ml = own.masks[l - n_shared];
+            for (k, out) in w.m.row_mut(l).iter_mut().enumerate() {
+                let (index, k) = if k < n_shared {
+                    (&tpl.index, k)
+                } else {
+                    (own, k - n_shared)
+                };
+                out[s] = if index.masks[k] & ml == 0 {
+                    0.0
+                } else {
+                    index.dot_lane(k, &w.sw, s)
+                };
+            }
+        }
+    }
+    w.m.symmetrize_in_place();
+    phases_ms += charge(lanes, live, Phase::Schur, t);
+
+    let t = Instant::now();
+    let ok = w.m.cholesky_into(&mut w.chol);
+    let ran = live;
+    live.retain(|i| {
+        let s = slot
+            .iter()
+            .position(|&j| j == i)
+            .expect("live lane has a slot");
+        ok[s] || regularized_cholesky(&w.m, s, &mut w.chol, retry, &mut lanes[i])
+    });
+    phases_ms += charge(lanes, ran, Phase::Factor, t);
+    if live.n == 0 {
+        return phases_ms;
+    }
+    let on: [bool; K] = std::array::from_fn(|s| s < ran.n && live.iter().any(|i| i == slot[s]));
+
+    // Predictor (σ = 0), from the shared base direction
+    // g = −X − sym(X·Rd·Z⁻¹).
+    let t = Instant::now();
+    for i in live.iter() {
+        lanes[i].predictor_rhs(&tpl.index);
+    }
+    solve_lanes(w, lanes, &slot, on, false);
+    for i in live.iter() {
+        lanes[i].finish_direction(false);
+    }
+    phases_ms += charge(lanes, live, Phase::Direction, t);
+
+    let t = Instant::now();
+    for i in live.iter() {
+        lanes[i].predictor_step();
+    }
+    phases_ms += charge(lanes, live, Phase::Step, t);
+
+    // Corrector with the Mehrotra second-order term − sym(dXa·dZa·Z⁻¹).
+    let t = Instant::now();
+    for i in live.iter() {
+        lanes[i].corrector_rhs(&tpl.index);
+    }
+    solve_lanes(w, lanes, &slot, on, true);
+    for i in live.iter() {
+        lanes[i].finish_direction(true);
+    }
+    phases_ms += charge(lanes, live, Phase::Direction, t);
+
+    let t = Instant::now();
+    for i in live.iter() {
+        lanes[i].take_step();
+    }
+    phases_ms += charge(lanes, live, Phase::Step, t);
+    phases_ms
+}
+
+/// Solves `M·dy = rhs` for every active slot from the lane-interleaved
+/// factor: packs each lane's right-hand side, runs both triangular solves
+/// once for all lanes, and unpacks `dy` (`dy_a` for the predictor).
+fn solve_lanes<T, const K: usize>(
+    w: &mut Wide<K>,
+    lanes: &mut [Lane<T>],
+    slot: &[usize; K],
+    on: [bool; K],
+    corrector: bool,
+) {
+    let first = (0..K).find(|&s| on[s]).expect("an active slot");
+    for s in 0..K {
+        let rhs = &lanes[slot[if on[s] { s } else { first }]].w.rhs;
+        for (v, r) in w.rhs.iter_mut().zip(rhs) {
+            v[s] = *r;
+        }
+    }
+    w.chol.solve_lower_in_place(&mut w.rhs);
+    w.chol.solve_lower_transpose_in_place(&mut w.rhs);
+    for s in (0..K).filter(|&s| on[s]) {
+        let lw = &mut lanes[slot[s]].w;
+        let dy = if corrector { &mut lw.dy } else { &mut lw.dy_a };
+        dy.clear();
+        dy.extend(w.rhs.iter().map(|v| v[s]));
+    }
+}
+
+/// Cholesky with escalating diagonal regularization for slot `s`, whose
+/// plain factorization already failed in the lane kernel; the factor is
+/// written back into the slot. Each retry clones the lane's Schur
+/// complement and bumps the lane's `loop_allocs`, as the scalar retry
+/// always has. Returns `false` (ending the lane) if every retry fails.
+fn regularized_cholesky<T, const K: usize>(
+    m: &LaneMat<K>,
+    s: usize,
+    chol: &mut LaneMat<K>,
+    retry: &mut Option<(RMat, RMat)>,
+    lane: &mut Lane<T>,
+) -> bool {
+    let n = m.rows();
+    let (mlane, out) = retry.get_or_insert_with(|| (RMat::zeros(n, n), RMat::zeros(n, n)));
+    m.get_lane(s, mlane);
+    let scale = mlane.max_abs().max(1.0);
+    let mut reg = 1e-12 * scale;
+    for _ in 0..8 {
+        lane.profile.loop_allocs += 1;
+        let mut mm = mlane.clone();
+        for i in 0..n {
+            mm[(i, i)] += reg;
+        }
+        if mm.cholesky_into(out) {
+            chol.set_lane(s, out);
+            return true;
+        }
+        reg *= 100.0;
+    }
+    lane.exit = Some((lane.iter, SdpStatus::MaxIterations));
+    false
+}
+
+/// One lane's solve: its problem, iterate, per-lane constraint index, the
+/// scalar workspaces of its per-lane phases, and its accounting.
+struct Lane<T> {
+    tag: T,
+    p: SdpProblem,
+    /// Index of this lane's own constraints (those after the shared ones).
+    own: ConstraintIndex,
+    c_dense: BlockMat,
+    b_norm: f64,
+    c_frob: f64,
+    n_tot: usize,
+    x: BlockMat,
+    z: BlockMat,
+    y: Vec<f64>,
+    /// Iterations completed.
+    iter: usize,
+    /// `(iterations, status)` once the lane has stopped.
+    exit: Option<(usize, SdpStatus)>,
+    mu: f64,
+    ap_a: f64,
+    ad_a: f64,
+    w: LaneWork,
+    profile: SolverProfile,
+}
+
+/// Per-lane scalar workspaces, allocated once per solve.
+struct LaneWork {
+    ax: Vec<f64>,
+    rp: Vec<f64>,
+    rd: BlockMat,
+    atbuf: BlockMat,
+    zinv: BlockMat,
+    zl: BlockMat,
+    zlinv: BlockMat,
+    base_g: BlockMat,
+    gcorr: BlockMat,
+    corr: BlockMat,
+    tri_tmp: BlockMat,
+    tri_out: BlockMat,
+    ag: Vec<f64>,
+    rhs: Vec<f64>,
+    dy_a: Vec<f64>,
+    dx_a: BlockMat,
+    dz_a: BlockMat,
+    dy: Vec<f64>,
+    dx: BlockMat,
+    dz: BlockMat,
+}
+
+impl<T> Lane<T> {
+    fn new(p: SdpProblem, n_shared: usize, tag: T) -> Self {
+        let dims = p.block_dims().to_vec();
+        let m = p.n_constraints();
         let n_tot: usize = dims.iter().sum();
-        let b = self.rhs();
-        let c_dense = self.dense_c();
-
+        let c_dense = p.dense_c();
+        let b = p.rhs();
         let b_norm = norm2(b);
         let b_max = b.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
         let c_frob = c_dense.frobenius_norm();
         let c_max = c_dense.max_abs();
-
         let xi_p = 10.0f64.max((n_tot as f64).sqrt() * (1.0 + b_max));
         let xi_d = 10.0f64.max((n_tot as f64).sqrt() * (1.0 + c_max));
-        let mut x = BlockMat::scaled_identity(dims, xi_p);
-        let mut z = BlockMat::scaled_identity(dims, xi_d);
-        let mut y = vec![0.0; m];
-
-        // The constraint index and the per-solve workspaces: everything the
-        // iteration loop needs is allocated once, here.
-        let index = ConstraintIndex::build(self.constraints(), dims);
-        let mut ax = vec![0.0; m];
-        let mut rp = vec![0.0; m];
-        let mut rd = BlockMat::zeros(dims);
-        let mut atbuf = BlockMat::zeros(dims);
-        let mut zinv = BlockMat::zeros(dims);
-        let mut zl = BlockMat::zeros(dims);
-        let mut zlinv = BlockMat::zeros(dims);
-        let mut vwork = BlockMat::zeros(dims);
-        let mut sw = BlockMat::zeros(dims);
-        let mut sw_dirty = vec![false; dims.len()];
-        let mut mmat = RMat::zeros(m, m);
-        let mut mchol = RMat::zeros(m, m);
-        let mut base_g = BlockMat::zeros(dims);
-        let mut gcorr = BlockMat::zeros(dims);
-        let mut corr = BlockMat::zeros(dims);
-        let mut tri_tmp = BlockMat::zeros(dims);
-        let mut tri_out = BlockMat::zeros(dims);
-        let mut ag = vec![0.0; m];
-        let mut rhs = vec![0.0; m];
-        let mut dy_a = vec![0.0; m];
-        let mut dx_a = BlockMat::zeros(dims);
-        let mut dz_a = BlockMat::zeros(dims);
-        let mut dy = vec![0.0; m];
-        let mut dx = BlockMat::zeros(dims);
-        let mut dz = BlockMat::zeros(dims);
-
-        let mut status = SdpStatus::MaxIterations;
-        let mut iterations = opts.max_iterations;
-        profile.setup_ms = ms_since(t_total);
-
-        for iter in 0..opts.max_iterations {
-            // Residuals and convergence metrics.
-            let t_r = Instant::now();
-            index.apply_a_into(&x, &mut ax);
-            for ((r, bi), ai) in rp.iter_mut().zip(b).zip(&ax) {
-                *r = bi - ai;
-            }
-            rd.copy_from(&c_dense);
-            rd.axpy(-1.0, &z);
-            self.apply_at_into(&y, &mut atbuf);
-            rd.axpy(-1.0, &atbuf);
-
-            let pobj = c_dense.dot(&x);
-            let dobj: f64 = b.iter().zip(&y).map(|(a, b)| a * b).sum();
-            let gap = (pobj - dobj).abs() / (1.0 + pobj.abs() + dobj.abs());
-            let pinf = norm2(&rp) / (1.0 + b_norm);
-            let dinf = rd.frobenius_norm() / (1.0 + c_frob);
-
-            if gap < opts.tolerance && pinf < opts.tolerance && dinf < opts.tolerance {
-                profile.residual_ms += ms_since(t_r);
-                status = SdpStatus::Optimal;
-                iterations = iter;
-                break;
-            }
-
-            let mu = x.dot(&z) / n_tot as f64;
-            profile.residual_ms += ms_since(t_r);
-            if mu <= 0.0 || !mu.is_finite() {
-                iterations = iter;
-                break;
-            }
-            // Near-degenerate constraints (e.g. a (ρ̂, 0) diamond norm with a
-            // pure ρ̂) can push the iterates onto the boundary before the
-            // tolerance is met. The dual certificate from the current
-            // iterate is still sound, so factorization failure terminates
-            // the iteration rather than erroring out.
-            let t_f = Instant::now();
-            let z_ok = z.inverse_spd_into(&mut zl, &mut zlinv, &mut zinv);
-            profile.factor_ms += ms_since(t_f);
-            if !z_ok {
-                iterations = iter;
-                break;
-            }
-
-            // Schur complement M_kl = ⟨A_k, sym(X·A_l·Z⁻¹)⟩.
-            let t_s = Instant::now();
-            for l in 0..m {
-                sym_sandwich_into(
-                    &x,
-                    &index.groups[l],
-                    &zinv,
-                    &mut vwork,
-                    &mut sw,
-                    &mut sw_dirty,
-                );
-                // `sw` is exactly +0.0 on every block outside constraint
-                // l's support (fresh zeros or lazily re-zeroed), so a
-                // block-disjoint pair's inner product is +0.0 whether
-                // computed (±0.0 terms cannot move a +0.0 accumulator) or
-                // skipped — writing the constant is bit-identical.
-                let ml = index.masks[l];
-                for k in 0..m {
-                    let v = if index.masks[k] & ml == 0 {
-                        0.0
-                    } else {
-                        index.dot(k, &sw)
-                    };
-                    mmat.set(k, l, v);
-                }
-            }
-            mmat.symmetrize_in_place();
-            profile.schur_ms += ms_since(t_s);
-
-            let t_f = Instant::now();
-            let m_ok =
-                cholesky_with_regularization_into(&mmat, &mut mchol, &mut profile.loop_allocs);
-            profile.factor_ms += ms_since(t_f);
-            if !m_ok {
-                iterations = iter;
-                break;
-            }
-
-            // Predictor (σ = 0), from the shared base direction
-            // g = −X − sym(X·Rd·Z⁻¹).
-            let t_d = Instant::now();
-            sym_triple_into(&x, &rd, &zinv, &mut tri_tmp, &mut base_g);
-            base_g.scale(-1.0);
-            base_g.axpy(-1.0, &x);
-            solve_direction_into(
-                self,
-                &index,
-                &mchol,
-                &rp,
-                &rd,
-                &x,
-                &zinv,
-                &base_g,
-                &mut ag,
-                &mut rhs,
-                &mut atbuf,
-                &mut tri_tmp,
-                &mut tri_out,
-                &mut dy_a,
-                &mut dx_a,
-                &mut dz_a,
-            );
-            profile.direction_ms += ms_since(t_d);
-
-            let t_st = Instant::now();
-            let ap_a = x.max_step(&dx_a, 1.0).unwrap_or(0.0);
-            let ad_a = z.max_step(&dz_a, 1.0).unwrap_or(0.0);
-            profile.step_ms += ms_since(t_st);
-
-            let t_d = Instant::now();
-            let mu_aff = {
-                let xz = x.dot(&z);
-                let xdz = x.dot(&dz_a);
-                let dxz = dx_a.dot(&z);
-                let dxdz = dx_a.dot(&dz_a);
-                (xz + ad_a * xdz + ap_a * dxz + ap_a * ad_a * dxdz) / n_tot as f64
-            };
-            let sigma = ((mu_aff / mu).powi(3)).clamp(0.0, 1.0);
-
-            // Corrector with the Mehrotra second-order term
-            // − sym(dXa·dZa·Z⁻¹).
-            gcorr.copy_from(&base_g);
-            gcorr.axpy(sigma * mu, &zinv);
-            sym_triple_into(&dx_a, &dz_a, &zinv, &mut tri_tmp, &mut corr);
-            corr.scale(-1.0);
-            gcorr.axpy(1.0, &corr);
-            solve_direction_into(
-                self,
-                &index,
-                &mchol,
-                &rp,
-                &rd,
-                &x,
-                &zinv,
-                &gcorr,
-                &mut ag,
-                &mut rhs,
-                &mut atbuf,
-                &mut tri_tmp,
-                &mut tri_out,
-                &mut dy,
-                &mut dx,
-                &mut dz,
-            );
-            profile.direction_ms += ms_since(t_d);
-
-            let t_st = Instant::now();
-            let gamma = if iter < 2 { 0.9 } else { 0.98 };
-            let ap = x.max_step(&dx, gamma).unwrap_or(0.0);
-            let ad = z.max_step(&dz, gamma).unwrap_or(0.0);
-            if ap <= 1e-14 && ad <= 1e-14 {
-                // No progress possible; return the current iterate.
-                profile.step_ms += ms_since(t_st);
-                iterations = iter;
-                break;
-            }
-
-            x.axpy(ap, &dx);
-            x.symmetrize();
-            z.axpy(ad, &dz);
-            z.symmetrize();
-            for (yi, dyi) in y.iter_mut().zip(&dy) {
-                *yi += ad * dyi;
-            }
-            profile.step_ms += ms_since(t_st);
+        let zeros = || BlockMat::zeros(&dims);
+        let w = LaneWork {
+            ax: vec![0.0; m],
+            rp: vec![0.0; m],
+            rd: zeros(),
+            atbuf: zeros(),
+            zinv: zeros(),
+            zl: zeros(),
+            zlinv: zeros(),
+            base_g: zeros(),
+            gcorr: zeros(),
+            corr: zeros(),
+            tri_tmp: zeros(),
+            tri_out: zeros(),
+            ag: vec![0.0; m],
+            rhs: vec![0.0; m],
+            dy_a: vec![0.0; m],
+            dx_a: zeros(),
+            dz_a: zeros(),
+            dy: vec![0.0; m],
+            dx: zeros(),
+            dz: zeros(),
+        };
+        Lane {
+            own: ConstraintIndex::build(&p.constraints()[n_shared..], &dims),
+            x: BlockMat::scaled_identity(&dims, xi_p),
+            z: BlockMat::scaled_identity(&dims, xi_d),
+            y: vec![0.0; m],
+            c_dense,
+            b_norm,
+            c_frob,
+            n_tot,
+            iter: 0,
+            exit: None,
+            mu: 0.0,
+            ap_a: 0.0,
+            ad_a: 0.0,
+            w,
+            profile: SolverProfile::default(),
+            tag,
+            p,
         }
+    }
 
+    /// Residuals, objectives and convergence metrics. Returns `false`
+    /// (recording the exit) if the lane converged or `μ` degenerated.
+    fn residuals(&mut self, shared: &ConstraintIndex, tolerance: f64) -> bool {
+        let w = &mut self.w;
+        apply_a_into(shared, &self.own, &self.x, &mut w.ax);
+        let b = self.p.rhs();
+        for ((r, bi), ai) in w.rp.iter_mut().zip(b).zip(&w.ax) {
+            *r = bi - ai;
+        }
+        w.rd.copy_from(&self.c_dense);
+        w.rd.axpy(-1.0, &self.z);
+        self.p.apply_at_into(&self.y, &mut w.atbuf);
+        w.rd.axpy(-1.0, &w.atbuf);
+
+        let pobj = self.c_dense.dot(&self.x);
+        let dobj: f64 = b.iter().zip(&self.y).map(|(a, b)| a * b).sum();
+        let gap = (pobj - dobj).abs() / (1.0 + pobj.abs() + dobj.abs());
+        let pinf = norm2(&w.rp) / (1.0 + self.b_norm);
+        let dinf = w.rd.frobenius_norm() / (1.0 + self.c_frob);
+
+        if gap < tolerance && pinf < tolerance && dinf < tolerance {
+            self.exit = Some((self.iter, SdpStatus::Optimal));
+            return false;
+        }
+        self.mu = self.x.dot(&self.z) / self.n_tot as f64;
+        if self.mu <= 0.0 || !self.mu.is_finite() {
+            self.exit = Some((self.iter, SdpStatus::MaxIterations));
+            return false;
+        }
+        true
+    }
+
+    /// `Z⁻¹`; `false` (recording the exit) if `Z` lost definiteness.
+    fn invert_z(&mut self) -> bool {
+        let w = &mut self.w;
+        let ok = self
+            .z
+            .inverse_spd_into(&mut w.zl, &mut w.zlinv, &mut w.zinv);
+        if !ok {
+            self.exit = Some((self.iter, SdpStatus::MaxIterations));
+        }
+        ok
+    }
+
+    /// The predictor's base direction `g = −X − sym(X·Rd·Z⁻¹)` and its
+    /// Schur right-hand side `rp − A(g)`.
+    fn predictor_rhs(&mut self, shared: &ConstraintIndex) {
+        let w = &mut self.w;
+        sym_triple_into(&self.x, &w.rd, &w.zinv, &mut w.tri_tmp, &mut w.base_g);
+        w.base_g.scale(-1.0);
+        w.base_g.axpy(-1.0, &self.x);
+        apply_a_into(shared, &self.own, &w.base_g, &mut w.ag);
+        self.schur_rhs();
+    }
+
+    /// `rhs = rp − A(g)`.
+    fn schur_rhs(&mut self) {
+        let w = &mut self.w;
+        w.rhs.clear();
+        w.rhs
+            .extend(w.rp.iter().zip(w.ag.iter()).map(|(r, a)| r - a));
+    }
+
+    /// The predictor's step lengths (γ = 1).
+    fn predictor_step(&mut self) {
+        self.ap_a = self.x.max_step(&self.w.dx_a, 1.0).unwrap_or(0.0);
+        self.ad_a = self.z.max_step(&self.w.dz_a, 1.0).unwrap_or(0.0);
+    }
+
+    /// The centering parameter and the corrector's right-hand side
+    /// `g = base_g + σμ·Z⁻¹ − sym(dXa·dZa·Z⁻¹)`.
+    fn corrector_rhs(&mut self, shared: &ConstraintIndex) {
+        let (ap_a, ad_a) = (self.ap_a, self.ad_a);
+        let w = &mut self.w;
+        let mu_aff = {
+            let xz = self.x.dot(&self.z);
+            let xdz = self.x.dot(&w.dz_a);
+            let dxz = w.dx_a.dot(&self.z);
+            let dxdz = w.dx_a.dot(&w.dz_a);
+            (xz + ad_a * xdz + ap_a * dxz + ap_a * ad_a * dxdz) / self.n_tot as f64
+        };
+        let sigma = ((mu_aff / self.mu).powi(3)).clamp(0.0, 1.0);
+        w.gcorr.copy_from(&w.base_g);
+        w.gcorr.axpy(sigma * self.mu, &w.zinv);
+        sym_triple_into(&w.dx_a, &w.dz_a, &w.zinv, &mut w.tri_tmp, &mut w.corr);
+        w.corr.scale(-1.0);
+        w.gcorr.axpy(1.0, &w.corr);
+        apply_a_into(shared, &self.own, &w.gcorr, &mut w.ag);
+        self.schur_rhs();
+    }
+
+    /// Given `dy`, completes the HKM direction: `dZ = sym(Rd − Aᵀdy)` and
+    /// `dX = sym(g + sym(X·Aᵀdy·Z⁻¹))` (the adjoint is formed once).
+    fn finish_direction(&mut self, corrector: bool) {
+        let w = &mut self.w;
+        let (g, dy, dx, dz) = if corrector {
+            (&w.gcorr, &w.dy, &mut w.dx, &mut w.dz)
+        } else {
+            (&w.base_g, &w.dy_a, &mut w.dx_a, &mut w.dz_a)
+        };
+        dz.copy_from(&w.rd);
+        self.p.apply_at_into(dy, &mut w.atbuf);
+        dz.axpy(-1.0, &w.atbuf);
+        dz.symmetrize();
+        dx.copy_from(g);
+        sym_triple_into(&self.x, &w.atbuf, &w.zinv, &mut w.tri_tmp, &mut w.tri_out);
+        dx.axpy(1.0, &w.tri_out);
+        dx.symmetrize();
+    }
+
+    /// The damped step along the corrector direction; records a
+    /// no-progress exit instead when neither iterate can move.
+    fn take_step(&mut self) {
+        let gamma = if self.iter < 2 { 0.9 } else { 0.98 };
+        let w = &self.w;
+        let ap = self.x.max_step(&w.dx, gamma).unwrap_or(0.0);
+        let ad = self.z.max_step(&w.dz, gamma).unwrap_or(0.0);
+        if ap <= 1e-14 && ad <= 1e-14 {
+            // No progress possible; return the current iterate.
+            self.exit = Some((self.iter, SdpStatus::MaxIterations));
+            return;
+        }
+        self.x.axpy(ap, &w.dx);
+        self.x.symmetrize();
+        self.z.axpy(ad, &w.dz);
+        self.z.symmetrize();
+        for (yi, dyi) in self.y.iter_mut().zip(&w.dy) {
+            *yi += ad * dyi;
+        }
+        self.iter += 1;
+    }
+
+    /// Post-loop certificate work: final residuals and the exact
+    /// dual-slack minimum eigenvalue.
+    fn finish(self) -> (T, SdpSolution) {
         let t_c = Instant::now();
-        let pobj = c_dense.dot(&x);
-        let dobj: f64 = b.iter().zip(&y).map(|(a, b)| a * b).sum();
-        let ax = self.apply_a(&x);
+        let (iterations, status) = self.exit.expect("finished lane has an exit");
+        let p = &self.p;
+        let b = p.rhs();
+        let pobj = self.c_dense.dot(&self.x);
+        let dobj: f64 = b.iter().zip(&self.y).map(|(a, b)| a * b).sum();
+        let ax = p.apply_a(&self.x);
         let rp: Vec<f64> = b.iter().zip(&ax).map(|(bi, ai)| bi - ai).collect();
-        let mut rd = c_dense.clone();
-        rd.axpy(-1.0, &z);
-        rd.axpy(-1.0, &self.apply_at(&y));
-        let exact_slack = self.dual_slack(&y);
-        let exact_dual_slack_min_eig = exact_slack.min_eigenvalue();
+        let mut rd = self.c_dense.clone();
+        rd.axpy(-1.0, &self.z);
+        rd.axpy(-1.0, &p.apply_at(&self.y));
+        let exact_dual_slack_min_eig = p.dual_slack(&self.y).min_eigenvalue();
+        let mut profile = self.profile;
         profile.cert_ms = ms_since(t_c);
-        profile.total_ms = ms_since(t_total);
-
-        Ok(SdpSolution {
+        profile.total_ms += profile.cert_ms;
+        // The total is never less than its parts (the overhead share is
+        // non-negative; this guards the last ulp of the summation order).
+        profile.total_ms = profile.total_ms.max(profile.phase_ms());
+        let sol = SdpSolution {
             primal_objective: pobj,
             dual_objective: dobj,
             relative_gap: (pobj - dobj).abs() / (1.0 + pobj.abs() + dobj.abs()),
-            primal_infeasibility: norm2(&rp) / (1.0 + b_norm),
-            dual_infeasibility: rd.frobenius_norm() / (1.0 + c_frob),
+            primal_infeasibility: norm2(&rp) / (1.0 + self.b_norm),
+            dual_infeasibility: rd.frobenius_norm() / (1.0 + self.c_frob),
             exact_dual_slack_min_eig,
-            x,
-            y,
-            z,
+            x: self.x,
+            y: self.y,
+            z: self.z,
             iterations,
             status,
             profile,
-        })
+        };
+        (self.tag, sol)
     }
+}
+
+/// `A(X)` through a batch's shared index followed by a lane's own —
+/// the same products in the same order as the problem's
+/// [`SdpProblem::apply_a_into`].
+fn apply_a_into(shared: &ConstraintIndex, own: &ConstraintIndex, x: &BlockMat, out: &mut Vec<f64>) {
+    out.clear();
+    out.extend((0..shared.len()).map(|l| shared.dot(l, x)));
+    out.extend((0..own.len()).map(|l| own.dot(l, x)));
 }
 
 /// One constraint's sparse entries restricted to a single block, with the
@@ -643,81 +1275,80 @@ impl ConstraintIndex {
         acc
     }
 
-    /// `A(X)` via the flattened programs — bit-identical to
-    /// [`SdpProblem::apply_a_into`].
-    fn apply_a_into(&self, x: &BlockMat, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend((0..self.dots.len()).map(|l| self.dot(l, x)));
+    /// Number of indexed constraints.
+    fn len(&self) -> usize {
+        self.dots.len()
     }
-}
 
-/// `sym(X·A·Z⁻¹)` for one indexed constraint, written into `out`.
-///
-/// Bit-exactness argument (the fixture-pinned hot kernel):
-/// * `X` is bit-symmetric (every update is `axpy` + `symmetrize`), so the
-///   historical strided column walk `xb.at(i, r)` reads the same bits as
-///   the contiguous row slice `xb.row(r)[i]`; IEEE multiplication is
-///   commutative, so `v·x == x·v` bitwise. We accumulate `V = (X·A)ᵀ`
-///   row-wise, entry for entry in the old order.
-/// * The old dense `U·Z⁻¹` product skipped `U[(i,k)] == 0.0` terms; rows of
-///   `V` outside `group.rows` are exactly `+0.0`, so iterating only the
-///   touched rows (ascending, like the old `k` loop) adds the same terms
-///   in the same order to every output element.
-/// * `±0.0` terms cannot change an accumulator that starts at `+0.0`
-///   (`+0.0 + -0.0 == +0.0`), so the remaining zero-skips are free choices.
-///
-/// `out` blocks not touched by this constraint but dirtied by a previous
-/// call are re-zeroed via `dirty`, so `out` always equals the full sandwich.
-fn sym_sandwich_into(
-    x: &BlockMat,
-    groups: &[BlockGroup],
-    zinv: &BlockMat,
-    vwork: &mut BlockMat,
-    out: &mut BlockMat,
-    dirty: &mut [bool],
-) {
-    for (bl, d) in dirty.iter_mut().enumerate() {
-        if *d && !groups.iter().any(|g| g.block == bl) {
-            out.block_mut(bl).as_mut_slice().fill(0.0);
-            *d = false;
+    /// [`ConstraintIndex::dot`] on every lane of a lane-interleaved block
+    /// matrix at once.
+    fn dot_lanes<const K: usize>(&self, l: usize, x: &[LaneMat<K>]) -> Lanes<K> {
+        let mut acc = [0.0; K];
+        for run in &self.dots[l] {
+            acc = dot_terms(acc, &run.terms, x[run.block as usize].as_slice());
         }
+        acc
     }
-    for g in groups {
-        let bl = g.block;
-        dirty[bl] = true;
-        let xb = x.block(bl);
-        let zb = zinv.block(bl);
-        // V = (X·A)ᵀ: entry A[r][c] = v sends row r of X into row c of V
-        // (and mirrors), touching only `g.rows`.
-        let v = vwork.block_mut(bl);
-        for &r in &g.rows {
-            v.row_mut(r).fill(0.0);
-        }
-        for &(r, c, val) in &g.entries {
-            axpy_slice(v.row_mut(c), val, xb.row(r));
-            if r != c {
-                axpy_slice(v.row_mut(r), val, xb.row(c));
+
+    /// [`ConstraintIndex::dot`] on lane `s` of a lane-interleaved block
+    /// matrix.
+    fn dot_lane<const K: usize>(&self, l: usize, x: &[LaneMat<K>], s: usize) -> f64 {
+        let mut acc = 0.0;
+        for run in &self.dots[l] {
+            let xb = x[run.block as usize].as_slice();
+            for &(off, w) in &run.terms {
+                acc += w * xb[off as usize][s];
             }
         }
-        // T = Vᵀ·Z⁻¹ over the touched rows only, then symmetrize in place.
-        // The k loop is outermost (was innermost) so V is read by
-        // contiguous rows; each element T[(i,j)] still accumulates its
-        // terms over ascending `k` with the same zero-skip, so the
-        // per-element IEEE chain — and therefore every bit — is unchanged.
-        let v = &*v;
-        let t = out.block_mut(bl);
-        t.as_mut_slice().fill(0.0);
-        for &k in &g.rows {
-            let vrow = v.row(k);
-            let zrow = zb.row(k);
-            for (i, &w) in vrow.iter().enumerate() {
-                if w == 0.0 {
-                    continue;
-                }
-                axpy_slice(t.row_mut(i), w, zrow);
+        acc
+    }
+
+    /// `sym(X·A_l·Z⁻¹)` for constraint `l` on every lane at once, written
+    /// into `out`.
+    ///
+    /// Bit-exactness argument (the fixture-pinned hot kernel):
+    /// * `X` is bit-symmetric (every update is `axpy` + `symmetrize`), so
+    ///   the historical strided column walk `xb.at(i, r)` reads the same
+    ///   bits as the contiguous row `xb.row(r)[i]`; IEEE multiplication is
+    ///   commutative, so `v·x == x·v` bitwise. `V = (X·A)ᵀ` accumulates
+    ///   row-wise, entry for entry in the old order.
+    /// * The old dense `U·Z⁻¹` product skipped `U[(i,k)] == 0.0` terms;
+    ///   rows of `V` outside a group's `rows` are exactly `+0.0`, so
+    ///   iterating only the touched rows (ascending, like the old `k`
+    ///   loop) adds the same terms in the same order to every output
+    ///   element (see [`sym_sandwich_block`] for the per-lane skip).
+    ///
+    /// `out` blocks not touched by this constraint but dirtied by a
+    /// previous call are re-zeroed via `dirty`, so `out` always equals the
+    /// full sandwich.
+    fn sandwich_lanes<const K: usize>(
+        &self,
+        l: usize,
+        x: &[LaneMat<K>],
+        zinv: &[LaneMat<K>],
+        vwork: &mut [LaneMat<K>],
+        out: &mut [LaneMat<K>],
+        dirty: &mut [bool],
+    ) {
+        let groups = &self.groups[l];
+        for (bl, d) in dirty.iter_mut().enumerate() {
+            if *d && !groups.iter().any(|g| g.block == bl) {
+                out[bl].as_mut_slice().fill([0.0; K]);
+                *d = false;
             }
         }
-        t.symmetrize_in_place();
+        for g in groups {
+            let bl = g.block;
+            dirty[bl] = true;
+            sym_sandwich_block(
+                &x[bl],
+                &g.entries,
+                &g.rows,
+                &zinv[bl],
+                &mut vwork[bl],
+                &mut out[bl],
+            );
+        }
     }
 }
 
@@ -738,72 +1369,8 @@ fn sym_triple_into(
     }
 }
 
-/// One HKM direction solve into preallocated buffers: given the factored
-/// Schur complement and a right-hand-side matrix `g`, computes
-/// `(dy, dx, dz)` exactly as the historical closure did (the adjoint
-/// `Aᵀ(dy)` is computed once and reused — it was computed twice before,
-/// with identical bits).
-#[allow(clippy::too_many_arguments)]
-fn solve_direction_into(
-    prob: &SdpProblem,
-    index: &ConstraintIndex,
-    mchol: &RMat,
-    rp: &[f64],
-    rd: &BlockMat,
-    x: &BlockMat,
-    zinv: &BlockMat,
-    g: &BlockMat,
-    ag: &mut Vec<f64>,
-    rhs: &mut Vec<f64>,
-    atbuf: &mut BlockMat,
-    tri_tmp: &mut BlockMat,
-    tri_out: &mut BlockMat,
-    dy: &mut Vec<f64>,
-    dx: &mut BlockMat,
-    dz: &mut BlockMat,
-) {
-    index.apply_a_into(g, ag);
-    rhs.clear();
-    rhs.extend(rp.iter().zip(ag.iter()).map(|(r, a)| r - a));
-    dy.clear();
-    dy.extend_from_slice(rhs);
-    mchol.solve_lower_in_place(dy);
-    mchol.solve_lower_transpose_in_place(dy);
-    dz.copy_from(rd);
-    prob.apply_at_into(dy, atbuf);
-    dz.axpy(-1.0, atbuf);
-    dz.symmetrize();
-    dx.copy_from(g);
-    sym_triple_into(x, atbuf, zinv, tri_tmp, tri_out);
-    dx.axpy(1.0, tri_out);
-    dx.symmetrize();
-}
-
 fn norm2(v: &[f64]) -> f64 {
     v.iter().map(|x| x * x).sum::<f64>().sqrt()
-}
-
-/// Cholesky with escalating diagonal regularization, written into a
-/// reusable factor buffer. The happy path allocates nothing; each
-/// regularization retry clones the Schur complement and bumps `allocs`.
-fn cholesky_with_regularization_into(m: &RMat, out: &mut RMat, allocs: &mut u64) -> bool {
-    if m.cholesky_into(out) {
-        return true;
-    }
-    let scale = m.max_abs().max(1.0);
-    let mut reg = 1e-12 * scale;
-    for _ in 0..8 {
-        *allocs += 1;
-        let mut mm = m.clone();
-        for i in 0..mm.rows() {
-            mm[(i, i)] += reg;
-        }
-        if mm.cholesky_into(out) {
-            return true;
-        }
-        reg *= 100.0;
-    }
-    false
 }
 
 fn ms_since(t: Instant) -> f64 {
@@ -1035,7 +1602,8 @@ mod tests {
     /// per block, accumulate `U = X·A` entry-by-entry in original entry
     /// order (strided column writes, as the old kernel did), then the
     /// dense `U·Z⁻¹` product over **all** `k` with the old `U[(i,k)] == 0`
-    /// skip, then symmetrize. `sym_sandwich_into` must match it bitwise.
+    /// skip, then symmetrize. `ConstraintIndex::sandwich_lanes` must match
+    /// it bitwise on every lane.
     fn reference_sandwich(x: &BlockMat, a: &SparseSym, zinv: &BlockMat) -> BlockMat {
         let dims = x.dims().to_vec();
         let mut out = BlockMat::zeros(&dims);
@@ -1094,13 +1662,18 @@ mod tests {
         let dims = [3usize, 2, 1];
         // X must be bit-symmetric — as it is in the solver, where every X
         // update ends in `symmetrize` — for the row/column read swap to be
-        // a bit-level no-op.
-        let mut x = BlockMat::zeros(&dims);
-        let mut zinv = BlockMat::zeros(&dims);
-        for (bl, &dim) in dims.iter().enumerate() {
-            *x.block_mut(bl) = RMat::from_fn(dim, dim, |_, _| rnd()).symmetrize();
-            *zinv.block_mut(bl) = RMat::from_fn(dim, dim, |_, _| rnd()).symmetrize();
-        }
+        // a bit-level no-op. Each of the four lanes gets its own X and Z⁻¹.
+        let lanes: Vec<(BlockMat, BlockMat)> = (0..LANES)
+            .map(|_| {
+                let mut x = BlockMat::zeros(&dims);
+                let mut zinv = BlockMat::zeros(&dims);
+                for (bl, &dim) in dims.iter().enumerate() {
+                    *x.block_mut(bl) = RMat::from_fn(dim, dim, |_, _| rnd()).symmetrize();
+                    *zinv.block_mut(bl) = RMat::from_fn(dim, dim, |_, _| rnd()).symmetrize();
+                }
+                (x, zinv)
+            })
+            .collect();
         // Constraints with deliberately unsorted entries, diagonal and
         // off-diagonal, some blocks untouched (exercises the dirty-block
         // re-zeroing between consecutive sandwiches).
@@ -1113,27 +1686,37 @@ mod tests {
         let constraints = [a1, a2, a3];
 
         let index = ConstraintIndex::build(&constraints, &dims);
-        let mut vwork = BlockMat::zeros(&dims);
-        let mut swork = BlockMat::zeros(&dims);
+        let pack = |lane_of: &dyn Fn(&(BlockMat, BlockMat)) -> &BlockMat| -> Vec<LaneMat<LANES>> {
+            (0..dims.len())
+                .map(|bl| {
+                    let mut m = LaneMat::zeros(dims[bl], dims[bl]);
+                    for (s, lane) in lanes.iter().enumerate() {
+                        m.set_lane(s, lane_of(lane).block(bl));
+                    }
+                    m
+                })
+                .collect()
+        };
+        let x = pack(&|l| &l.0);
+        let zinv = pack(&|l| &l.1);
+        let blocks =
+            || -> Vec<LaneMat<LANES>> { dims.iter().map(|&d| LaneMat::zeros(d, d)).collect() };
+        let (mut vwork, mut swork) = (blocks(), blocks());
         let mut dirty = vec![false; dims.len()];
         for (l, a) in constraints.iter().enumerate() {
-            sym_sandwich_into(
-                &x,
-                &index.groups[l],
-                &zinv,
-                &mut vwork,
-                &mut swork,
-                &mut dirty,
-            );
-            let want = reference_sandwich(&x, a, &zinv);
-            for bl in 0..dims.len() {
-                let got = swork.block(bl);
-                let exp = want.block(bl);
-                for (g, w) in got.as_slice().iter().zip(exp.as_slice()) {
-                    assert!(
-                        g.to_bits() == w.to_bits(),
-                        "constraint {l} block {bl}: {g:e} vs {w:e}"
-                    );
+            index.sandwich_lanes(l, &x, &zinv, &mut vwork, &mut swork, &mut dirty);
+            for (s, (xs, zs)) in lanes.iter().enumerate() {
+                let want = reference_sandwich(xs, a, zs);
+                for (bl, &dim) in dims.iter().enumerate() {
+                    let mut got = RMat::zeros(dim, dim);
+                    swork[bl].get_lane(s, &mut got);
+                    let exp = want.block(bl);
+                    for (g, w) in got.as_slice().iter().zip(exp.as_slice()) {
+                        assert!(
+                            g.to_bits() == w.to_bits(),
+                            "constraint {l} lane {s} block {bl}: {g:e} vs {w:e}"
+                        );
+                    }
                 }
             }
         }
