@@ -164,16 +164,16 @@ fn contains_measure(stmt: &Stmt) -> bool {
 
 /// The top-level statement list of a program body (one `Seq` level
 /// flattened — exactly how the plan walk consumes it).
-fn top_stmts(body: &Stmt) -> Vec<&Stmt> {
+fn top_stmts(body: &Stmt) -> &[Stmt] {
     match body {
-        Stmt::Seq(ss) => ss.iter().collect(),
-        other => vec![other],
+        Stmt::Seq(ss) => ss,
+        other => std::slice::from_ref(other),
     }
 }
 
 /// Length of the reusable shared prefix: equal statements up to (not
 /// including) the first divergence or measurement-containing statement.
-fn shared_prefix_len(old: &[&Stmt], new: &[&Stmt]) -> usize {
+fn shared_prefix_len(old: &[Stmt], new: &[Stmt]) -> usize {
     old.iter()
         .zip(new.iter())
         .take_while(|(o, n)| o == n && !contains_measure(o))
@@ -182,9 +182,9 @@ fn shared_prefix_len(old: &[&Stmt], new: &[&Stmt]) -> usize {
 
 /// Splices a measure-free prefix skeleton and a suffix skeleton into the
 /// tree the full walk of `[prefix ++ suffix]` would have produced: the
-/// walk prepends each prefix node onto the suffix's `Seq` (wrapping a
-/// non-`Seq` suffix, e.g. a leading `Meas`, exactly like
-/// `plan::prepend` does).
+/// walk puts the prefix nodes ahead of the suffix's `Seq` children (or
+/// ahead of a non-`Seq` suffix, e.g. a leading `Meas`, exactly like the
+/// plan walk does).
 fn merge_skeleton(prefix: Derivation, suffix: Derivation) -> Derivation {
     let mut children = match prefix {
         Derivation::Seq { children } => children,

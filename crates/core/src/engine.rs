@@ -25,7 +25,8 @@
 //!   fans its per-gate SDP obligations over it, and
 //!   [`Engine::analyze_batch`] fans whole requests over the same threads —
 //!   so one request saturates the machine and a batch never
-//!   oversubscribes it.
+//!   oversubscribes it. Anytime refinements run one at a time on the
+//!   pool's dedicated refinement runner, at the same full width.
 //!
 //! The engine is thread-safe (`&Engine` can be shared freely);
 //! [`Engine::analyze_batch`] returns per-request `Result`s — a failing or
@@ -771,7 +772,8 @@ impl Engine {
     /// currently-certified upper bound on ε (finished cold certificates,
     /// Tier-0 closed forms, or the trivial bound 1 — no SDP is solved)
     /// plus a [`RefineToken`], while the exact analysis runs in the
-    /// background on the worker pool's refinement class. Poll the token
+    /// background on the pool's refinement runner, with its solve
+    /// stage's assists queued at refinement priority. Poll the token
     /// with [`Engine::refinement`] / [`Engine::wait_refinement`] for the
     /// tightened ε.
     ///

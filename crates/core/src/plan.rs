@@ -93,7 +93,7 @@ pub(crate) fn plan_program(
         });
     }
     plan_stmts(
-        &[program.body()],
+        std::slice::from_ref(program.body()),
         &mut mps,
         noise,
         opts,
@@ -110,7 +110,7 @@ pub(crate) fn plan_program(
 /// uses: it plans a shared prefix to capture the MPS at the divergence
 /// point, then plans each suffix from a clone of that snapshot.
 pub(crate) fn plan_stmts(
-    stmts: &[&Stmt],
+    stmts: &[Stmt],
     mps: &mut Mps,
     noise: &NoiseModel,
     opts: &SolverOptions,
@@ -126,7 +126,7 @@ pub(crate) fn plan_stmts(
         obligations: Vec::new(),
         final_delta: 0.0,
     };
-    let skeleton = planner.walk(stmts, mps)?;
+    let skeleton = planner.walk(vec![stmts], mps)?;
     Ok(Plan {
         skeleton,
         obligations: planner.obligations,
@@ -145,79 +145,88 @@ struct Planner<'a> {
 }
 
 impl Planner<'_> {
-    /// Recursive worklist walk — the same traversal as the pre-pipeline
-    /// sequential walk. `rest` holds the statements still to run;
-    /// measurement statements capture the continuation into both branches.
-    fn walk(&mut self, rest: &[&Stmt], mps: &mut Mps) -> Result<Derivation, AnalysisError> {
-        let Some((first, tail)) = rest.split_first() else {
-            self.final_delta = self.final_delta.max(mps.delta());
-            return Ok(Derivation::Seq {
-                children: Vec::new(),
-            });
-        };
-        match first {
-            Stmt::Skip => {
-                let mut node = self.walk(tail, mps)?;
-                prepend(&mut node, Derivation::Skip);
-                Ok(node)
-            }
-            Stmt::Seq(ss) => {
-                let mut flat: Vec<&Stmt> = ss.iter().collect();
-                flat.extend_from_slice(tail);
-                self.walk(&flat, mps)
-            }
-            Stmt::Gate(g) => {
-                let qubits: Vec<usize> = g.qubits.iter().map(|q| q.0).collect();
-                // ρ′ first (routing non-adjacent operands adds truncation
-                // that must be inside this gate's δ), then the gate.
-                let (rho_prime, delta) = mps.gate_snapshot(&qubits);
-                self.plan_gate(g, &rho_prime, delta);
-                mps.apply_gate(&g.gate, &qubits);
-                let gate_node = Derivation::Gate {
-                    gate: g.gate.clone(),
-                    qubits,
-                    rho_prime,
-                    delta,
-                    epsilon: f64::NAN, // filled by the assemble stage
-                };
-                let mut node = self.walk(tail, mps)?;
-                prepend(&mut node, gate_node);
-                Ok(node)
-            }
-            Stmt::IfMeasure { qubit, zero, one } => {
-                let delta_prob = mps.delta().min(1.0);
-                let plan_branch =
-                    |this: &mut Self,
-                     body: &Stmt,
-                     outcome: bool|
-                     -> Result<Option<Box<Derivation>>, AnalysisError> {
-                        let mut fork = mps.clone();
-                        match fork.collapse(qubit.0, outcome) {
-                            Ok(_p) => {
-                                let mut work: Vec<&Stmt> = vec![body];
-                                work.extend_from_slice(tail);
-                                let d = this.walk(&work, &mut fork)?;
-                                Ok(Some(Box::new(d)))
-                            }
-                            Err(MpsError::ZeroProbabilityOutcome { .. }) => Ok(None),
-                        }
-                    };
-                let zero_d = plan_branch(self, zero, false)?;
-                let one_d = plan_branch(self, one, true)?;
-                if zero_d.is_none() && one_d.is_none() {
-                    return Err(AnalysisError::Unsupported(
-                        "both measurement branches unreachable (state numerically degenerate)"
-                            .into(),
-                    ));
+    /// Walks the program in execution order. `rest` is a stack of
+    /// statement slices still to run (the next statement heads the top
+    /// slice). Straight-line statements run in a loop, so the call stack
+    /// does not grow with program length; a measurement recurses once per
+    /// branch, each branch continuing with its own copy of `rest`, and
+    /// ends this walk.
+    ///
+    /// The tree shape is fixed (the sequential oracle pins it, and
+    /// `diff::merge_skeleton` rebuilds it): a path that runs to the end is
+    /// a `Seq` of its nodes, and a path that ends in a measurement is a
+    /// `Seq` of its nodes followed by the `Meas` — or the bare `Meas` when
+    /// nothing precedes it.
+    fn walk<'s>(
+        &mut self,
+        mut rest: Vec<&'s [Stmt]>,
+        mps: &mut Mps,
+    ) -> Result<Derivation, AnalysisError> {
+        let mut children = Vec::new();
+        while let Some(run) = rest.pop() {
+            let Some((first, tail)) = run.split_first() else {
+                continue;
+            };
+            rest.push(tail);
+            match first {
+                Stmt::Skip => children.push(Derivation::Skip),
+                Stmt::Seq(ss) => rest.push(ss),
+                Stmt::Gate(g) => {
+                    let qubits: Vec<usize> = g.qubits.iter().map(|q| q.0).collect();
+                    // ρ′ first (routing non-adjacent operands adds
+                    // truncation that must be inside this gate's δ), then
+                    // the gate.
+                    let (rho_prime, delta) = mps.gate_snapshot(&qubits);
+                    self.plan_gate(g, &rho_prime, delta);
+                    mps.apply_gate(&g.gate, &qubits);
+                    children.push(Derivation::Gate {
+                        gate: g.gate.clone(),
+                        qubits,
+                        rho_prime,
+                        delta,
+                        epsilon: f64::NAN, // filled by the assemble stage
+                    });
                 }
-                Ok(Derivation::Meas {
-                    qubit: qubit.0,
-                    delta_prob,
-                    zero: zero_d,
-                    one: one_d,
-                })
+                Stmt::IfMeasure { qubit, zero, one } => {
+                    let delta_prob = mps.delta().min(1.0);
+                    let mut plan_branch =
+                        |body: &'s Stmt,
+                         outcome: bool|
+                         -> Result<Option<Box<Derivation>>, AnalysisError> {
+                            let mut fork = mps.clone();
+                            match fork.collapse(qubit.0, outcome) {
+                                Ok(_p) => {
+                                    let mut work = rest.clone();
+                                    work.push(std::slice::from_ref(body));
+                                    Ok(Some(Box::new(self.walk(work, &mut fork)?)))
+                                }
+                                Err(MpsError::ZeroProbabilityOutcome { .. }) => Ok(None),
+                            }
+                        };
+                    let zero_d = plan_branch(zero, false)?;
+                    let one_d = plan_branch(one, true)?;
+                    if zero_d.is_none() && one_d.is_none() {
+                        return Err(AnalysisError::Unsupported(
+                            "both measurement branches unreachable (state numerically degenerate)"
+                                .into(),
+                        ));
+                    }
+                    let meas = Derivation::Meas {
+                        qubit: qubit.0,
+                        delta_prob,
+                        zero: zero_d,
+                        one: one_d,
+                    };
+                    if children.is_empty() {
+                        return Ok(meas);
+                    }
+                    children.push(meas);
+                    return Ok(Derivation::Seq { children });
+                }
             }
         }
+        self.final_delta = self.final_delta.max(mps.delta());
+        Ok(Derivation::Seq { children })
     }
 
     /// Materializes one gate's solve obligation (the deferred counterpart
@@ -286,19 +295,6 @@ fn quantize(
     })
 }
 
-/// Prepends a node to a derivation that is expected to be a `Seq`.
-fn prepend(node: &mut Derivation, head: Derivation) {
-    match node {
-        Derivation::Seq { children } => children.insert(0, head),
-        other => {
-            let tail = std::mem::replace(other, Derivation::Skip);
-            *other = Derivation::Seq {
-                children: vec![head, tail],
-            };
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,6 +356,64 @@ mod tests {
             assert_eq!(*skel_delta, ob.delta);
         }
         assert_eq!(plan.skeleton.gate_rule_count(), plan.obligations.len());
+    }
+
+    /// The skeleton's shape: `G` per gate, `S` per skip, `[..]` per
+    /// `Seq`, `M(zero|one)` per measurement (`-` for an unreachable
+    /// branch).
+    fn shape(d: &Derivation) -> String {
+        match d {
+            Derivation::Skip => "S".into(),
+            Derivation::Gate { .. } => "G".into(),
+            Derivation::Seq { children } => {
+                let inner: Vec<String> = children.iter().map(shape).collect();
+                format!("[{}]", inner.join(","))
+            }
+            Derivation::Meas { zero, one, .. } => {
+                let branch = |b: &Option<Box<Derivation>>| b.as_deref().map_or("-".into(), shape);
+                format!("M({}|{})", branch(zero), branch(one))
+            }
+        }
+    }
+
+    #[test]
+    fn skeleton_shapes_match_the_statement_walk() {
+        // Straight-line code is one flat Seq, nested Seqs flattened.
+        let mut b = ProgramBuilder::new(2);
+        b.h(0).x(0).cnot(0, 1);
+        assert_eq!(shape(&plan(&b.build(), 4, true).skeleton), "[G,G,G]");
+        // A leading measurement stays unwrapped; each branch carries the
+        // continuation.
+        let mut b = ProgramBuilder::new(2);
+        b.h(0);
+        let mut fork = ProgramBuilder::new(2);
+        fork.if_measure(
+            0,
+            |z| {
+                z.x(1);
+            },
+            |o| {
+                o.z(1).h(1);
+            },
+        )
+        .h(1);
+        let fork = fork.build();
+        assert_eq!(shape(&plan(&fork, 4, true).skeleton), "M([G,G]|-)");
+        // Nodes before a measurement precede it in one Seq.
+        b.if_measure(
+            0,
+            |z| {
+                z.x(1);
+            },
+            |o| {
+                o.z(1).h(1);
+            },
+        )
+        .h(1);
+        assert_eq!(
+            shape(&plan(&b.build(), 4, true).skeleton),
+            "[G,M([G,G]|[G,G,G])]"
+        );
     }
 
     #[test]

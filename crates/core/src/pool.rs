@@ -26,6 +26,20 @@
 //! together). A driver never blocks on another thread while it holds open
 //! claims, so the claim discipline stays deadlock-free.
 //!
+//! ## Background refinements
+//!
+//! Anytime refinements ([`WorkerPool::submit_background`]) are the one
+//! kind of job nobody joins: the submitting request has already returned
+//! its first answer. They wait in a queue of their own, drained FIFO by a
+//! single dedicated **refinement runner** thread, spawned on the first
+//! background submit. Regular workers never take background jobs and the
+//! runner takes nothing else, so the interactive and batch concurrency
+//! cap stays `threads`. The runner is the caller of its refinement's solve
+//! stage; the stage's `threads − 1` assists queue at
+//! [`PriorityClass::Refinement`] priority and find the regular workers
+//! free, so a refinement runs at full pool width (a `threads == 1` pool
+//! has no assists and refines sequentially).
+//!
 //! Jobs submitted to the pool hold only a [`Weak`] pool reference, so the
 //! strong count is owned solely by the [`Engine`](crate::Engine): dropping
 //! the engine shuts the pool down from the caller's thread (never from a
@@ -54,7 +68,9 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 pub enum PriorityClass {
     /// Foreground analyses a client is blocked on (`Engine::analyze`).
     Interactive,
-    /// Background anytime refinements ([`crate::Engine::analyze_anytime`]).
+    /// The solve-stage assists of background anytime refinements
+    /// ([`crate::Engine::analyze_anytime`]); the refinements themselves
+    /// wait for the pool's refinement runner.
     Refinement,
     /// Bulk work nobody is interactively waiting on (`Engine::analyze_batch`).
     Batch,
@@ -92,7 +108,8 @@ impl PriorityClass {
 pub struct SchedulerDepths {
     /// Queued interactive jobs.
     pub interactive: usize,
-    /// Queued refinement jobs.
+    /// Refinements waiting for the refinement runner, plus queued
+    /// refinement assists.
     pub refinement: usize,
     /// Queued batch jobs.
     pub batch: usize,
@@ -127,6 +144,8 @@ struct PoolState {
     /// One FIFO queue per [`PriorityClass`], indexed by
     /// [`PriorityClass::index`]; workers drain lower indices first.
     jobs: [VecDeque<Job>; 3],
+    /// Background jobs, read only by the refinement runner.
+    background: VecDeque<Job>,
     shutdown: bool,
 }
 
@@ -135,10 +154,14 @@ impl PoolState {
         self.jobs.iter_mut().find_map(VecDeque::pop_front)
     }
 
+    fn pop_background(&mut self) -> Option<Job> {
+        self.background.pop_front()
+    }
+
     fn depths(&self) -> SchedulerDepths {
         SchedulerDepths {
             interactive: self.jobs[0].len(),
-            refinement: self.jobs[1].len(),
+            refinement: self.jobs[1].len() + self.background.len(),
             batch: self.jobs[2].len(),
         }
     }
@@ -146,23 +169,27 @@ impl PoolState {
 
 struct PoolShared {
     state: Mutex<PoolState>,
+    /// Signalled when a regular job is queued (workers wait here).
     job_ready: Condvar,
+    /// Signalled when a background job is queued (the runner waits here).
+    background_ready: Condvar,
 }
 
-/// A fixed-size pool of worker threads executing submitted jobs FIFO.
+/// A fixed-size pool of worker threads executing submitted jobs FIFO,
+/// plus one refinement runner for background jobs.
 ///
-/// Workers are spawned **lazily on the first submitted job**: engines
-/// built for pool-free work (worst-case / LQR requests, CLI commands
-/// that never analyze) pay nothing for the configured cap.
+/// Workers are spawned **lazily on the first submitted job**, and the
+/// runner on the first background job: engines built for pool-free work
+/// (worst-case / LQR requests, CLI commands that never analyze) pay
+/// nothing for the configured cap, and engines that never refine never
+/// start a runner.
 pub(crate) struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Mutex<Vec<JoinHandle<()>>>,
+    /// Whether the `threads − 1` regular workers exist.
     spawned: AtomicBool,
-    /// Whether the dedicated background worker exists (only ever spawned
-    /// for `threads == 1` pools, where the regular worker count is zero
-    /// but background refinements must still make progress while the
-    /// submitting thread has long since returned to its caller).
-    bg_spawned: AtomicBool,
+    /// Whether the refinement runner exists.
+    runner_spawned: AtomicBool,
     /// The configured concurrency cap *including* the submitting thread
     /// (so `threads == 1` means zero spawned workers).
     threads: usize,
@@ -176,13 +203,15 @@ impl WorkerPool {
             shared: Arc::new(PoolShared {
                 state: Mutex::new(PoolState {
                     jobs: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
+                    background: VecDeque::new(),
                     shutdown: false,
                 }),
                 job_ready: Condvar::new(),
+                background_ready: Condvar::new(),
             }),
             handles: Mutex::new(Vec::new()),
             spawned: AtomicBool::new(false),
-            bg_spawned: AtomicBool::new(false),
+            runner_spawned: AtomicBool::new(false),
             threads: threads.max(1),
         }
     }
@@ -197,23 +226,36 @@ impl WorkerPool {
         lock(&self.shared.state).depths()
     }
 
+    /// Spawns a pool thread serving `pop` (waiting on `ready`). Pool
+    /// threads get the same 8 MiB stack a main thread has: the plan walk
+    /// recurses once per nested measurement, and a program that plans
+    /// fine on the main thread must not abort a pool thread (stack
+    /// overflow cannot be caught).
+    fn spawn_thread(
+        &self,
+        name: String,
+        ready: fn(&PoolShared) -> &Condvar,
+        pop: fn(&mut PoolState) -> Option<Job>,
+    ) {
+        let shared = Arc::clone(&self.shared);
+        lock(&self.handles).push(
+            std::thread::Builder::new()
+                .name(name)
+                .stack_size(8 * 1024 * 1024)
+                .spawn(move || serve(&shared, ready(&shared), pop))
+                .expect("spawn engine pool thread"),
+        );
+    }
+
     fn ensure_workers(&self) {
         if self.threads <= 1 || self.spawned.swap(true, Ordering::SeqCst) {
             return;
         }
-        let mut handles = lock(&self.handles);
         for i in 0..self.threads - 1 {
-            let shared = Arc::clone(&self.shared);
-            // Workers get the same 8 MiB stack a main thread has: the
-            // plan walk recurses once per program statement, and a
-            // program that plans fine on the main thread must not abort
-            // a worker (stack overflow cannot be caught).
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("gleipnir-worker-{i}"))
-                    .stack_size(8 * 1024 * 1024)
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn engine worker thread"),
+            self.spawn_thread(
+                format!("gleipnir-worker-{i}"),
+                |s| &s.job_ready,
+                PoolState::pop_next,
             );
         }
     }
@@ -231,23 +273,27 @@ impl WorkerPool {
     }
 
     /// Submits a job that must make progress even when nobody ever joins a
-    /// task set again — the anytime refinement path. On a `threads == 1`
-    /// pool (zero regular workers) this lazily spawns one dedicated
-    /// background worker; the solve stage's assist count stays
-    /// `threads − 1 = 0`, so the refinement itself still runs strictly
-    /// sequentially and the bit-exactness contract is untouched.
-    pub(crate) fn submit_background(&self, class: PriorityClass, job: Job) {
-        if self.threads <= 1 && !self.bg_spawned.swap(true, Ordering::SeqCst) {
-            let shared = Arc::clone(&self.shared);
-            lock(&self.handles).push(
-                std::thread::Builder::new()
-                    .name("gleipnir-refine-0".into())
-                    .stack_size(8 * 1024 * 1024)
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn background worker thread"),
+    /// task set again — the anytime refinement path. The job waits for the
+    /// refinement runner (spawned here on first use), which runs
+    /// background jobs one at a time, FIFO, and nothing else (see the
+    /// module docs). Results stay pool-size invariant, so the runner's
+    /// assists never move a bit.
+    pub(crate) fn submit_background(&self, job: Job) {
+        {
+            let mut state = lock(&self.shared.state);
+            if state.shutdown {
+                return;
+            }
+            state.background.push_back(job);
+        }
+        if !self.runner_spawned.swap(true, Ordering::SeqCst) {
+            self.spawn_thread(
+                "gleipnir-refine-0".into(),
+                |s| &s.background_ready,
+                PoolState::pop_background,
             );
         }
-        self.submit(class, job);
+        self.shared.background_ready.notify_one();
     }
 }
 
@@ -255,27 +301,27 @@ impl Drop for WorkerPool {
     fn drop(&mut self) {
         lock(&self.shared.state).shutdown = true;
         self.shared.job_ready.notify_all();
+        self.shared.background_ready.notify_all();
         for handle in lock(&self.handles).drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-fn worker_loop(shared: &PoolShared) {
+/// A pool thread's loop: runs the jobs `pop` yields, waiting on `ready`
+/// when there are none, until the pool shuts down with nothing queued.
+fn serve(shared: &PoolShared, ready: &Condvar, pop: fn(&mut PoolState) -> Option<Job>) {
     loop {
         let job = {
             let mut state = lock(&shared.state);
             loop {
-                if let Some(job) = state.pop_next() {
+                if let Some(job) = pop(&mut state) {
                     break Some(job);
                 }
                 if state.shutdown {
                     break None;
                 }
-                state = shared
-                    .job_ready
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
+                state = ready.wait(state).unwrap_or_else(PoisonError::into_inner);
             }
         };
         match job {
@@ -319,9 +365,9 @@ impl PoolHandle {
 
     /// See [`WorkerPool::submit_background`]. Silently dropped when the
     /// pool is already mid-drop (nobody can poll the result either).
-    pub(crate) fn submit_background(&self, class: PriorityClass, job: Job) {
+    pub(crate) fn submit_background(&self, job: Job) {
         if let Some(pool) = self.pool.upgrade() {
-            pool.submit_background(class, job);
+            pool.submit_background(job);
         }
     }
 }
@@ -700,36 +746,98 @@ mod tests {
     fn background_submit_runs_even_on_a_sequential_pool() {
         let pool = Arc::new(WorkerPool::new(1));
         let (tx, rx) = std::sync::mpsc::channel();
-        pool.submit_background(
-            PriorityClass::Refinement,
-            Box::new(move || tx.send(42usize).unwrap()),
-        );
-        // The dedicated background worker (not the caller) runs the job.
+        pool.submit_background(Box::new(move || tx.send(42usize).unwrap()));
+        // The refinement runner (not the caller) runs the job.
         assert_eq!(rx.recv().unwrap(), 42);
         assert_eq!(
-            lock(&pool.handles).len(),
-            1,
-            "threads == 1 gets exactly one background worker"
+            thread_names(&pool),
+            ["gleipnir-refine-0"],
+            "threads == 1 gets exactly one runner"
         );
         // Foreground task sets still run on the caller alone.
         let out = run_indexed(&handle(&pool), 4, |i| Ok(i));
         assert!(out.results.iter().all(Result::is_ok));
     }
 
+    /// The names of the pool's spawned threads, sorted.
+    fn thread_names(pool: &WorkerPool) -> Vec<String> {
+        let mut names: Vec<String> = lock(&pool.handles)
+            .iter()
+            .map(|h| h.thread().name().unwrap_or_default().to_string())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
-    fn background_submit_reuses_regular_workers_when_present() {
+    fn background_submit_adds_one_runner_beside_the_workers() {
         let pool = Arc::new(WorkerPool::new(3));
         let (tx, rx) = std::sync::mpsc::channel();
-        pool.submit_background(
-            PriorityClass::Refinement,
-            Box::new(move || tx.send(7usize).unwrap()),
-        );
+        pool.submit_background(Box::new(move || tx.send(7usize).unwrap()));
         assert_eq!(rx.recv().unwrap(), 7);
+        assert_eq!(thread_names(&pool), ["gleipnir-refine-0"]);
+        let out = run_indexed(&handle(&pool), 4, |i| Ok(i));
+        assert!(out.results.iter().all(Result::is_ok));
         assert_eq!(
-            lock(&pool.handles).len(),
-            2,
-            "threads > 1 spawns the regular workers, no extra one"
+            thread_names(&pool),
+            [
+                "gleipnir-refine-0",
+                "gleipnir-worker-0",
+                "gleipnir-worker-1"
+            ],
+            "threads == 3 runs 2 regular workers plus 1 runner"
         );
+    }
+
+    #[test]
+    fn runner_never_takes_regular_jobs() {
+        // A threads == 1 pool has no regular workers, so regular jobs stay
+        // queued unless the runner takes them.
+        let pool = Arc::new(WorkerPool::new(1));
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        for class in PriorityClass::ALL {
+            let ran = Arc::clone(&ran);
+            pool.submit(class, Box::new(move || lock(&ran).push(class)));
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        for tag in [1usize, 2] {
+            let tx = tx.clone();
+            pool.submit_background(Box::new(move || tx.send(tag).unwrap()));
+        }
+        // The runner is up and has drained its own queue, FIFO...
+        assert_eq!((rx.recv().unwrap(), rx.recv().unwrap()), (1, 2));
+        // ...without touching a regular job of any class.
+        assert!(lock(&ran).is_empty());
+        assert_eq!(
+            pool.depths(),
+            SchedulerDepths {
+                interactive: 1,
+                refinement: 1,
+                batch: 1,
+            }
+        );
+    }
+
+    #[test]
+    fn background_task_set_runs_at_full_pool_width() {
+        // Each task waits (bounded) until a second thread has claimed one:
+        // the runner's assist must find a free regular worker.
+        let pool = Arc::new(WorkerPool::new(2));
+        let h = handle(&pool);
+        let (tx, rx) = std::sync::mpsc::channel();
+        pool.submit_background(Box::new(move || {
+            let seen = Arc::new(Mutex::new(std::collections::HashSet::new()));
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let out = super::run_indexed(&h, PriorityClass::Refinement, 4, move |i| {
+                lock(&seen).insert(std::thread::current().id());
+                while lock(&seen).len() < 2 && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Ok(i)
+            });
+            tx.send(out.participants).unwrap();
+        }));
+        assert_eq!(rx.recv().unwrap(), 2, "runner + 1 assist participate");
     }
 
     #[test]

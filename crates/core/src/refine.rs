@@ -282,7 +282,7 @@ impl RefinementRegistry {
         if self.scripted.load(Ordering::SeqCst) {
             lock(&self.scripted_jobs).push_back(job);
         } else {
-            h.pool.submit_background(PriorityClass::Refinement, job);
+            h.pool.submit_background(job);
         }
     }
 

@@ -324,13 +324,11 @@ impl Stage {
                 // concurrent exact-policy request could observe it (joining
                 // an in-flight slot included). A finished certificate still
                 // wins — it is tighter (state-aware) and engine-consistent.
-                let analytic = if self.shared.cache.contains(&cached.key) {
-                    None
-                } else {
-                    closed_form(ob)
-                };
-                if let Some(eps) = analytic {
-                    return Start::Done(Ok(UnitValue::ClosedForm(eps)));
+                // Only the fast policy has a closed form, so only it probes.
+                if self.policy == TierPolicy::Fast && !self.shared.cache.contains(&cached.key) {
+                    if let Some(eps) = closed_form(ob) {
+                        return Start::Done(Ok(UnitValue::ClosedForm(eps)));
+                    }
                 }
                 match self.shared.cache.lookup_or_lead(&cached.key) {
                     Lookup::Hit(eps) => Start::Done(Ok(UnitValue::CacheHit(eps))),

@@ -60,9 +60,13 @@ use std::time::{Duration, Instant};
 /// fd count and memory under an accept storm.
 const MAX_SHED_CONNS: usize = 64;
 
-/// Cap on a connection's unparsed request backlog. A pipelining client
-/// past this stops being read (TCP backpressure) until responses drain
-/// the buffer — bounded memory per connection.
+/// Cap on a connection's unparsed request backlog while one of its
+/// requests is in flight. A pipelining client past this stops being read
+/// (TCP backpressure) until responses drain the buffer — bounded memory
+/// per connection. With nothing in flight the buffer holds the front
+/// request, which the parser bounds instead (`MAX_HEADER_BYTES` plus
+/// `max_body_bytes`, else `413`), so a legal body larger than this cap
+/// still arrives.
 const PIPELINE_BUF_CAP: usize = 256 * 1024;
 
 /// Per-read scratch size.
@@ -283,7 +287,7 @@ impl Conn {
         if self.draining_until.is_some() {
             return true;
         }
-        !self.reading_dead && self.buf.len() < PIPELINE_BUF_CAP
+        !self.reading_dead && (!self.inflight || self.buf.len() < PIPELINE_BUF_CAP)
     }
 
     /// Queues a terminal JSON response: answer, then close (with drain).
@@ -560,7 +564,9 @@ impl Reactor {
                     }
                     conn.buf.extend_from_slice(&chunk[..n]);
                     if conn.buf.len() >= PIPELINE_BUF_CAP {
-                        break; // backpressure: stop reading until drained
+                        // Parse before reading on; while a request is in
+                        // flight this is backpressure until drained.
+                        break;
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,

@@ -19,7 +19,9 @@
 //! anywhere. CI runs this suite under both `GLEIPNIR_THREADS=1` and the
 //! default pool.
 
-use gleipnir::core::{AnalysisRequest, Engine, Method, PriorityClass, RefineStatus, TenantQuotas};
+use gleipnir::core::{
+    AnalysisRequest, Engine, EngineOptions, Method, PriorityClass, RefineStatus, TenantQuotas,
+};
 use gleipnir::noise::NoiseModel;
 use gleipnir::workloads::{determinism_suite, ising_chain};
 use std::sync::Arc;
@@ -272,4 +274,36 @@ fn warm_cache_first_answer_equals_final_epsilon() {
     assert!(answer.sources.cache > 0, "{:?}", answer.sources);
     let refined = wait_done(&engine, answer.token);
     assert_eq!(refined.to_bits(), exact.error_bound().to_bits());
+}
+
+/// A refinement runs at full pool width: on a two-thread engine it runs on
+/// the pool's refinement runner, and its solve stage's assist finds the
+/// regular worker free, so both threads solve. (A refinement that held
+/// the only regular worker would leave its assist queued behind itself.)
+#[test]
+fn refinement_solves_at_full_pool_width() {
+    let (_, program, width) = determinism_suite()
+        .into_iter()
+        .find(|(name, _, _)| name == "ising6x4_w2")
+        .expect("suite has the ising entry");
+    let engine = Engine::with_options(EngineOptions {
+        solver: Default::default(),
+        threads: 2,
+    })
+    .expect("engine");
+    let request = suite_request(&program, width);
+    let answer = engine.analyze_anytime(&request).expect("anytime starts");
+    let report = loop {
+        match engine.wait_refinement(answer.token, Duration::from_secs(5)) {
+            Some(RefineStatus::Done(report)) => break report,
+            Some(RefineStatus::Pending) => continue,
+            other => panic!("refinement did not complete: {other:?}"),
+        }
+    };
+    assert!(
+        report.sdp_solves() >= 8,
+        "{} cold solves",
+        report.sdp_solves()
+    );
+    assert_eq!(report.solve_workers(), Some(2));
 }

@@ -422,3 +422,25 @@ fn report_accessors_dispatch_by_method() {
     // LQR ≈ state-aware on an exactly-represented circuit.
     assert!((lqr.error_bound() - state.error_bound()).abs() < 1e-5);
 }
+
+/// The plan walk's call stack must not grow with program length: a long
+/// straight-line program analyzes on a thread with the default spawned
+/// stack (2 MiB), not just on an 8 MiB main thread.
+#[test]
+fn long_straight_line_program_fits_a_default_thread_stack() {
+    let mut b = ProgramBuilder::new(1);
+    for _ in 0..25_000 {
+        b.h(0).x(0);
+    }
+    let request = request(
+        &b.build(),
+        &bit_flip(1e-4),
+        Method::StateAware { mps_width: 8 },
+    );
+    let report = std::thread::spawn(move || Engine::new().analyze(&request))
+        .join()
+        .expect("analysis thread survives")
+        .expect("analysis succeeds");
+    assert_eq!(report.sdp_solves() + report.cache_hits(), 50_000);
+    assert!(report.error_bound() > 0.0);
+}

@@ -350,6 +350,32 @@ fn diff_endpoint_reuses_prefix_and_matches_analyze() {
     server.join();
 }
 
+/// A long straight-line program is an ordinary request: the plan walk
+/// must not overflow an HTTP worker's stack (which would abort the whole
+/// process), and the server answers the next request too.
+#[test]
+fn fifty_thousand_gate_program_is_answered_and_the_server_stays_up() {
+    let server = spawn(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        threads: 2,
+        ..ServerConfig::default()
+    })
+    .expect("spawn server");
+    let addr = server.addr();
+    let src = format!("qubits 1;\n{}", "h q0;\nx q0;\n".repeat(25_000));
+    let body = format!(
+        "{{\"source\":{},\"width\":8,\"noise\":\"bitflip:1e-4\"}}",
+        json_str(&src)
+    );
+    let (status, response) = post(addr, "/analyze", &body);
+    assert_eq!(status, 200, "{response}");
+    assert_eq!(report_field(&response, "gates").as_usize(), Some(50_000));
+    let (status, _) = get(addr, "/healthz");
+    assert_eq!(status, 200, "server still up");
+    server.join();
+}
+
 #[test]
 fn error_surface_is_json_all_the_way_down() {
     let server = spawn(ServerConfig {

@@ -8,9 +8,14 @@
 //! single reassociated FLOP in any lane of any solve shifts it. The pins
 //! are checked on a one-thread engine and on the default pool, so they
 //! also hold whichever solves share a lock-step batch.
+//!
+//! The fast tier policy is pinned too: bit-flip noise is a Pauli mixture,
+//! so the Tier 0 closed form answers every judgment and the solver is
+//! never entered.
 
 use gleipnir::circuit::{parse, pretty};
 use gleipnir::core::{AnalysisRequest, Engine, EngineOptions};
+use gleipnir::sdp::SolverProfile;
 use gleipnir::server::spec;
 use gleipnir::workloads::ising_chain;
 
@@ -20,31 +25,47 @@ const PINS: [(&str, f64, usize); 2] = [
     ("ampdamp:1e-4", 2.558616029593075e-2, 2521),
 ];
 
-fn request(noise: &str) -> AnalysisRequest {
+/// The fast-policy bit-flip ε: every gate's closed form, composed.
+const FAST_BITFLIP_EPS: f64 = 2.8800000000038472e-2;
+
+/// `tier` is the `gleipnir analyze --tier` spelling (`None` = exact).
+fn request(noise: &str, tier: Option<&str>) -> AnalysisRequest {
     let program = parse(&pretty(&ising_chain(12, 12, 1.0, 1.0, 0.1))).expect("Ising-288 parses");
     AnalysisRequest::builder(program)
         .noise(spec::parse_noise_spec(noise).expect("noise spec"))
         .method(spec::parse_method_spec(None, 8).expect("method spec"))
-        .tiering(spec::parse_tier_spec(None).expect("tier spec"))
+        .tiering(spec::parse_tier_spec(tier).expect("tier spec"))
         .build()
         .expect("valid request")
 }
 
-#[test]
-fn ising288_epsilon_bits_and_iterations_are_pinned() {
+/// A one-thread engine and, when it differs, the default pool.
+fn engines() -> Vec<(usize, Engine)> {
     let default_threads = Engine::new().threads();
     let mut pools = vec![1];
     if default_threads != 1 {
         pools.push(default_threads);
     }
-    for threads in pools {
-        let engine = Engine::with_options(EngineOptions {
-            solver: Default::default(),
-            threads,
+    pools
+        .into_iter()
+        .map(|threads| {
+            let engine = Engine::with_options(EngineOptions {
+                solver: Default::default(),
+                threads,
+            })
+            .expect("engine");
+            (threads, engine)
         })
-        .expect("engine");
+        .collect()
+}
+
+#[test]
+fn ising288_epsilon_bits_and_iterations_are_pinned() {
+    for (threads, engine) in engines() {
         for (noise, eps, iterations) in PINS {
-            let report = engine.analyze(&request(noise)).expect("analysis succeeds");
+            let report = engine
+                .analyze(&request(noise, None))
+                .expect("analysis succeeds");
             assert_eq!(
                 report.error_bound().to_bits(),
                 eps.to_bits(),
@@ -66,5 +87,38 @@ fn ising288_epsilon_bits_and_iterations_are_pinned() {
                 profile.total_ms
             );
         }
+    }
+}
+
+#[test]
+fn ising288_fast_policy_is_all_closed_form() {
+    let (_, exact_eps, exact_iterations) = PINS[0];
+    assert!(
+        FAST_BITFLIP_EPS >= exact_eps,
+        "Tier 0 never undercuts exact"
+    );
+    for (threads, engine) in engines() {
+        let request = request("bitflip:1e-4", Some("fast"));
+        let report = engine.analyze(&request).expect("analysis succeeds");
+        assert_eq!(
+            report.error_bound().to_bits(),
+            FAST_BITFLIP_EPS.to_bits(),
+            "fast on {threads} thread(s): ε {:e}, pinned {FAST_BITFLIP_EPS:e}",
+            report.error_bound()
+        );
+        assert_eq!(report.ip_iterations(), 0, "fast on {threads} thread(s)");
+        assert!(report.ip_iterations() < exact_iterations);
+        assert_eq!(report.sdp_solves(), 0, "fast on {threads} thread(s)");
+        assert_eq!(request.program().gate_count(), 288);
+        assert_eq!(
+            report.tier_counts().closed_form,
+            request.program().gate_count(),
+            "fast on {threads} thread(s): every judgment is Tier 0"
+        );
+        assert_eq!(
+            report.solver_profile(),
+            SolverProfile::default(),
+            "fast on {threads} thread(s): the solver never ran"
+        );
     }
 }
