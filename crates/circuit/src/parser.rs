@@ -20,6 +20,11 @@ use crate::lexer::{tokenize, LexError, Spanned, Token};
 use crate::{Gate, GateApp, Program, Qubit, Stmt};
 use std::fmt;
 
+/// Maximum nesting depth of parenthesized or negated expressions and of
+/// `if` blocks: deeper input is a parse error, not a stack overflow in
+/// the parser or in the recursive passes over the parsed program.
+const MAX_DEPTH: usize = 64;
+
 /// A parse error with source position.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ParseError {
@@ -56,6 +61,7 @@ impl From<LexError> for ParseError {
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    depth: usize,
 }
 
 impl Parser {
@@ -77,6 +83,20 @@ impl Parser {
             line,
             col,
         }
+    }
+
+    /// Runs `f` one nesting level deeper, failing past [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let result = f(self);
+        self.depth -= 1;
+        result
     }
 
     fn expect(&mut self, t: &Token) -> Result<(), ParseError> {
@@ -163,16 +183,16 @@ impl Parser {
     fn factor(&mut self) -> Result<f64, ParseError> {
         match self.peek() {
             Some(Token::Number(_)) => self.number(),
-            Some(Token::Minus) => {
-                self.pos += 1;
-                Ok(-self.factor()?)
-            }
-            Some(Token::LParen) => {
-                self.pos += 1;
-                let v = self.expr()?;
-                self.expect(&Token::RParen)?;
+            Some(Token::Minus) => self.nested(|p| {
+                p.pos += 1;
+                Ok(-p.factor()?)
+            }),
+            Some(Token::LParen) => self.nested(|p| {
+                p.pos += 1;
+                let v = p.expr()?;
+                p.expect(&Token::RParen)?;
                 Ok(v)
-            }
+            }),
             Some(Token::Ident(s)) if s == "pi" => {
                 self.pos += 1;
                 Ok(std::f64::consts::PI)
@@ -266,10 +286,10 @@ impl Parser {
                 if v != 0.0 {
                     return Err(self.err("measurement condition must be `== 0`"));
                 }
-                let zero = self.block()?;
+                let zero = self.nested(Self::block)?;
                 let one = if self.peek() == Some(&Token::Ident("else".into())) {
                     self.pos += 1;
-                    self.block()?
+                    self.nested(Self::block)?
                 } else {
                     Stmt::Skip
                 };
@@ -385,7 +405,11 @@ fn max_qubit(s: &Stmt) -> Option<usize> {
 /// ```
 pub fn parse(src: &str) -> Result<Program, ParseError> {
     let toks = tokenize(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     p.program()
 }
 
@@ -477,5 +501,44 @@ mod tests {
         let g = p.straight_line_gates().unwrap();
         let expect = 3.0 * std::f64::consts::PI / 4.0 - 0.5;
         assert!(matches!(g[0].gate, Gate::Rx(t) if (t - expect).abs() < 1e-14));
+    }
+
+    fn nested_ifs(depth: usize) -> String {
+        format!(
+            "qubits 1;\n{}x q0;{}",
+            "if q0 == 0 { ".repeat(depth),
+            " }".repeat(depth)
+        )
+    }
+
+    #[test]
+    fn nesting_up_to_the_cap_parses() {
+        let negated = format!("qubits 1; rx({}1) q0;", "-".repeat(MAX_DEPTH));
+        let parenthesized = format!(
+            "qubits 1; rx({}1{}) q0;",
+            "(".repeat(MAX_DEPTH),
+            ")".repeat(MAX_DEPTH)
+        );
+        for src in [negated, parenthesized, nested_ifs(MAX_DEPTH)] {
+            assert_eq!(parse(&src).unwrap().gate_count(), 1);
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_a_positioned_error_not_a_stack_overflow() {
+        let negated = format!("qubits 1; rx({}1) q0;", "-".repeat(200_000));
+        let parenthesized = format!(
+            "qubits 1; rx({}1{}) q0;",
+            "(".repeat(200_000),
+            ")".repeat(200_000)
+        );
+        for (src, col) in [(negated, 14 + MAX_DEPTH), (parenthesized, 14 + MAX_DEPTH)] {
+            let e = parse(&src).unwrap_err();
+            assert!(e.message.contains("nesting"), "{e}");
+            assert_eq!((e.line, e.col), (1, col));
+        }
+        let e = parse(&nested_ifs(100_000)).unwrap_err();
+        assert!(e.message.contains("nesting"), "{e}");
+        assert_eq!(e.line, 2);
     }
 }

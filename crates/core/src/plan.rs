@@ -27,6 +27,17 @@ use gleipnir_mps::{Mps, MpsError};
 use gleipnir_noise::{Channel, NoiseModel};
 use gleipnir_sdp::SolverOptions;
 
+/// Maximum number of execution paths one plan may walk. Every measurement
+/// forks the walk, so k sequential measurements can plan 2^k paths; past
+/// this many the plan is refused rather than holding a worker for hours.
+const MAX_PLAN_PATHS: usize = 4096;
+
+/// Maximum number of measurements on one execution path. The walk, the
+/// derivation it builds and every pass over that derivation recurse once
+/// per measurement on a path, so past this depth the plan is refused
+/// rather than overflowing a thread's stack.
+const MAX_PLAN_FORK_DEPTH: usize = 256;
+
 /// One deferred `(ρ̂, δ)`-diamond SDP: everything the solve stage needs,
 /// fully owned so obligations can cross threads.
 pub(crate) struct SolveObligation {
@@ -77,7 +88,9 @@ pub(crate) struct Plan {
 ///
 /// [`AnalysisError::WidthMismatch`] if the MPS and program widths
 /// disagree, or [`AnalysisError::Unsupported`] when both branches of a
-/// measurement are unreachable.
+/// measurement are unreachable, the program has more than
+/// [`MAX_PLAN_PATHS`] execution paths, or one path has more than
+/// [`MAX_PLAN_FORK_DEPTH`] measurements.
 pub(crate) fn plan_program(
     program: &Program,
     mut mps: Mps,
@@ -125,8 +138,9 @@ pub(crate) fn plan_stmts(
         delta_quantum,
         obligations: Vec::new(),
         final_delta: 0.0,
+        paths: 0,
     };
-    let skeleton = planner.walk(vec![stmts], mps)?;
+    let skeleton = planner.walk(vec![stmts], mps, 0)?;
     Ok(Plan {
         skeleton,
         obligations: planner.obligations,
@@ -142,6 +156,9 @@ struct Planner<'a> {
     delta_quantum: f64,
     obligations: Vec<SolveObligation>,
     final_delta: f64,
+    /// Execution paths walked to the end so far (pruned zero-probability
+    /// branches never get there).
+    paths: usize,
 }
 
 impl Planner<'_> {
@@ -150,7 +167,8 @@ impl Planner<'_> {
     /// slice). Straight-line statements run in a loop, so the call stack
     /// does not grow with program length; a measurement recurses once per
     /// branch, each branch continuing with its own copy of `rest`, and
-    /// ends this walk.
+    /// ends this walk. `forks` counts the measurements above this walk on
+    /// its path.
     ///
     /// The tree shape is fixed (the sequential oracle pins it, and
     /// `diff::merge_skeleton` rebuilds it): a path that runs to the end is
@@ -161,6 +179,7 @@ impl Planner<'_> {
         &mut self,
         mut rest: Vec<&'s [Stmt]>,
         mps: &mut Mps,
+        forks: usize,
     ) -> Result<Derivation, AnalysisError> {
         let mut children = Vec::new();
         while let Some(run) = rest.pop() {
@@ -188,6 +207,11 @@ impl Planner<'_> {
                     });
                 }
                 Stmt::IfMeasure { qubit, zero, one } => {
+                    if forks == MAX_PLAN_FORK_DEPTH {
+                        return Err(AnalysisError::Unsupported(format!(
+                            "more than {MAX_PLAN_FORK_DEPTH} measurements on one path"
+                        )));
+                    }
                     let delta_prob = mps.delta().min(1.0);
                     let mut plan_branch =
                         |body: &'s Stmt,
@@ -198,7 +222,7 @@ impl Planner<'_> {
                                 Ok(_p) => {
                                     let mut work = rest.clone();
                                     work.push(std::slice::from_ref(body));
-                                    Ok(Some(Box::new(self.walk(work, &mut fork)?)))
+                                    Ok(Some(Box::new(self.walk(work, &mut fork, forks + 1)?)))
                                 }
                                 Err(MpsError::ZeroProbabilityOutcome { .. }) => Ok(None),
                             }
@@ -224,6 +248,12 @@ impl Planner<'_> {
                     return Ok(Derivation::Seq { children });
                 }
             }
+        }
+        self.paths += 1;
+        if self.paths > MAX_PLAN_PATHS {
+            return Err(AnalysisError::Unsupported(format!(
+                "more than {MAX_PLAN_PATHS} measurement paths"
+            )));
         }
         self.final_delta = self.final_delta.max(mps.delta());
         Ok(Derivation::Seq { children })

@@ -18,7 +18,7 @@
 //! RST'd out of the client's receive buffer.
 //!
 //! The library exposes everything the `gleipnir serve` subcommand (and the
-//! integration tests / throughput bench) need:
+//! integration tests and the repository benchmark) need:
 //!
 //! * [`spawn`] / [`ServerHandle`] — run a server in-process on any
 //!   address (`127.0.0.1:0` for tests), shut it down gracefully;

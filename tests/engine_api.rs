@@ -444,3 +444,53 @@ fn long_straight_line_program_fits_a_default_thread_stack() {
     assert_eq!(report.sdp_solves() + report.cache_hits(), 50_000);
     assert!(report.error_bound() > 0.0);
 }
+
+/// `qubits 1;` followed by `k` repeats of `prefix` and a two-way
+/// measurement.
+fn measured_program(prefix: &str, k: usize) -> Program {
+    let fork = format!("{prefix} if q0 == 0 {{ skip; }} else {{ skip; }}\n");
+    gleipnir::circuit::parse(&format!("qubits 1;\n{}", fork.repeat(k))).expect("valid GLQ")
+}
+
+fn analyze_w2(program: &Program) -> Result<Report, AnalysisError> {
+    Engine::new().analyze(&request(
+        program,
+        &bit_flip(1e-4),
+        Method::StateAware { mps_width: 2 },
+    ))
+}
+
+/// k forks after `h` plan 2^k paths: past the path budget the plan is a
+/// typed error returned at once, not hours of walking; below it the
+/// bound keeps its bits.
+#[test]
+fn measurement_paths_over_budget_are_a_typed_error() {
+    let start = std::time::Instant::now();
+    let err = analyze_w2(&measured_program("h q0;", 40)).expect_err("2^40 paths");
+    assert!(matches!(err, AnalysisError::Unsupported(_)), "{err}");
+    assert!(
+        start.elapsed() < std::time::Duration::from_secs(1),
+        "refused after {:?}",
+        start.elapsed()
+    );
+
+    let report = analyze_w2(&measured_program("h q0;", 8)).expect("256 paths");
+    assert_eq!(report.sdp_solves() + report.cache_hits(), 255);
+    assert_eq!(report.error_bound().to_bits(), 0x3ebb02363c580000);
+}
+
+/// Deterministic measurements prune a branch, so one path can carry many
+/// of them: up to the depth budget they analyze on a default 2 MiB
+/// thread stack; one more is a typed error, not a stack overflow.
+#[test]
+fn measurement_depth_over_budget_is_a_typed_error() {
+    let at_budget = measured_program("x q0; x q0;", 256);
+    let report = std::thread::spawn(move || analyze_w2(&at_budget))
+        .join()
+        .expect("analysis thread survives")
+        .expect("256 measurements on one path");
+    assert_eq!(report.sdp_solves() + report.cache_hits(), 512);
+
+    let err = analyze_w2(&measured_program("x q0; x q0;", 10_000)).expect_err("too deep");
+    assert!(matches!(err, AnalysisError::Unsupported(_)), "{err}");
+}

@@ -9,6 +9,7 @@
 //! * a full accept queue sheds load with `429` — never a hang, never a
 //!   panic;
 //! * the error surface: 400 / 404 / 405 / 422 all materialize as JSON.
+//! * a deeply nested program gets a 4xx and the server stays up.
 
 use gleipnir::core::jsonfmt::json_str;
 use gleipnir::server::{json, spawn, ServerConfig};
@@ -373,6 +374,43 @@ fn fifty_thousand_gate_program_is_answered_and_the_server_stays_up() {
     assert_eq!(report_field(&response, "gates").as_usize(), Some(50_000));
     let (status, _) = get(addr, "/healthz");
     assert_eq!(status, 200, "server still up");
+    server.join();
+}
+
+/// A ~200 KB body of nested unary minus, parentheses or `if` blocks gets
+/// a 4xx (the parser's nesting cap), not a worker stack overflow that
+/// aborts the daemon.
+#[test]
+fn deeply_nested_program_gets_a_4xx_and_the_server_stays_up() {
+    let server = spawn(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        threads: 1,
+        ..ServerConfig::default()
+    })
+    .expect("spawn server");
+    let addr = server.addr();
+    let sources = [
+        format!("qubits 1; rx({}1) q0;", "-".repeat(200_000)),
+        format!(
+            "qubits 1; rx({}1{}) q0;",
+            "(".repeat(100_000),
+            ")".repeat(100_000)
+        ),
+        format!(
+            "qubits 1; {}x q0;{}",
+            "if q0 == 0 { ".repeat(15_000),
+            " }".repeat(15_000)
+        ),
+    ];
+    for src in sources {
+        let body = format!("{{\"source\":{},\"width\":2}}", json_str(&src));
+        let (status, response) = post(addr, "/analyze", &body);
+        assert!((400..500).contains(&status), "{status}: {response}");
+        assert!(response.contains("nesting"), "{response}");
+        let (status, _) = get(addr, "/healthz");
+        assert_eq!(status, 200, "server still up");
+    }
     server.join();
 }
 
@@ -963,4 +1001,94 @@ fn analyze_trace_covers_the_whole_pipeline() {
     );
 
     server.join();
+}
+
+/// The backticked words of a catalog cell, skipping parenthesized label
+/// values: "`endpoint` (`analyze`, `batch`)" yields `endpoint`.
+fn backticked_outside_parens(cell: &str) -> Vec<String> {
+    let mut depth = 0;
+    let outside: String = cell
+        .chars()
+        .filter(|&ch| {
+            match ch {
+                '(' => depth += 1,
+                ')' => depth -= 1,
+                _ => {}
+            }
+            depth == 0 && ch != ')'
+        })
+        .collect();
+    outside
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .map(str::to_string)
+        .collect()
+}
+
+/// The Prometheus exposition and the docs catalog name the same
+/// families, with the same types and label names.
+#[test]
+fn prometheus_exposition_matches_the_docs_catalog() {
+    use std::collections::{BTreeMap, BTreeSet};
+    type Families = BTreeMap<String, (String, BTreeSet<String>)>;
+
+    let server = spawn(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        threads: 1,
+        ..ServerConfig::default()
+    })
+    .expect("spawn server");
+    let (status, exposition) = get(server.addr(), "/metrics?format=prometheus");
+    server.join();
+    assert_eq!(status, 200);
+
+    let mut scraped = Families::new();
+    let mut family = String::new();
+    for line in exposition.lines() {
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = rest.split_once(' ').expect("`# TYPE name kind`");
+            family = name.to_string();
+            scraped.insert(family.clone(), (kind.to_string(), BTreeSet::new()));
+        } else if !line.starts_with('#') && !line.is_empty() {
+            let labels = scraped
+                .get_mut(&family)
+                .expect("sample after its TYPE line");
+            if let Some((_, inner)) = line.split_once('{') {
+                let inner = inner.split_once('}').expect("closed label set").0;
+                for pair in inner.split(',') {
+                    let name = pair.split_once('=').expect("label=value").0;
+                    if name != "le" {
+                        labels.1.insert(name.to_string());
+                    }
+                }
+            }
+        }
+    }
+
+    let docs = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("docs/OBSERVABILITY.md"),
+    )
+    .expect("read docs/OBSERVABILITY.md");
+    let catalog = docs
+        .split_once("### Prometheus catalog")
+        .expect("catalog section")
+        .1;
+    let mut documented = Families::new();
+    for row in catalog.lines().take_while(|l| !l.starts_with('#')) {
+        let cells: Vec<&str> = row.split('|').collect();
+        if cells.len() < 5 || !cells[1].contains("`gleipnir_") {
+            continue;
+        }
+        let labels: BTreeSet<String> = backticked_outside_parens(cells[3]).into_iter().collect();
+        for name in backticked_outside_parens(cells[1]) {
+            documented.insert(name, (cells[2].trim().to_string(), labels.clone()));
+        }
+    }
+    assert!(
+        scraped.contains_key("gleipnir_queue_depth"),
+        "exposition parsed: {scraped:?}"
+    );
+    assert_eq!(documented, scraped, "docs/OBSERVABILITY.md catalog drifted");
 }
