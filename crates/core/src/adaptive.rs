@@ -23,13 +23,14 @@
 //! the sweep stops, so error behavior and the per-width reports match the
 //! unpipelined sweep exactly.
 
+use crate::assemble::assemble_report;
 use crate::engine::EngineHandle;
-use crate::logic::{assemble_report, StateAwareReport};
-use crate::plan::{plan_program, Plan};
+use crate::logic::StateAwareReport;
+use crate::plan::{plan_stmts, Plan, Walk};
 use crate::request::AnalysisRequest;
 use crate::solve::spawn_solve;
 use crate::AnalysisError;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Configuration for [`Method::Adaptive`](crate::Method::Adaptive).
 #[derive(Clone, Debug)]
@@ -141,37 +142,21 @@ pub(crate) fn run_adaptive(
 ) -> Result<AdaptiveReport, AnalysisError> {
     config.validate()?;
     let start = Instant::now();
-    let opts = h.resolve_options(request);
-
-    let make_plan = |width: usize| -> Result<(Plan, Duration), AnalysisError> {
-        let t0 = Instant::now();
-        let mps = request.input().build_mps(width)?;
-        let plan = plan_program(
-            request.program(),
-            mps,
-            request.noise(),
-            &opts,
-            request.cache_enabled(),
-            request.delta_quantum(),
-        )?;
-        Ok((plan, t0.elapsed()))
+    let walk = Walk::of(h, request);
+    let program = request.program();
+    let make_plan = |width: usize| -> Result<Plan, AnalysisError> {
+        let mut mps = walk.start(program, width)?;
+        plan_stmts(std::slice::from_ref(program.body()), &mut mps, &walk)
     };
 
     let mut width = config.start_width;
     let mut best: Option<(usize, StateAwareReport)> = None;
     let mut trajectory = Vec::new();
-    let mut planned = make_plan(width)?;
+    let mut plan = make_plan(width)?;
 
     loop {
-        let (plan, plan_elapsed) = planned;
-        let Plan {
-            skeleton,
-            obligations,
-            final_delta,
-            mps_width,
-        } = plan;
-        let saturated = final_delta < SATURATION_DELTA;
-        let pending = spawn_solve(h, obligations, opts, request.tier_policy());
+        let saturated = plan.final_delta < SATURATION_DELTA;
+        let pending = spawn_solve(h, std::mem::take(&mut plan.obligations), &walk);
         // Plan-ahead overlap: while this width's SDPs solve on the pool,
         // speculatively plan the next width (unless this one is already
         // saturated or capped — then every wider plan would be identical
@@ -185,7 +170,7 @@ pub(crate) fn run_adaptive(
             None
         };
         let solved = pending.join(h)?;
-        let report = assemble_report(skeleton, final_delta, mps_width, solved, plan_elapsed);
+        let report = assemble_report(plan, solved);
         trajectory.push(AdaptiveStep {
             width,
             bound: report.error_bound(),
@@ -219,7 +204,7 @@ pub(crate) fn run_adaptive(
         }
         let (next_width, next_plan) = next.expect("continuing sweep always plans ahead");
         width = next_width;
-        planned = next_plan?;
+        plan = next_plan?;
     }
 
     let (width, report) = best.expect("at least one analysis ran");
@@ -234,9 +219,11 @@ pub(crate) fn run_adaptive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::traced;
     use crate::{AnalysisRequest, Engine, Method};
     use gleipnir_circuit::{Program, ProgramBuilder};
     use gleipnir_noise::NoiseModel;
+    use gleipnir_telemetry::SpanName;
 
     fn adaptive(
         program: &Program,
@@ -334,5 +321,30 @@ mod tests {
         };
         let err = adaptive(&program, &NoiseModel::Noiseless, cfg).unwrap_err();
         assert!(matches!(err, AnalysisError::InvalidConfig(_)), "{err}");
+    }
+
+    #[test]
+    fn traced_sweep_records_one_stage_run_per_width() {
+        // A threshold no doubling can miss runs the sweep to saturation or
+        // the cap, so no plan-ahead is discarded: every planned width is
+        // a tried width.
+        let cfg = AdaptiveConfig {
+            start_width: 1,
+            max_width: 8,
+            min_relative_improvement: -1.0,
+        };
+        let noise = NoiseModel::uniform_bit_flip(1e-3);
+        let (out, spans) = traced(|| adaptive(&entangling_program(4), &noise, cfg).unwrap());
+        let tried = out.trajectory.len();
+        assert!(tried > 1, "the sweep must try several widths");
+        for name in [
+            SpanName::Mps,
+            SpanName::Plan,
+            SpanName::Solve,
+            SpanName::Assemble,
+        ] {
+            let runs = spans.iter().filter(|s| s.name == name).count();
+            assert_eq!(runs, tried, "{} spans for {tried} widths", name.as_str());
+        }
     }
 }

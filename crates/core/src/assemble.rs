@@ -9,7 +9,52 @@
 //! so [`crate::StateAwareReport::replay`] remains sound and derivation
 //! pretty-prints are stable across pool sizes.
 
-use crate::logic::Derivation;
+use crate::logic::{Derivation, StageTimings, StateAwareReport};
+use crate::plan::Plan;
+use crate::solve::SolveOutcome;
+use gleipnir_telemetry::{self as telemetry, SpanName};
+use std::time::Instant;
+
+/// The pipeline's assemble stage: stitches solved ε's into the plan's
+/// skeleton and packages the report (the plan's obligations were already
+/// handed to the solve stage). Records the `assemble` span and the
+/// `assemble_ms` histogram.
+///
+/// The report's `elapsed` is the sum of the three stage walls — plan +
+/// solve (first claim → last unit) + assemble — so it means "the work of
+/// *this* analysis" even for adaptive widths whose plan or solve
+/// overlapped a sibling width's stages, and per-width `elapsed` values
+/// never double-count shared wall time.
+pub(crate) fn assemble_report(plan: Plan, solved: SolveOutcome) -> StateAwareReport {
+    let span = telemetry::active().map(|c| telemetry::Span::start(c, SpanName::Assemble));
+    let start = Instant::now();
+    let derivation = assemble(plan.skeleton, &solved.epsilons);
+    let assemble_elapsed = start.elapsed();
+    telemetry::global()
+        .assemble_ms
+        .observe_duration(assemble_elapsed);
+    if let Some(span) = span {
+        span.end();
+    }
+    StateAwareReport {
+        derivation,
+        tn_delta: plan.final_delta,
+        sdp_solves: solved.sdp_solves,
+        cache_hits: solved.cache_hits,
+        inflight_dedup: solved.inflight_dedup,
+        tier_counts: solved.tier_counts,
+        ip_iterations: solved.ip_iterations,
+        solver_profile: solved.solver_profile,
+        elapsed: plan.elapsed + solved.elapsed + assemble_elapsed,
+        stage_timings: StageTimings {
+            plan: plan.elapsed,
+            solve: solved.elapsed,
+            assemble: assemble_elapsed,
+        },
+        solve_workers: solved.solve_workers,
+        mps_width: plan.mps_width,
+    }
+}
 
 /// Fills the skeleton's `ε = NaN` placeholders with solved bounds.
 ///
@@ -17,7 +62,7 @@ use crate::logic::Derivation;
 ///
 /// Panics if the skeleton's Gate-node count disagrees with `epsilons` —
 /// an internal pipeline invariant violation, never a user error.
-pub(crate) fn assemble(mut skeleton: Derivation, epsilons: &[f64]) -> Derivation {
+fn assemble(mut skeleton: Derivation, epsilons: &[f64]) -> Derivation {
     let mut next = 0usize;
     fill(&mut skeleton, epsilons, &mut next);
     assert_eq!(

@@ -34,16 +34,18 @@
 //! ## What invalidates the prefix
 //!
 //! A shared prefix exists only when the two requests agree on everything
-//! that feeds the walk: input state, noise model, MPS width, solver
-//! options, cache participation, δ bucket width, and tier policy. Any
+//! that feeds the walk — their [`Walk`]s (input state, noise model, solver
+//! options, cache participation, δ bucket width, tier policy) compare
+//! equal and their MPS widths match. Any
 //! disagreement degrades to two independent analyses
 //! (`prefix_gates_reused == 0`) — still one [`DiffReport`], never a stale
 //! bound.
 
+use crate::assemble::assemble_report;
 use crate::engine::EngineHandle;
 use crate::error::AnalysisError;
-use crate::logic::{assemble_report, Derivation, StateAwareReport};
-use crate::plan::{plan_stmts, Plan};
+use crate::logic::{Derivation, StateAwareReport};
+use crate::plan::{plan_stmts, Plan, Walk};
 use crate::request::{AnalysisRequest, Method};
 use crate::solve::{spawn_solve, SolveOutcome};
 use crate::tiers::BoundTier;
@@ -200,15 +202,6 @@ fn merge_skeleton(prefix: Derivation, suffix: Derivation) -> Derivation {
     Derivation::Seq { children }
 }
 
-/// The planned halves of a differential analysis.
-struct DiffPlan {
-    /// The shared prefix (`None` when nothing is reusable).
-    prefix: Option<Plan>,
-    old_suffix: Plan,
-    new_suffix: Plan,
-    plan_elapsed: Duration,
-}
-
 /// Collects `(label, ε)` for every Gate rule in skeleton pre-order — the
 /// same order as the obligation list, so index `i` lines up with the solve
 /// outcome's `tiers[i]`.
@@ -234,124 +227,6 @@ fn collect_gates(d: &Derivation, out: &mut Vec<(String, f64)>) {
             }
         }
     }
-}
-
-/// Whether the two requests agree on everything that feeds the MPS walk
-/// (`Debug` formatting round-trips every `f64` exactly, so this is a
-/// bit-level comparison for the numeric fields).
-fn same_walk_config(
-    h: &EngineHandle,
-    old: &AnalysisRequest,
-    new: &AnalysisRequest,
-    old_width: usize,
-    new_width: usize,
-) -> bool {
-    old_width == new_width
-        && format!("{:?}", old.input()) == format!("{:?}", new.input())
-        && format!("{:?}", old.noise()) == format!("{:?}", new.noise())
-        && format!("{:?}", h.resolve_options(old)) == format!("{:?}", h.resolve_options(new))
-        && old.cache_enabled() == new.cache_enabled()
-        && old.delta_quantum().to_bits() == new.delta_quantum().to_bits()
-        && old.tier_policy() == new.tier_policy()
-}
-
-/// Plans both programs, sharing the prefix walk when the configurations
-/// agree.
-fn plan_diff(
-    h: &EngineHandle,
-    old_request: &AnalysisRequest,
-    new_request: &AnalysisRequest,
-    old_width: usize,
-    new_width: usize,
-) -> Result<DiffPlan, AnalysisError> {
-    let plan_start = Instant::now();
-    let old_stmts = top_stmts(old_request.program().body());
-    let new_stmts = top_stmts(new_request.program().body());
-    let shared = if same_walk_config(h, old_request, new_request, old_width, new_width) {
-        shared_prefix_len(&old_stmts, &new_stmts)
-    } else {
-        0
-    };
-
-    let old_opts = h.resolve_options(old_request);
-    let new_opts = h.resolve_options(new_request);
-    let check_width = |request: &AnalysisRequest, n: usize| -> Result<(), AnalysisError> {
-        if n != request.program().n_qubits() {
-            return Err(AnalysisError::WidthMismatch {
-                input: n,
-                program: request.program().n_qubits(),
-            });
-        }
-        Ok(())
-    };
-
-    if shared == 0 {
-        // Nothing reusable: two independent plans from their own inputs.
-        let mut old_mps = old_request.input().build_mps(old_width)?;
-        check_width(old_request, old_mps.n_qubits())?;
-        let old_suffix = plan_stmts(
-            &old_stmts,
-            &mut old_mps,
-            old_request.noise(),
-            &old_opts,
-            old_request.cache_enabled(),
-            old_request.delta_quantum(),
-        )?;
-        let mut new_mps = new_request.input().build_mps(new_width)?;
-        check_width(new_request, new_mps.n_qubits())?;
-        let new_suffix = plan_stmts(
-            &new_stmts,
-            &mut new_mps,
-            new_request.noise(),
-            &new_opts,
-            new_request.cache_enabled(),
-            new_request.delta_quantum(),
-        )?;
-        return Ok(DiffPlan {
-            prefix: None,
-            old_suffix,
-            new_suffix,
-            plan_elapsed: plan_start.elapsed(),
-        });
-    }
-
-    // One prefix walk evolves the MPS to the divergence point; each
-    // suffix replans from a clone of that snapshot. The configurations
-    // are equal here, so the new request's parameters speak for both.
-    let mut mps = new_request.input().build_mps(new_width)?;
-    check_width(old_request, mps.n_qubits())?;
-    check_width(new_request, mps.n_qubits())?;
-    let prefix = plan_stmts(
-        &new_stmts[..shared],
-        &mut mps,
-        new_request.noise(),
-        &new_opts,
-        new_request.cache_enabled(),
-        new_request.delta_quantum(),
-    )?;
-    let mut old_mps = mps.clone();
-    let old_suffix = plan_stmts(
-        &old_stmts[shared..],
-        &mut old_mps,
-        new_request.noise(),
-        &new_opts,
-        new_request.cache_enabled(),
-        new_request.delta_quantum(),
-    )?;
-    let new_suffix = plan_stmts(
-        &new_stmts[shared..],
-        &mut mps,
-        new_request.noise(),
-        &new_opts,
-        new_request.cache_enabled(),
-        new_request.delta_quantum(),
-    )?;
-    Ok(DiffPlan {
-        prefix: Some(prefix),
-        old_suffix,
-        new_suffix,
-        plan_elapsed: plan_start.elapsed(),
-    })
 }
 
 /// Classifies the per-gate ε changes between the two assembled reports.
@@ -458,83 +333,85 @@ pub(crate) fn analyze_diff_request(
             "analyze_diff requires Method::StateAware on both requests".into(),
         ));
     };
-    let noise_shared = format!("{:?}", old_request.noise()) == format!("{:?}", new_request.noise());
-    let config_shared = same_walk_config(h, old_request, new_request, old_width, new_width);
+    let old_walk = Walk::of(h, old_request);
+    let new_walk = Walk::of(h, new_request);
+    let noise_shared = format!("{:?}", old_walk.noise) == format!("{:?}", new_walk.noise);
+    let config_shared = old_width == new_width && old_walk == new_walk;
 
-    let DiffPlan {
-        prefix,
-        old_suffix,
-        new_suffix,
-        plan_elapsed,
-    } = plan_diff(h, old_request, new_request, old_width, new_width)?;
-
-    let (prefix_skeleton, prefix_obligations, prefix_width) = match prefix {
-        Some(p) => (p.skeleton, p.obligations, Some(p.mps_width)),
+    // One prefix walk evolves the MPS to the divergence point; each
+    // suffix replans from its own copy of that snapshot. The walks are
+    // equal whenever a prefix is shared, so the old one speaks for both;
+    // with nothing shared each program starts from its own input.
+    let old_stmts = top_stmts(old_request.program().body());
+    let new_stmts = top_stmts(new_request.program().body());
+    let shared = if config_shared {
+        shared_prefix_len(old_stmts, new_stmts)
+    } else {
+        0
+    };
+    let mut old_mps = old_walk.start(old_request.program(), old_width)?;
+    let prefix = match shared {
+        0 => None,
+        _ => Some(plan_stmts(&old_stmts[..shared], &mut old_mps, &old_walk)?),
+    };
+    let mut new_mps = match shared {
+        0 => new_walk.start(new_request.program(), new_width)?,
+        _ => old_mps.clone(),
+    };
+    let mut old_suffix = plan_stmts(&old_stmts[shared..], &mut old_mps, &old_walk)?;
+    let mut new_suffix = plan_stmts(&new_stmts[shared..], &mut new_mps, &new_walk)?;
+    let (prefix_skeleton, mut old_obligations, prefix_elapsed) = match prefix {
+        Some(p) => (p.skeleton, p.obligations, p.elapsed),
         None => (
             Derivation::Seq {
                 children: Vec::new(),
             },
             Vec::new(),
-            None,
+            Duration::ZERO,
         ),
     };
-    let prefix_gates = prefix_obligations.len();
+    let prefix_gates = old_obligations.len();
 
     // Solve the old program in full: prefix + old-suffix obligations in
     // plan order (all cache hits when the engine analyzed it before).
     // Joining *before* the new solve keeps the new suffix's accounting a
     // deterministic function of the engine state, pool size aside.
-    let old_opts = h.resolve_options(old_request);
-    let new_opts = h.resolve_options(new_request);
-    let mut old_obligations = prefix_obligations;
-    let n_old_prefix = old_obligations.len();
-    old_obligations.extend(old_suffix.obligations);
-    let old_solved =
-        spawn_solve(h, old_obligations, old_opts, old_request.tier_policy()).join(h)?;
+    old_obligations.append(&mut old_suffix.obligations);
+    let old_solved = spawn_solve(h, old_obligations, &old_walk).join(h)?;
 
     // Solve only the new program's divergent suffix.
-    let suffix_solved = spawn_solve(
-        h,
-        new_suffix.obligations,
-        new_opts,
-        new_request.tier_policy(),
-    )
-    .join(h)?;
+    let suffix_solved =
+        spawn_solve(h, std::mem::take(&mut new_suffix.obligations), &new_walk).join(h)?;
 
     // The new program's ε vector: prefix bits verbatim from the old solve,
     // then the suffix. The accounting carries only the suffix's work —
     // that is the point of the diff.
-    let mut epsilons = old_solved.epsilons[..n_old_prefix].to_vec();
+    let mut epsilons = old_solved.epsilons[..prefix_gates].to_vec();
     epsilons.extend_from_slice(&suffix_solved.epsilons);
-    let mut tiers = old_solved.tiers[..n_old_prefix].to_vec();
+    let mut tiers = old_solved.tiers[..prefix_gates].to_vec();
     tiers.extend_from_slice(&suffix_solved.tiers);
     let new_solved = SolveOutcome {
         epsilons,
         tiers,
-        sdp_solves: suffix_solved.sdp_solves,
-        cache_hits: suffix_solved.cache_hits,
-        inflight_dedup: suffix_solved.inflight_dedup,
-        tier_counts: suffix_solved.tier_counts,
-        ip_iterations: suffix_solved.ip_iterations,
-        solver_profile: suffix_solved.solver_profile,
-        solve_workers: suffix_solved.solve_workers,
-        elapsed: suffix_solved.elapsed,
+        ..suffix_solved
     };
 
     let new_tiers_by_gate = new_solved.tiers.clone();
     let old_report = assemble_report(
-        merge_skeleton(prefix_skeleton.clone(), old_suffix.skeleton),
-        old_suffix.final_delta,
-        prefix_width.unwrap_or(old_suffix.mps_width),
+        Plan {
+            skeleton: merge_skeleton(prefix_skeleton.clone(), old_suffix.skeleton),
+            elapsed: prefix_elapsed + old_suffix.elapsed,
+            ..old_suffix
+        },
         old_solved,
-        plan_elapsed,
     );
     let new_report = assemble_report(
-        merge_skeleton(prefix_skeleton, new_suffix.skeleton),
-        new_suffix.final_delta,
-        prefix_width.unwrap_or(new_suffix.mps_width),
+        Plan {
+            skeleton: merge_skeleton(prefix_skeleton, new_suffix.skeleton),
+            elapsed: prefix_elapsed + new_suffix.elapsed,
+            ..new_suffix
+        },
         new_solved,
-        plan_elapsed,
     );
 
     let mut old_gates = Vec::new();
@@ -614,10 +491,12 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::request::Method;
+    use crate::testkit::traced;
     use crate::Report;
     use gleipnir_circuit::ProgramBuilder;
     use gleipnir_noise::NoiseModel;
     use gleipnir_sim::BasisState;
+    use gleipnir_telemetry::SpanName;
 
     fn request(program: gleipnir_circuit::Program) -> AnalysisRequest {
         let n = program.n_qubits();
@@ -756,6 +635,53 @@ mod tests {
             .changes()
             .iter()
             .any(|c| c.reason == ChangeReason::GateEdited && c.gate.contains("rx")));
+    }
+
+    #[test]
+    fn traced_diff_attributes_its_stages_and_keeps_its_bits() {
+        let mut a = ProgramBuilder::new(3);
+        a.h(0).cnot(0, 1).rx(2, 0.3).cnot(1, 2);
+        let mut b = ProgramBuilder::new(3);
+        b.h(0).cnot(0, 1).rx(2, 0.9).cnot(1, 2);
+        let (old, new) = (request(a.build()), request(b.build()));
+        let bits = |d: &DiffReport| -> Vec<u64> {
+            let eps = d
+                .changes()
+                .iter()
+                .flat_map(|c| [c.old_epsilon, c.new_epsilon]);
+            [Some(d.error_bound()), Some(d.old_report().error_bound())]
+                .into_iter()
+                .chain(eps)
+                .flatten()
+                .map(f64::to_bits)
+                .collect()
+        };
+        let untraced = Engine::new().analyze_diff(&old, &new).unwrap();
+        let (diff, spans) = traced(|| Engine::new().analyze_diff(&old, &new).unwrap());
+        assert_eq!(bits(&diff), bits(&untraced), "tracing moved a bit");
+
+        // One start MPS (the prefix is shared), plans of the prefix and
+        // both suffixes, the old and the new solve, one assemble per report.
+        let runs = |name| spans.iter().filter(|s| s.name == name).count();
+        let stages = [
+            SpanName::Mps,
+            SpanName::Plan,
+            SpanName::Solve,
+            SpanName::Assemble,
+        ];
+        assert_eq!(stages.map(runs), [1, 3, 2, 2]);
+        let solves: Vec<u32> = spans
+            .iter()
+            .filter(|s| s.name == SpanName::Solve)
+            .map(|s| s.id)
+            .collect();
+        let obligations = spans.iter().filter(|s| s.name == SpanName::Obligation);
+        assert_eq!(
+            obligations.clone().count(),
+            4 + 2,
+            "old program, then new suffix"
+        );
+        assert!(obligations.clone().all(|o| solves.contains(&o.parent)));
     }
 
     #[test]

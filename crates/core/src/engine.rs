@@ -33,9 +33,10 @@
 //! panicking request never sinks its siblings.
 
 use crate::adaptive::run_adaptive;
+use crate::assemble::assemble_report;
 use crate::baseline::{run_lqr_full_sim, run_worst_case};
 use crate::diamond::DiamondError;
-use crate::logic::run_state_aware;
+use crate::plan::{plan_stmts, Walk};
 // `lock` recovers poisoned mutexes: the cache only ever holds
 // fully-written `(key, ε)` pairs — a worker that panicked mid-analysis
 // cannot leave a torn entry behind — so a poisoned shard is safe to keep
@@ -47,6 +48,7 @@ use crate::refine::{
 };
 use crate::report::Report;
 use crate::request::{AnalysisRequest, Method};
+use crate::solve::spawn_solve;
 use crate::testkit::ScriptedGate;
 use crate::tiers::{TierStats, TierTotals};
 use crate::AnalysisError;
@@ -518,38 +520,20 @@ pub(crate) fn analyze_request(
     h: &EngineHandle,
     request: &AnalysisRequest,
 ) -> Result<Report, AnalysisError> {
-    let opts = h.resolve_options(request);
     match request.method() {
         Method::StateAware { mps_width } => {
-            let mps_t0 = gleipnir_telemetry::now_ns();
-            let mps = request.input().build_mps(*mps_width)?;
-            if let Some(ctx) = gleipnir_telemetry::active() {
-                gleipnir_telemetry::record_span(
-                    ctx,
-                    gleipnir_telemetry::SpanName::Mps,
-                    gleipnir_telemetry::next_span_id(),
-                    mps_t0,
-                    gleipnir_telemetry::now_ns(),
-                    0,
-                    0,
-                    0,
-                );
-            }
-            run_state_aware(
-                h,
-                request.program(),
-                mps,
-                request.noise(),
-                &opts,
-                request.cache_enabled(),
-                request.delta_quantum(),
-                request.tier_policy(),
-            )
-            .map(Report::StateAware)
+            let walk = Walk::of(h, request);
+            let program = request.program();
+            let mut mps = walk.start(program, *mps_width)?;
+            let mut plan = plan_stmts(std::slice::from_ref(program.body()), &mut mps, &walk)?;
+            let solved = spawn_solve(h, std::mem::take(&mut plan.obligations), &walk).join(h)?;
+            Ok(Report::StateAware(assemble_report(plan, solved)))
         }
         Method::Adaptive(cfg) => run_adaptive(h, request, cfg).map(Report::Adaptive),
         Method::WorstCase => run_worst_case(h, request).map(Report::WorstCase),
-        Method::LqrFullSim => run_lqr_full_sim(request, &opts).map(Report::LqrFullSim),
+        Method::LqrFullSim => {
+            run_lqr_full_sim(request, &h.resolve_options(request)).map(Report::LqrFullSim)
+        }
     }
 }
 

@@ -1,7 +1,7 @@
-//! The lightweight quantum error logic (paper §4) and its pipeline driver.
+//! The lightweight quantum error logic (paper §4): its derivations and the
+//! state-aware report.
 //!
-//! [`run_state_aware`] analyzes a noisy program by mechanizing the five
-//! inference rules of Fig. 5:
+//! The state-aware analysis mechanizes the five inference rules of Fig. 5:
 //!
 //! * **Skip** — no error;
 //! * **Gate** — the `(ρ̂, δ)`-diamond norm of the noisy gate, with ρ̂'s
@@ -16,8 +16,12 @@
 //!   larger δ, which the rule says is sound.
 //!
 //! Since the per-gate SDP certificates are independent given each gate's
-//! judgment `(ρ′, δ)`, the analysis runs as a three-stage pipeline:
+//! judgment `(ρ′, δ)`, the analysis runs as a pipeline of stage functions
+//! that every entry point (state-aware, adaptive widths, anytime first
+//! answers, differential analysis) calls, and each of which records its
+//! own span and histogram:
 //!
+//! 0. **mps** ([`crate::plan::Walk::start`]) — the input state as an MPS;
 //! 1. **plan** ([`crate::plan`]) — a cheap sequential walk that evolves
 //!    the MPS and materializes one solve obligation per Gate rule plus a
 //!    derivation skeleton;
@@ -37,21 +41,15 @@
 //! for [`StateAwareReport::replay`] to re-check the derivation against
 //! fresh SDP solves, independent of the analysis that produced it.
 
-use crate::assemble::assemble;
 use crate::diamond::rho_delta_diamond;
-use crate::engine::EngineHandle;
-use crate::error::{AnalysisError, ReplayError};
-use crate::plan::{plan_program, Plan};
-use crate::solve::{spawn_solve, SolveOutcome};
-use crate::tiers::{TierCounts, TierPolicy};
-use gleipnir_circuit::{Gate, Program};
+use crate::error::ReplayError;
+use crate::tiers::TierCounts;
+use gleipnir_circuit::Gate;
 use gleipnir_linalg::CMat;
-use gleipnir_mps::Mps;
 use gleipnir_noise::NoiseModel;
 use gleipnir_sdp::{SolverOptions, SolverProfile};
-use gleipnir_telemetry as telemetry;
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A node of the error-logic derivation tree (Fig. 5 rule applications).
 #[derive(Clone, Debug)]
@@ -379,145 +377,11 @@ impl fmt::Display for StateAwareReport {
     }
 }
 
-/// Runs the full Fig. 4 analysis — MPS approximation, per-gate `(ρ̂, δ)`-
-/// diamond norms, the error logic — from an already-materialized input
-/// MPS, as the plan → solve → assemble pipeline. The solve stage fans out
-/// over the engine's worker pool; `cache_enabled = false` solves every
-/// judgment at its exact δ (still in parallel, just never deduplicated).
-pub(crate) fn run_state_aware(
-    h: &EngineHandle,
-    program: &Program,
-    mps: Mps,
-    noise: &NoiseModel,
-    opts: &SolverOptions,
-    cache_enabled: bool,
-    delta_quantum: f64,
-    tiers: TierPolicy,
-) -> Result<StateAwareReport, AnalysisError> {
-    // Stage spans are recorded only while a trace is active (server
-    // request or `--trace` CLI run); stage histograms always are. Both
-    // are pure observation — no telemetry value feeds back into the
-    // analysis, which keeps ε bit-deterministic with tracing enabled.
-    let ctx = telemetry::active();
-    let start = Instant::now();
-    let plan_t0 = telemetry::now_ns();
-    let plan = plan_program(program, mps, noise, opts, cache_enabled, delta_quantum)?;
-    let plan_elapsed = start.elapsed();
-    if let Some(ctx) = ctx {
-        telemetry::record_span(
-            ctx,
-            telemetry::SpanName::Plan,
-            telemetry::next_span_id(),
-            plan_t0,
-            telemetry::now_ns(),
-            0,
-            0,
-            0,
-        );
-    }
-    let Plan {
-        skeleton,
-        obligations,
-        final_delta,
-        mps_width,
-    } = plan;
-    let solve_t0 = telemetry::now_ns();
-    let solve_span = ctx.map(|c| {
-        let id = telemetry::next_span_id();
-        (
-            c,
-            id,
-            telemetry::TraceCtx {
-                trace_id: c.trace_id,
-                parent: id,
-            },
-        )
-    });
-    // Per-obligation spans parent under the solve span: the pool closures
-    // capture the ambient context at dispatch time inside `spawn_solve`.
-    let solved = match solve_span {
-        Some((_, _, inner)) => {
-            telemetry::with_ctx(inner, || spawn_solve(h, obligations, *opts, tiers).join(h))?
-        }
-        None => spawn_solve(h, obligations, *opts, tiers).join(h)?,
-    };
-    if let Some((ctx, id, _)) = solve_span {
-        telemetry::record_span(
-            ctx,
-            telemetry::SpanName::Solve,
-            id,
-            solve_t0,
-            telemetry::now_ns(),
-            0,
-            0,
-            0,
-        );
-    }
-    let report = assemble_report(skeleton, final_delta, mps_width, solved, plan_elapsed);
-    if let Some(ctx) = ctx {
-        let end_ns = telemetry::now_ns();
-        let assemble_ns = report.stage_timings.assemble.as_nanos() as u64;
-        telemetry::record_span(
-            ctx,
-            telemetry::SpanName::Assemble,
-            telemetry::next_span_id(),
-            end_ns.saturating_sub(assemble_ns),
-            end_ns,
-            0,
-            0,
-            0,
-        );
-    }
-    let t = telemetry::global();
-    t.plan_ms.observe_duration(report.stage_timings.plan);
-    t.solve_ms.observe_duration(report.stage_timings.solve);
-    t.assemble_ms
-        .observe_duration(report.stage_timings.assemble);
-    Ok(report)
-}
-
-/// The pipeline's tail shared with the adaptive sweep: stitches solved ε's
-/// into the skeleton and packages the report. The report's `elapsed` is
-/// the sum of the three stage walls — plan + solve (first claim → last
-/// unit) + assemble — so it means "the work of *this* analysis" even for
-/// adaptive widths whose plan or solve overlapped a sibling width's
-/// stages, and per-width `elapsed` values never double-count shared wall
-/// time.
-pub(crate) fn assemble_report(
-    skeleton: Derivation,
-    final_delta: f64,
-    mps_width: usize,
-    solved: SolveOutcome,
-    plan_elapsed: Duration,
-) -> StateAwareReport {
-    let assemble_start = Instant::now();
-    let derivation = assemble(skeleton, &solved.epsilons);
-    let assemble_elapsed = assemble_start.elapsed();
-    StateAwareReport {
-        derivation,
-        tn_delta: final_delta,
-        sdp_solves: solved.sdp_solves,
-        cache_hits: solved.cache_hits,
-        inflight_dedup: solved.inflight_dedup,
-        tier_counts: solved.tier_counts,
-        ip_iterations: solved.ip_iterations,
-        solver_profile: solved.solver_profile,
-        elapsed: plan_elapsed + solved.elapsed + assemble_elapsed,
-        stage_timings: StageTimings {
-            plan: plan_elapsed,
-            solve: solved.elapsed,
-            assemble: assemble_elapsed,
-        },
-        solve_workers: solved.solve_workers,
-        mps_width,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AnalysisRequest, Engine, Method, Report};
-    use gleipnir_circuit::ProgramBuilder;
+    use crate::{AnalysisError, AnalysisRequest, Engine, Method, Report};
+    use gleipnir_circuit::{Program, ProgramBuilder};
     use gleipnir_sim::BasisState;
 
     fn bit_flip() -> NoiseModel {

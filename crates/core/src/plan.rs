@@ -18,14 +18,18 @@
 //! half of cache reuse (the Weaken rule); see [`quantize`] for the
 //! invariants.
 
-use crate::engine;
+use crate::engine::{self, EngineHandle};
 use crate::error::AnalysisError;
 use crate::logic::Derivation;
+use crate::request::{AnalysisRequest, InputState};
+use crate::tiers::TierPolicy;
 use gleipnir_circuit::{Program, Stmt};
 use gleipnir_linalg::CMat;
 use gleipnir_mps::{Mps, MpsError};
 use gleipnir_noise::{Channel, NoiseModel};
 use gleipnir_sdp::SolverOptions;
+use gleipnir_telemetry::{self as telemetry, SpanName};
+use std::time::{Duration, Instant};
 
 /// Maximum number of execution paths one plan may walk. Every measurement
 /// forks the walk, so k sequential measurements can plan 2^k paths; past
@@ -79,81 +83,119 @@ pub(crate) struct Plan {
     pub final_delta: f64,
     /// The MPS bond-dimension budget the plan was computed at.
     pub mps_width: usize,
+    /// Wall-clock time of the walk.
+    pub elapsed: Duration,
 }
 
-/// Runs the plan pass: evolves `mps` through `program`, emitting one
-/// obligation per Gate-rule application.
+/// Everything besides the program and the MPS width that feeds the
+/// pipeline's stages, borrowed from one request and resolved once (the
+/// engine's default solver options filled in). Two requests whose walks
+/// compare equal at the same width evolve the same MPS and pose the same
+/// obligations, which is what lets the differential analyzer
+/// ([`crate::diff`]) share a prefix walk between them.
+#[derive(Debug)]
+pub(crate) struct Walk<'a> {
+    input: &'a InputState,
+    pub(crate) noise: &'a NoiseModel,
+    pub(crate) opts: SolverOptions,
+    cache_enabled: bool,
+    delta_quantum: f64,
+    pub(crate) tiers: TierPolicy,
+}
+
+impl<'a> Walk<'a> {
+    /// The walk configuration of `request` on the engine behind `h`.
+    pub(crate) fn of(h: &EngineHandle, request: &'a AnalysisRequest) -> Self {
+        Walk {
+            input: request.input(),
+            noise: request.noise(),
+            opts: h.resolve_options(request),
+            cache_enabled: request.cache_enabled(),
+            delta_quantum: request.delta_quantum(),
+            tiers: request.tier_policy(),
+        }
+    }
+
+    /// The pipeline's first stage: materializes the input state as an MPS
+    /// of bond-dimension budget `width` for `program` (recorded as the
+    /// `mps` span).
+    ///
+    /// # Errors
+    ///
+    /// [`AnalysisError::WidthMismatch`] if the input and program widths
+    /// disagree, or [`AnalysisError::InvalidConfig`] for an invalid input.
+    pub(crate) fn start(&self, program: &Program, width: usize) -> Result<Mps, AnalysisError> {
+        let span = telemetry::active().map(|c| telemetry::Span::start(c, SpanName::Mps));
+        let mps = self.input.build_mps(width)?;
+        if let Some(span) = span {
+            span.end();
+        }
+        if mps.n_qubits() != program.n_qubits() {
+            return Err(AnalysisError::WidthMismatch {
+                input: mps.n_qubits(),
+                program: program.n_qubits(),
+            });
+        }
+        Ok(mps)
+    }
+}
+
+impl PartialEq for Walk<'_> {
+    /// A bit-level comparison of every field. The borrowed input and noise
+    /// types have no `PartialEq`, and `Debug` round-trips every non-NaN
+    /// `f64` exactly (`-0.0` included), so the walks' `Debug` renderings
+    /// are compared.
+    fn eq(&self, other: &Self) -> bool {
+        format!("{self:?}") == format!("{other:?}")
+    }
+}
+
+/// The pipeline's plan stage: walks `stmts` from `mps`, emitting one
+/// obligation per Gate-rule application and leaving `mps` evolved through
+/// the slice (single-path programs only; after a measurement fork the
+/// caller's `mps` is the *pre-fork* state). Records the `plan` span and
+/// the `plan_ms` histogram.
+///
+/// The differential analyzer ([`crate::diff`]) plans a shared prefix this
+/// way to capture the MPS at the divergence point, then plans each suffix
+/// from a clone of that snapshot.
 ///
 /// # Errors
 ///
-/// [`AnalysisError::WidthMismatch`] if the MPS and program widths
-/// disagree, or [`AnalysisError::Unsupported`] when both branches of a
-/// measurement are unreachable, the program has more than
-/// [`MAX_PLAN_PATHS`] execution paths, or one path has more than
-/// [`MAX_PLAN_FORK_DEPTH`] measurements.
-pub(crate) fn plan_program(
-    program: &Program,
-    mut mps: Mps,
-    noise: &NoiseModel,
-    opts: &SolverOptions,
-    cache_enabled: bool,
-    delta_quantum: f64,
-) -> Result<Plan, AnalysisError> {
-    if mps.n_qubits() != program.n_qubits() {
-        return Err(AnalysisError::WidthMismatch {
-            input: mps.n_qubits(),
-            program: program.n_qubits(),
-        });
-    }
-    plan_stmts(
-        std::slice::from_ref(program.body()),
-        &mut mps,
-        noise,
-        opts,
-        cache_enabled,
-        delta_quantum,
-    )
-}
-
-/// Plans an arbitrary statement slice against an already-evolved MPS,
-/// leaving `mps` evolved through the slice (single-path programs only;
-/// after a measurement fork the caller's `mps` is the *pre-fork* state).
-///
-/// This is the entry point the differential analyzer ([`crate::diff`])
-/// uses: it plans a shared prefix to capture the MPS at the divergence
-/// point, then plans each suffix from a clone of that snapshot.
+/// [`AnalysisError::Unsupported`] when both branches of a measurement are
+/// unreachable, the program has more than [`MAX_PLAN_PATHS`] execution
+/// paths, or one path has more than [`MAX_PLAN_FORK_DEPTH`] measurements.
 pub(crate) fn plan_stmts(
     stmts: &[Stmt],
     mps: &mut Mps,
-    noise: &NoiseModel,
-    opts: &SolverOptions,
-    cache_enabled: bool,
-    delta_quantum: f64,
+    walk: &Walk<'_>,
 ) -> Result<Plan, AnalysisError> {
+    let span = telemetry::active().map(|c| telemetry::Span::start(c, SpanName::Plan));
+    let start = Instant::now();
     let mps_width = mps.max_bond();
     let mut planner = Planner {
-        noise,
-        opts,
-        cache_enabled,
-        delta_quantum,
+        walk,
         obligations: Vec::new(),
         final_delta: 0.0,
         paths: 0,
     };
-    let skeleton = planner.walk(vec![stmts], mps, 0)?;
+    let skeleton = planner.walk(vec![stmts], mps, 0);
+    let elapsed = start.elapsed();
+    telemetry::global().plan_ms.observe_duration(elapsed);
+    if let Some(span) = span {
+        span.end();
+    }
     Ok(Plan {
-        skeleton,
+        skeleton: skeleton?,
         obligations: planner.obligations,
         final_delta: planner.final_delta,
         mps_width,
+        elapsed,
     })
 }
 
 struct Planner<'a> {
-    noise: &'a NoiseModel,
-    opts: &'a SolverOptions,
-    cache_enabled: bool,
-    delta_quantum: f64,
+    walk: &'a Walk<'a>,
     obligations: Vec<SolveObligation>,
     final_delta: f64,
     /// Execution paths walked to the end so far (pruned zero-probability
@@ -262,16 +304,16 @@ impl Planner<'_> {
     /// Materializes one gate's solve obligation (the deferred counterpart
     /// of the old inline `gate_epsilon`).
     fn plan_gate(&mut self, g: &gleipnir_circuit::GateApp, rho_prime: &CMat, delta: f64) {
-        let noisy = self.noise.noisy_gate(&g.gate, &g.qubits);
+        let noisy = self.walk.noise.noisy_gate(&g.gate, &g.qubits);
         let gate_matrix = g.gate.matrix();
-        let cached = if self.cache_enabled {
+        let cached = if self.walk.cache_enabled {
             quantize(
                 &gate_matrix,
                 &noisy,
                 rho_prime,
                 delta,
-                self.delta_quantum,
-                self.opts,
+                self.walk.delta_quantum,
+                &self.walk.opts,
             )
         } else {
             None
@@ -329,20 +371,25 @@ fn quantize(
 mod tests {
     use super::*;
     use gleipnir_circuit::ProgramBuilder;
-    use gleipnir_mps::MpsConfig;
     use gleipnir_noise::NoiseModel;
 
+    /// Plans `program` from |0…0⟩ at width `w` under a 1e-4 bit flip.
+    fn plan_at(program: &Program, w: usize, cache_enabled: bool, delta_quantum: f64) -> Plan {
+        let input = InputState::zeros(program.n_qubits());
+        let walk = Walk {
+            input: &input,
+            noise: &NoiseModel::uniform_bit_flip(1e-4),
+            opts: SolverOptions::default(),
+            cache_enabled,
+            delta_quantum,
+            tiers: TierPolicy::Exact,
+        };
+        let mut mps = walk.start(program, w).expect("input fits");
+        plan_stmts(std::slice::from_ref(program.body()), &mut mps, &walk).expect("plan succeeds")
+    }
+
     fn plan(program: &Program, w: usize, cache: bool) -> Plan {
-        let mps = Mps::zero_state(program.n_qubits(), MpsConfig::with_width(w));
-        plan_program(
-            program,
-            mps,
-            &NoiseModel::uniform_bit_flip(1e-4),
-            &SolverOptions::default(),
-            cache,
-            1e-6,
-        )
-        .expect("plan succeeds")
+        plan_at(program, w, cache, 1e-6)
     }
 
     /// Pre-order Gate-node count must equal the obligation count, and the
@@ -477,16 +524,7 @@ mod tests {
         // Entangling circuit at w = 1 accumulates δ ≫ 1e-300·2^52.
         let mut b = ProgramBuilder::new(3);
         b.h(0).h(1).h(2).rzz(0, 1, 0.9).rzz(1, 2, 0.9).cnot(0, 1);
-        let mps = Mps::zero_state(3, MpsConfig::with_width(1));
-        let plan = plan_program(
-            &b.build(),
-            mps,
-            &NoiseModel::uniform_bit_flip(1e-4),
-            &SolverOptions::default(),
-            true,
-            1e-300,
-        )
-        .unwrap();
+        let plan = plan_at(&b.build(), 1, true, 1e-300);
         assert!(
             plan.obligations.iter().any(|o| o.cached.is_none()),
             "truncated judgments must bypass the cache at an overflowing bucket width"
@@ -502,16 +540,7 @@ mod tests {
         for q in 0..3 {
             b.rzz(q, q + 1, 0.8);
         }
-        let mps = Mps::zero_state(4, MpsConfig::with_width(2));
-        let plan = plan_program(
-            &b.build(),
-            mps,
-            &NoiseModel::uniform_bit_flip(1e-4),
-            &SolverOptions::default(),
-            true,
-            1e-6,
-        )
-        .unwrap();
+        let plan = plan(&b.build(), 2, true);
         for ob in &plan.obligations {
             if let Some(c) = &ob.cached {
                 assert!(

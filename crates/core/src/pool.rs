@@ -93,12 +93,14 @@ impl PriorityClass {
         }
     }
 
-    fn index(self) -> usize {
-        match self {
-            PriorityClass::Interactive => 0,
-            PriorityClass::Refinement => 1,
-            PriorityClass::Batch => 2,
-        }
+    /// The class's position in [`PriorityClass::ALL`]: its rank in the
+    /// drain order, and the index of its queue wherever jobs queue per
+    /// class.
+    pub fn index(self) -> usize {
+        Self::ALL
+            .iter()
+            .position(|&c| c == self)
+            .expect("ALL lists every class")
     }
 }
 

@@ -26,13 +26,14 @@
 //! recomputed locally, so exact-policy requests on the same engine can
 //! never observe an anytime artifact.
 
-use crate::assemble::assemble;
+use crate::assemble::assemble_report;
 use crate::engine::EngineHandle;
 use crate::error::AnalysisError;
-use crate::plan::plan_program;
+use crate::plan::{plan_stmts, Walk};
 use crate::pool::{lock, PriorityClass};
 use crate::report::Report;
 use crate::request::{AnalysisRequest, Method};
+use crate::solve::SolveOutcome;
 use crate::testkit::ScriptedGate;
 use crate::tiers::closed_form_gate_bound;
 use gleipnir_telemetry as telemetry;
@@ -325,10 +326,10 @@ impl RefinementRegistry {
 }
 
 /// Computes the anytime first answer for a state-aware request: plans the
-/// program (exactly as the real analysis will), then answers every
-/// obligation from certified-but-cheap sources only. Never solves an SDP,
-/// never writes the cache, never touches the in-flight protocol, never
-/// perturbs the hit/miss counters.
+/// program (exactly as the real analysis will), answers every obligation
+/// from certified-but-cheap sources only, and assembles. Never solves an
+/// SDP, never writes the cache, never touches the in-flight protocol,
+/// never perturbs the hit/miss counters.
 pub(crate) fn compute_first_answer(
     h: &EngineHandle,
     request: &AnalysisRequest,
@@ -338,16 +339,10 @@ pub(crate) fn compute_first_answer(
             "anytime analysis requires a state-aware request".into(),
         ));
     };
-    let opts = h.resolve_options(request);
-    let mps = request.input().build_mps(*mps_width)?;
-    let plan = plan_program(
-        request.program(),
-        mps,
-        request.noise(),
-        &opts,
-        request.cache_enabled(),
-        request.delta_quantum(),
-    )?;
+    let walk = Walk::of(h, request);
+    let program = request.program();
+    let mut mps = walk.start(program, *mps_width)?;
+    let plan = plan_stmts(std::slice::from_ref(program.body()), &mut mps, &walk)?;
     let mut sources = AnytimeSources::default();
     let epsilons: Vec<f64> = plan
         .obligations
@@ -373,8 +368,11 @@ pub(crate) fn compute_first_answer(
             }
         })
         .collect();
-    let derivation = assemble(plan.skeleton, &epsilons);
-    Ok((derivation.epsilon(), sources))
+    let solved = SolveOutcome {
+        epsilons,
+        ..SolveOutcome::default()
+    };
+    Ok((assemble_report(plan, solved).error_bound(), sources))
 }
 
 /// Per-tenant admission control for one scheduling class: at most `limit`

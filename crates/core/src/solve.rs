@@ -51,7 +51,7 @@
 use crate::diamond::{diamond_result, rho_delta_problem, DiamondError};
 use crate::engine::{Certificate, EngineHandle, EngineShared, InflightSlot, LeadGuard, Lookup};
 use crate::error::AnalysisError;
-use crate::plan::SolveObligation;
+use crate::plan::{SolveObligation, Walk};
 use crate::pool::{spawn_claiming, Claims, PendingRun};
 use crate::tiers::{closed_form_gate_bound, note_engine_totals, BoundTier, TierCounts, TierPolicy};
 use gleipnir_sdp::{SdpBatch, SdpError, SdpProblem, SdpSolution, SolverOptions, SolverProfile};
@@ -63,6 +63,7 @@ use std::time::{Duration, Instant};
 
 /// The solve stage's result: one ε per obligation (in plan order) plus the
 /// accounting the report surfaces.
+#[derive(Default)]
 pub(crate) struct SolveOutcome {
     /// Certified bounds, indexed like the plan's obligation list.
     pub epsilons: Vec<f64>,
@@ -128,15 +129,20 @@ pub(crate) struct PendingSolve {
     pending: PendingRun<Option<UnitValue>>,
     units: Arc<Vec<Unit>>,
     n_obligations: usize,
+    /// The stage's `solve` span (traced requests only), recorded at join.
+    span: Option<telemetry::Span>,
 }
 
-/// Folds obligations into units and dispatches them over the pool.
+/// The pipeline's solve stage: folds obligations into units and
+/// dispatches them over the pool under the walk's solver options and tier
+/// policy. Opens the `solve` span (traced requests only), which every
+/// obligation span parents under.
 pub(crate) fn spawn_solve(
     h: &EngineHandle,
     obligations: Vec<SolveObligation>,
-    opts: SolverOptions,
-    policy: TierPolicy,
+    walk: &Walk<'_>,
 ) -> PendingSolve {
+    let span = telemetry::active().map(|c| telemetry::Span::start(c, telemetry::SpanName::Solve));
     let n_obligations = obligations.len();
     let mut units: Vec<Unit> = Vec::new();
     let mut by_key: HashMap<&[u64], usize> = HashMap::new();
@@ -162,8 +168,8 @@ pub(crate) fn spawn_solve(
         shared: Arc::clone(&h.shared),
         units: Arc::clone(&units),
         obligations,
-        opts,
-        policy,
+        opts: walk.opts,
+        policy: walk.tiers,
         // First failure cancels the units not yet claimed (the old
         // sequential walk stopped at its first failing gate; solving
         // hundreds of further SDPs just to report the same error would
@@ -171,12 +177,11 @@ pub(crate) fn spawn_solve(
         // leads always complete.
         cancelled: AtomicBool::new(false),
         // Captured once at dispatch: pool threads record their obligation
-        // spans against the submitting request's trace (the ambient
-        // context does not cross threads). `dispatch_ns` turns claim time
-        // into per-unit pool queue wait. Recording happens strictly
-        // *after* each unit's value is computed — observation only, never
-        // an input.
-        trace_ctx: telemetry::active(),
+        // spans under the stage's span (the ambient context does not cross
+        // threads). `dispatch_ns` turns claim time into per-unit pool
+        // queue wait. Recording happens strictly *after* each unit's value
+        // is computed — observation only, never an input.
+        trace_ctx: span.as_ref().map(telemetry::Span::child_ctx),
         dispatch_ns: telemetry::now_ns(),
     });
     let pending = spawn_claiming(&h.pool, h.class, units.len(), move |claims| {
@@ -186,6 +191,7 @@ pub(crate) fn spawn_solve(
         pending,
         units,
         n_obligations,
+        span,
     }
 }
 
@@ -485,6 +491,8 @@ fn record_obligation_span(
 impl PendingSolve {
     /// Joins the stage: the calling thread claims remaining units, then
     /// the results are folded back into per-obligation ε's and stats.
+    /// Records the `solve` span and observes the stage's own wall (first
+    /// claim → last unit) in the `solve_ms` histogram.
     ///
     /// # Errors
     ///
@@ -494,6 +502,10 @@ impl PendingSolve {
     /// after it.
     pub(crate) fn join(self, h: &EngineHandle) -> Result<SolveOutcome, AnalysisError> {
         let out = self.pending.join();
+        telemetry::global().solve_ms.observe_duration(out.elapsed);
+        if let Some(span) = self.span {
+            span.end();
+        }
         let mut epsilons = vec![0.0f64; self.n_obligations];
         let mut tiers = vec![BoundTier::ColdSolve; self.n_obligations];
         let mut sdp_solves = 0usize;

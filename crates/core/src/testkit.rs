@@ -75,6 +75,22 @@ impl ScriptedGate {
     }
 }
 
+/// Runs `f` under a fresh trace and returns its result plus every span
+/// the trace collected.
+#[cfg(test)]
+pub(crate) fn traced<R>(f: impl FnOnce() -> R) -> (R, Vec<gleipnir_telemetry::SpanRecord>) {
+    use gleipnir_telemetry as telemetry;
+    let trace_id = telemetry::next_trace_id();
+    let ctx = telemetry::TraceCtx {
+        trace_id,
+        parent: telemetry::next_span_id(),
+    };
+    let out = telemetry::with_ctx(ctx, f);
+    telemetry::global().finish_trace(trace_id);
+    let trace = telemetry::global().trace(trace_id).expect("trace stored");
+    (out, trace.spans)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,10 +6,10 @@
 //! render time rather than mirrored.
 
 use gleipnir_core::jsonfmt::{json_f64, json_ms};
-use gleipnir_core::{CacheStats, LoadStats, RefineStats, Report, SchedulerDepths, TierStats};
+use gleipnir_core::{CacheStats, LoadStats, RefineStats, SchedulerDepths, TierStats};
 use gleipnir_telemetry as telemetry;
 use gleipnir_telemetry::detail;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// The crate version baked into `/healthz`, `/metrics`, and the
@@ -52,12 +52,6 @@ pub struct Metrics {
     pub quota_rejections: AtomicUsize,
     /// Anytime `/analyze` requests accepted with `202` + a token.
     pub anytime_accepted: AtomicUsize,
-    /// Cumulative pipeline stage walls across served analyses, in µs.
-    pub plan_us: AtomicU64,
-    /// Solve-stage cumulative wall (µs).
-    pub solve_us: AtomicU64,
-    /// Assemble-stage cumulative wall (µs).
-    pub assemble_us: AtomicU64,
     /// Records appended to the certificate store so far.
     pub persisted_records: AtomicUsize,
     /// What the startup store load found (zeroes when no store).
@@ -129,9 +123,6 @@ impl Metrics {
             http_err: AtomicUsize::new(0),
             quota_rejections: AtomicUsize::new(0),
             anytime_accepted: AtomicUsize::new(0),
-            plan_us: AtomicU64::new(0),
-            solve_us: AtomicU64::new(0),
-            assemble_us: AtomicU64::new(0),
             persisted_records: AtomicUsize::new(0),
             load_loaded: AtomicUsize::new(0),
             load_rejected: AtomicUsize::new(0),
@@ -171,23 +162,11 @@ impl Metrics {
         self.load_rejected.store(stats.rejected, Ordering::Relaxed);
     }
 
-    /// Folds one served report's stage timings into the cumulative sums.
-    pub(crate) fn note_report(&self, report: &Report) {
-        if let Some(t) = report.stage_timings() {
-            self.plan_us
-                .fetch_add(t.plan.as_micros() as u64, Ordering::Relaxed);
-            self.solve_us
-                .fetch_add(t.solve.as_micros() as u64, Ordering::Relaxed);
-            self.assemble_us
-                .fetch_add(t.assemble.as_micros() as u64, Ordering::Relaxed);
-        }
-    }
-
     /// Renders the `/metrics` JSON document from the cumulative counters
     /// plus a [`MetricsView`] snapshot taken by the caller.
     pub(crate) fn to_json(&self, v: &MetricsView) -> String {
         let c = |a: &AtomicUsize| a.load(Ordering::Relaxed);
-        let us = |a: &AtomicU64| json_ms(a.load(Ordering::Relaxed) as f64 / 1e3);
+        let t = telemetry::global();
         format!(
             concat!(
                 "{{\"uptime_ms\":{},",
@@ -246,9 +225,11 @@ impl Metrics {
             v.tiers.closed_form,
             v.tiers.cold,
             v.tiers.ip_iterations,
-            us(&self.plan_us),
-            us(&self.solve_us),
-            us(&self.assemble_us),
+            // Stage totals are the process-wide stage histograms' sums:
+            // every analysis path records into them.
+            json_ms(t.plan_ms.sum_ms()),
+            json_ms(t.solve_ms.sum_ms()),
+            json_ms(t.assemble_ms.sum_ms()),
             v.store_enabled,
             c(&self.load_loaded),
             c(&self.load_rejected),
@@ -528,7 +509,7 @@ impl Metrics {
         prom::histogram(
             &mut out,
             "gleipnir_stage_duration_seconds",
-            "Pipeline stage walls per analysis.",
+            "Pipeline stage walls per stage run, every analysis path.",
             &[
                 (&[("stage", "plan")][..], t.plan_ms.snapshot()),
                 (&[("stage", "solve")][..], t.solve_ms.snapshot()),

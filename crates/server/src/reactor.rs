@@ -110,18 +110,12 @@ pub(crate) struct Job {
     pub enqueued_ns: u64,
 }
 
-/// Deque index of a priority class (drain order: interactive first).
-fn class_index(class: PriorityClass) -> usize {
-    match class {
-        PriorityClass::Interactive => 0,
-        PriorityClass::Refinement => 1,
-        PriorityClass::Batch => 2,
-    }
-}
-
 /// The reactor → workers request queue: one FIFO per priority class,
-/// drained interactive > refinement > batch — a saturating batch tenant
-/// queues behind *every* waiting interactive request, not in front of it.
+/// indexed and drained in [`PriorityClass::ALL`] order — a saturating
+/// batch tenant queues behind *every* waiting interactive request, not in
+/// front of it. The reactor queues requests as interactive or batch only:
+/// refinements run on the engine's own refinement runner, so the
+/// refinement FIFO here stays empty.
 /// Unbounded as a data structure — admission control happens at accept
 /// (connection cap) plus per-tenant quotas, and each connection
 /// contributes at most one in-flight job, so the queue is bounded by the
@@ -141,7 +135,7 @@ impl JobQueue {
 
     pub(crate) fn push(&self, job: Job) {
         let mut q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        q[class_index(job.class)].push_back(job);
+        q[job.class.index()].push_back(job);
         drop(q);
         self.ready.notify_one();
     }

@@ -561,7 +561,6 @@ fn handle_analyze(shared: &Arc<Shared>, body: &[u8]) -> Response {
     }
     match shared.engine.analyze(&spec.request) {
         Ok(report) => {
-            shared.metrics.note_report(&report);
             shared.metrics.analyze_ok.fetch_add(1, Ordering::Relaxed);
             persist_now(shared);
             Response::json(200, wire::analyze_ok_json(&spec, &report))
@@ -761,10 +760,7 @@ fn handle_batch(shared: &Arc<Shared>, body: &[u8]) -> Response {
         .iter()
         .map(|entry| match entry {
             Ok(spec) => match analyzed.next().expect("one result per prepared request") {
-                Ok(report) => {
-                    shared.metrics.note_report(&report);
-                    wire::analyze_ok_json(spec, &report)
-                }
+                Ok(report) => wire::analyze_ok_json(spec, &report),
                 Err(e) => wire::error_json(&e.to_string()),
             },
             Err(msg) => wire::error_json(msg),

@@ -215,11 +215,11 @@ impl Span {
 /// CLI, bench) is driving it.
 pub struct Telemetry {
     traces: TraceStore,
-    /// Plan-stage wall time per state-aware analysis (ms).
+    /// Plan-stage wall time per stage run, every analysis path (ms).
     pub plan_ms: Histogram,
-    /// Solve-stage wall time per state-aware analysis (ms).
+    /// Solve-stage wall time per stage run, every analysis path (ms).
     pub solve_ms: Histogram,
-    /// Assemble-stage wall time per state-aware analysis (ms).
+    /// Assemble-stage wall time per stage run, every analysis path (ms).
     pub assemble_ms: Histogram,
     /// Interior-point solve wall time per lead SDP solve (ms).
     pub ip_solve_ms: Histogram,

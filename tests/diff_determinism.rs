@@ -217,3 +217,70 @@ fn ising288_one_gate_edit_resolves_only_the_suffix() {
         );
     }
 }
+
+/// Every walk input two requests of one program can disagree on — input
+/// state, MPS width, solver options, cache participation, δ bucket width,
+/// tier policy, noise — invalidates the shared prefix: nothing is reused,
+/// some gate's ε changes and every change is attributed to the
+/// configuration (to the noise model for the noise row), and the new
+/// answer matches a cold analysis. The old request carries the
+/// difference, so the new one is the default exact-policy request whose
+/// cold answer is pinned at every row.
+#[test]
+fn any_walk_config_change_reuses_nothing_and_matches_cold() {
+    let (name, program, width) = determinism_suite()
+        .into_iter()
+        .find(|(name, _, _)| name == "ghz4")
+        .expect("suite has ghz4");
+    let noise = NoiseModel::uniform_bit_flip(NOISE_P);
+    let base = || {
+        AnalysisRequest::builder(program.clone())
+            .noise(noise.clone())
+            .method(Method::StateAware { mps_width: width })
+    };
+    let loose_solver = gleipnir::sdp::SolverOptions {
+        tolerance: 1e-7,
+        ..Default::default()
+    };
+    let rows = [
+        (
+            "input_state",
+            base().input(InputState::plus(program.n_qubits())),
+        ),
+        // Width 1 truncates the GHZ entanglement: judgments move.
+        (
+            "mps_width",
+            base().method(Method::StateAware { mps_width: 1 }),
+        ),
+        ("solver_options", base().solver_options(loose_solver)),
+        ("cache", base().cache(false)),
+        ("delta_quantum", base().delta_quantum(1e-5)),
+        ("tier_policy", base().tiering(TierPolicy::Fast)),
+        (
+            "noise",
+            base().noise(NoiseModel::uniform_bit_flip(2.0 * NOISE_P)),
+        ),
+    ];
+    let new = base().build().expect("valid request");
+    for (row, old) in rows {
+        let old = old.build().expect("valid request");
+        let reason = match row {
+            "noise" => ChangeReason::NoiseChanged,
+            _ => ChangeReason::ConfigChanged,
+        };
+        for threads in [1, 0] {
+            let label = format!("{name}/{row}/threads={threads}");
+            let diff = assert_diff_matches_cold(threads, &old, &new, &label);
+            assert_eq!(
+                diff.prefix_gates_reused(),
+                0,
+                "{label}: a walk-config change must not reuse any prefix gate"
+            );
+            assert!(
+                !diff.changes().is_empty() && diff.changes().iter().all(|c| c.reason == reason),
+                "{label}: every change is {reason:?}: {:?}",
+                diff.changes()
+            );
+        }
+    }
+}

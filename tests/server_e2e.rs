@@ -859,6 +859,17 @@ fn exchange_with_head(addr: SocketAddr, raw: &str) -> (u16, String, String) {
     (status, head, body)
 }
 
+/// The `X-Trace-Id` a response head carries.
+fn trace_id(head: &str) -> String {
+    head.lines()
+        .find_map(|l| {
+            let (name, value) = l.split_once(':')?;
+            name.eq_ignore_ascii_case("x-trace-id")
+                .then(|| value.trim().to_string())
+        })
+        .expect("response carries X-Trace-Id")
+}
+
 /// Sums `wall_ms` over one level of a span-node array.
 fn child_walls_ms(children: &[json::Json]) -> f64 {
     children
@@ -907,14 +918,7 @@ fn analyze_trace_covers_the_whole_pipeline() {
     );
     let (status, head, resp) = exchange_with_head(addr, &raw);
     assert_eq!(status, 200, "{resp}");
-    let trace_id = head
-        .lines()
-        .find_map(|l| {
-            let (name, value) = l.split_once(':')?;
-            name.eq_ignore_ascii_case("x-trace-id")
-                .then(|| value.trim().to_string())
-        })
-        .expect("response carries X-Trace-Id");
+    let trace_id = trace_id(&head);
 
     let (status, trace_body) = get(addr, &format!("/trace/{trace_id}"));
     assert_eq!(status, 200, "{trace_body}");
@@ -998,6 +1002,62 @@ fn analyze_trace_covers_the_whole_pipeline() {
     assert!(
         prom.contains("gleipnir_ip_solve_duration_seconds_count"),
         "the cold analyze ran real SDP solves: {prom}"
+    );
+
+    server.join();
+}
+
+/// A `/diff` runs the same traced stages as `/analyze`: its trace has one
+/// root, the handler has `mps`, `plan`, `solve` and `assemble` children,
+/// and every obligation span sits under a `solve` span.
+#[test]
+fn diff_trace_attributes_every_stage() {
+    let server = spawn(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        threads: 2,
+        ..ServerConfig::default()
+    })
+    .expect("spawn server");
+    let addr = server.addr();
+
+    let new_src = "qubits 2;\nh q0;\ncnot q0, q1;\nx q1;\n";
+    let body = format!(
+        "{{\"old_source\":{},\"new_source\":{},\"width\":8,\"noise\":\"bitflip:1e-4\"}}",
+        json_str(GHZ_SRC),
+        json_str(new_src)
+    );
+    let raw = format!(
+        "POST /diff HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let (status, head, resp) = exchange_with_head(addr, &raw);
+    assert_eq!(status, 200, "{resp}");
+
+    let (status, trace_body) = get(addr, &format!("/trace/{}", trace_id(&head)));
+    assert_eq!(status, 200, "{trace_body}");
+    let v = json::parse(&trace_body).expect("trace is JSON");
+    let roots = v.get("spans").unwrap().as_array().unwrap();
+    assert_eq!(roots.len(), 1, "one root request span: {trace_body}");
+    let root = &roots[0];
+    assert_eq!(root.get("detail").unwrap().as_str(), Some("diff"));
+    let handler = find_child(root, "handler").expect("handler span");
+    for name in ["mps", "plan", "solve", "assemble"] {
+        assert!(
+            find_child(handler, name).is_some(),
+            "handler must have a `{name}` child: {trace_body}"
+        );
+    }
+    // Obligation spans parent under their stage's `solve`, never directly
+    // under the handler.
+    let children = handler.get("children").unwrap().as_array().unwrap();
+    let mut solves = children
+        .iter()
+        .filter(|c| c.get("name").and_then(json::Json::as_str) == Some("solve"));
+    assert!(find_child(handler, "obligation").is_none(), "{trace_body}");
+    assert!(
+        solves.clone().count() == 2 && solves.all(|s| find_child(s, "obligation").is_some()),
+        "the old and the new solve each own obligations: {trace_body}"
     );
 
     server.join();
