@@ -384,22 +384,34 @@ fn solve_problem(
     trace_bound: f64,
     opts: &SolverOptions,
 ) -> Result<DiamondResult, DiamondError> {
-    Ok(diamond_result(problem.solve(opts)?, trace_bound))
+    diamond_result(problem.solve(opts)?, trace_bound)
 }
 
 /// The sound diamond-norm bound behind a finished solve of a posed
 /// diamond SDP (the solve stage's lanes finish through here too).
-pub(crate) fn diamond_result(sol: SdpSolution, trace_bound: f64) -> DiamondResult {
-    let bound = (-sol.certified_dual_bound(trace_bound)).max(0.0);
-    let estimate = (-sol.primal_objective).max(0.0);
-    DiamondResult {
-        bound,
-        estimate,
+///
+/// # Errors
+///
+/// [`DiamondError::Solver`] if the certificate is not finite: `NaN`
+/// would otherwise clamp to a bound of 0 (`NaN.max(0.0) == 0.0`).
+pub(crate) fn diamond_result(
+    sol: SdpSolution,
+    trace_bound: f64,
+) -> Result<DiamondResult, DiamondError> {
+    let certificate = sol.certified_dual_bound(trace_bound);
+    if !certificate.is_finite() {
+        return Err(DiamondError::Solver(SdpError::Numerical(format!(
+            "certified dual bound is not finite ({certificate:e})"
+        ))));
+    }
+    Ok(DiamondResult {
+        bound: (-certificate).max(0.0),
+        estimate: (-sol.primal_objective).max(0.0),
         iterations: sol.iterations,
         converged: sol.status == SdpStatus::Optimal,
         dual: sol.y,
         profile: sol.profile,
-    }
+    })
 }
 
 /// Sanity helper used by tests and benches: a brute-force **lower** bound on
@@ -501,6 +513,20 @@ mod tests {
             assert!((r.bound - p).abs() < 1e-5 * (1.0 + p), "p = {p}: {r}");
             assert!(r.converged);
         }
+    }
+
+    #[test]
+    fn a_non_finite_certificate_is_an_error_not_a_zero_bound() {
+        let noisy = Channel::bit_flip(0.01).after_unitary(&CMat::identity(2));
+        let (problem, trace_bound) = unconstrained_problem(&CMat::identity(2), &noisy).unwrap();
+        let mut sol = problem.solve(&opts()).unwrap();
+        assert!(diamond_result(sol.clone(), trace_bound).is_ok());
+        // `NaN.max(0.0)` is 0.0: unchecked, this would certify ε = 0.
+        sol.dual_objective = f64::NAN;
+        assert!(matches!(
+            diamond_result(sol, trace_bound),
+            Err(DiamondError::Solver(SdpError::Numerical(_)))
+        ));
     }
 
     #[test]

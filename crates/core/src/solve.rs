@@ -371,9 +371,11 @@ impl Stage {
         telemetry::global()
             .ip_solve_ms
             .observe_ms(lead.started.elapsed().as_secs_f64() * 1e3);
-        let outcome = match result {
-            Ok(sol) => {
-                let r = diamond_result(sol, lead.trace_bound);
+        let outcome = match result
+            .map_err(DiamondError::Solver)
+            .and_then(|sol| diamond_result(sol, lead.trace_bound))
+        {
+            Ok(r) => {
                 if let Some(guard) = lead.guard {
                     guard.complete(Ok(Certificate {
                         eps: r.bound,
@@ -389,7 +391,6 @@ impl Stage {
                 })
             }
             Err(e) => {
-                let e = DiamondError::Solver(e);
                 if let Some(guard) = lead.guard {
                     guard.complete(Err(e.clone()));
                 }

@@ -74,6 +74,8 @@ pub enum EigError {
     NoConvergence,
     /// The input matrix was not square.
     NotSquare,
+    /// The computed spectrum contains a NaN (the input was not finite).
+    NotFinite,
 }
 
 impl std::fmt::Display for EigError {
@@ -81,6 +83,7 @@ impl std::fmt::Display for EigError {
         match self {
             EigError::NoConvergence => write!(f, "QL iteration did not converge"),
             EigError::NotSquare => write!(f, "eigendecomposition requires a square matrix"),
+            EigError::NotFinite => write!(f, "eigenvalues are not finite"),
         }
     }
 }
@@ -317,19 +320,41 @@ pub fn sym_eig(a: &RMat) -> Result<(Vec<f64>, RMat), EigError> {
 ///
 /// Returns [`EigError`] if the matrix is not square or QL fails to converge.
 pub fn sym_eigvals(a: &RMat) -> Result<Vec<f64>, EigError> {
+    let mut d = Vec::new();
+    sym_eigvals_in_place(&mut a.clone(), &mut d, &mut Vec::new())?;
+    Ok(d)
+}
+
+/// [`sym_eigvals`] on reusable buffers: `a` is overwritten (it holds the
+/// reduction), `vals` receives the ascending eigenvalues and `scratch`
+/// the off-diagonal. Bit-identical to [`sym_eigvals`].
+///
+/// # Errors
+///
+/// Returns [`EigError`] if the matrix is not square, QL fails to
+/// converge, or an eigenvalue comes out NaN.
+pub fn sym_eigvals_in_place(
+    a: &mut RMat,
+    vals: &mut Vec<f64>,
+    scratch: &mut Vec<f64>,
+) -> Result<(), EigError> {
     if !a.is_square() {
         return Err(EigError::NotSquare);
     }
     let n = a.rows();
-    let mut z = a.clone();
-    let mut d = vec![0.0; n];
-    let mut e = vec![0.0; n];
+    vals.clear();
+    vals.resize(n, 0.0);
+    scratch.clear();
+    scratch.resize(n, 0.0);
     if n > 0 {
-        tred1(&mut z, &mut d, &mut e);
-        tql2(&mut d, &mut e, &mut NoRotate)?;
+        tred1(a, vals, scratch);
+        tql2(vals, scratch, &mut NoRotate)?;
     }
-    d.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN eigenvalues"));
-    Ok(d)
+    if vals.iter().any(|v| v.is_nan()) {
+        return Err(EigError::NotFinite);
+    }
+    vals.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN eigenvalues"));
+    Ok(())
 }
 
 fn sort_real_pairs(d: Vec<f64>, z: RMat) -> (Vec<f64>, RMat) {

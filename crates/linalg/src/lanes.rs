@@ -12,13 +12,18 @@
 //!   [`RMat::solve_lower_transpose_in_place`];
 //! * [`LaneMat::symmetrize_in_place`] ≡ [`RMat::symmetrize_in_place`];
 //! * [`sym_sandwich_block`] ≡ the SDP solver's scalar Schur sandwich;
-//! * [`dot_terms`] ≡ a sequential `acc += w·x[off]` program.
+//! * [`DotPrograms::row`] ≡ one sequential `acc += w·x[block][off]`
+//!   program per output, from `+0.0`.
 //!
-//! No kernel uses `mul_add`, FMA or a target feature beyond the platform
-//! baseline (SSE2 on x86-64, where the 4-lane forms are spelled with its
-//! two-lane instructions), and Rust never contracts `a*b + c` into an FMA
-//! by itself, so each lane's bits are those of the scalar code on any
-//! target.
+//! No kernel uses `mul_add` or FMA, and Rust never contracts `a*b + c`
+//! into an FMA by itself. On x86-64 the 4-lane forms are spelled with
+//! vector instructions that round once per lane, exactly like the scalar
+//! `mulsd`/`addsd`/`subsd`/`divsd`: the baseline SSE2 (two lanes per
+//! instruction) everywhere, and 256-bit AVX (four lanes per instruction,
+//! no FMA) on hosts that report it. The AVX path is chosen at run time by
+//! `is_x86_feature_detected!`, once per kernel call, and no compile-time
+//! target flag is involved. So each lane's bits are those of the scalar
+//! code on any host and any target.
 
 use crate::RMat;
 
@@ -40,79 +45,193 @@ fn splat<const K: usize>(v: f64) -> Lanes<K> {
     [v; K]
 }
 
-// Lane arithmetic. Each helper applies one IEEE operation per lane, in the
-// order its name spells. On x86-64 the 4-lane forms are written with the
-// baseline SSE2 instructions (two lanes per instruction, still one
-// rounding per lane operation): left to itself, the loop vectorizer
-// vectorizes these kernels across matrix elements with stride-K
-// shuffles instead of across lanes, which costs most of the lanes' gain.
-
-/// `s − a·b` per lane.
-#[inline(always)]
-fn sub_mul<const K: usize>(mut s: Lanes<K>, a: &Lanes<K>, b: &Lanes<K>) -> Lanes<K> {
-    #[cfg(target_arch = "x86_64")]
-    if K == 4 {
-        return x4::sub_mul(&s, a, b);
-    }
-    for l in 0..K {
-        s[l] -= a[l] * b[l];
-    }
-    s
+/// The instruction set a lane kernel runs on. The public kernels pick
+/// [`LaneIsa::detect`]; the `_on` entry points take it explicitly, so
+/// tests can run both paths on one host.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LaneIsa {
+    /// The target's baseline: SSE2 for `K = 4` on x86-64, per-lane loops
+    /// otherwise.
+    Baseline,
+    /// 256-bit AVX without FMA for `K = 4` (per-lane loops otherwise);
+    /// x86-64 hosts that report AVX only.
+    Avx,
 }
 
-/// `t + w·z` per lane.
-#[inline(always)]
-fn add_mul<const K: usize>(mut t: Lanes<K>, w: &Lanes<K>, z: &Lanes<K>) -> Lanes<K> {
-    #[cfg(target_arch = "x86_64")]
-    if K == 4 {
-        return x4::add_mul(&t, w, z);
+impl LaneIsa {
+    /// The path the public kernels take for `K` lanes on this host.
+    #[inline]
+    pub fn detect<const K: usize>() -> Self {
+        if K == 4 && LaneIsa::Avx.available() {
+            LaneIsa::Avx
+        } else {
+            LaneIsa::Baseline
+        }
     }
-    for l in 0..K {
-        t[l] += w[l] * z[l];
+
+    /// Whether this host can run the path.
+    #[inline]
+    pub fn available(self) -> bool {
+        match self {
+            LaneIsa::Baseline => true,
+            #[cfg(target_arch = "x86_64")]
+            LaneIsa::Avx => std::arch::is_x86_feature_detected!("avx"),
+            #[cfg(not(target_arch = "x86_64"))]
+            LaneIsa::Avx => false,
+        }
     }
-    t
 }
 
-/// `t + w·z` per lane, for a `w` shared by every lane.
-#[inline(always)]
-fn add_mul_shared<const K: usize>(mut t: Lanes<K>, w: f64, z: &Lanes<K>) -> Lanes<K> {
-    #[cfg(target_arch = "x86_64")]
-    if K == 4 {
-        return x4::add_mul(&t, &[w; K], z);
-    }
-    for l in 0..K {
-        t[l] += w * z[l];
-    }
-    t
+/// Runs the generic kernel body `$body::<I, K>(args…)` with the lane
+/// arithmetic of `$isa`. The AVX body runs inside [`with_avx`], so it
+/// is compiled for AVX as a whole; the choice is made once per call.
+macro_rules! on_isa {
+    ($isa:expr, $body:ident::<$k:tt>($($arg:expr),* $(,)?)) => {{
+        let isa: LaneIsa = $isa;
+        assert!(isa.available(), "lane path {isa:?} is not available on this host");
+        match isa {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the host reports AVX (asserted above).
+            LaneIsa::Avx => unsafe { with_avx(|| $body::<Avx, $k>($($arg),*)) },
+            _ => $body::<Base, $k>($($arg),*),
+        }
+    }};
 }
 
-/// `s / d` per lane.
-#[inline(always)]
-fn div<const K: usize>(mut s: Lanes<K>, d: &Lanes<K>) -> Lanes<K> {
-    #[cfg(target_arch = "x86_64")]
-    if K == 4 {
-        return x4::div(&s, d);
-    }
-    for l in 0..K {
-        s[l] /= d[l];
-    }
-    s
-}
-
-/// `0.5·(a + b)` per lane.
-#[inline(always)]
-fn half_sum<const K: usize>(a: &Lanes<K>, b: &Lanes<K>) -> Lanes<K> {
-    #[cfg(target_arch = "x86_64")]
-    if K == 4 {
-        return x4::half_sum(a, b);
-    }
-    std::array::from_fn(|l| 0.5 * (a[l] + b[l]))
-}
-
-/// The 4-lane SSE2 forms. Callers guarantee `K == 4`; SSE2 is part of the x86-64 baseline, so
-/// the instructions exist on every x86-64 target.
+/// Calls `f` from a function compiled with AVX enabled, so the
+/// `#[inline(always)]` kernel body and lane arithmetic inlined into it
+/// become 256-bit instructions. (FMA stays disabled.)
+///
+/// # Safety
+///
+/// The host must support AVX.
 #[cfg(target_arch = "x86_64")]
-mod x4 {
+#[target_feature(enable = "avx")]
+unsafe fn with_avx<R>(f: impl FnOnce() -> R) -> R {
+    f()
+}
+
+/// Lane arithmetic on one instruction set. Each operation applies one
+/// IEEE operation per lane, in the order its name spells.
+trait Arith {
+    /// `s − a·b` per lane.
+    fn sub_mul<const K: usize>(s: Lanes<K>, a: &Lanes<K>, b: &Lanes<K>) -> Lanes<K>;
+    /// `t + w·z` per lane.
+    fn add_mul<const K: usize>(t: Lanes<K>, w: &Lanes<K>, z: &Lanes<K>) -> Lanes<K>;
+    /// `t + w·z` per lane, for a `w` shared by every lane.
+    fn add_mul_shared<const K: usize>(t: Lanes<K>, w: f64, z: &Lanes<K>) -> Lanes<K>;
+    /// `s / d` per lane.
+    fn div<const K: usize>(s: Lanes<K>, d: &Lanes<K>) -> Lanes<K>;
+    /// `0.5·(a + b)` per lane.
+    fn half_sum<const K: usize>(a: &Lanes<K>, b: &Lanes<K>) -> Lanes<K>;
+}
+
+/// Plain per-lane loops: every `K` on targets without a vector form, and
+/// `K ≠ 4` everywhere.
+mod scalar {
+    use super::Lanes;
+
+    #[inline(always)]
+    pub(super) fn sub_mul<const K: usize>(mut s: Lanes<K>, a: &Lanes<K>, b: &Lanes<K>) -> Lanes<K> {
+        for l in 0..K {
+            s[l] -= a[l] * b[l];
+        }
+        s
+    }
+
+    #[inline(always)]
+    pub(super) fn add_mul<const K: usize>(mut t: Lanes<K>, w: &Lanes<K>, z: &Lanes<K>) -> Lanes<K> {
+        for l in 0..K {
+            t[l] += w[l] * z[l];
+        }
+        t
+    }
+
+    #[inline(always)]
+    pub(super) fn add_mul_shared<const K: usize>(
+        mut t: Lanes<K>,
+        w: f64,
+        z: &Lanes<K>,
+    ) -> Lanes<K> {
+        for l in 0..K {
+            t[l] += w * z[l];
+        }
+        t
+    }
+
+    #[inline(always)]
+    pub(super) fn div<const K: usize>(mut s: Lanes<K>, d: &Lanes<K>) -> Lanes<K> {
+        for l in 0..K {
+            s[l] /= d[l];
+        }
+        s
+    }
+
+    #[inline(always)]
+    pub(super) fn half_sum<const K: usize>(a: &Lanes<K>, b: &Lanes<K>) -> Lanes<K> {
+        std::array::from_fn(|l| 0.5 * (a[l] + b[l]))
+    }
+}
+
+/// The baseline path. On x86-64 the 4-lane forms are written with SSE2
+/// instructions (two lanes per instruction): left to itself, the loop
+/// vectorizer vectorizes these kernels across matrix elements with
+/// stride-K shuffles instead of across lanes, which costs most of the
+/// lanes' gain.
+struct Base;
+
+impl Arith for Base {
+    #[inline(always)]
+    fn sub_mul<const K: usize>(s: Lanes<K>, a: &Lanes<K>, b: &Lanes<K>) -> Lanes<K> {
+        #[cfg(target_arch = "x86_64")]
+        if K == 4 {
+            return sse2::sub_mul(&s, a, b);
+        }
+        scalar::sub_mul(s, a, b)
+    }
+
+    #[inline(always)]
+    fn add_mul<const K: usize>(t: Lanes<K>, w: &Lanes<K>, z: &Lanes<K>) -> Lanes<K> {
+        #[cfg(target_arch = "x86_64")]
+        if K == 4 {
+            return sse2::add_mul(&t, w, z);
+        }
+        scalar::add_mul(t, w, z)
+    }
+
+    #[inline(always)]
+    fn add_mul_shared<const K: usize>(t: Lanes<K>, w: f64, z: &Lanes<K>) -> Lanes<K> {
+        #[cfg(target_arch = "x86_64")]
+        if K == 4 {
+            return sse2::add_mul(&t, &[w; K], z);
+        }
+        scalar::add_mul_shared(t, w, z)
+    }
+
+    #[inline(always)]
+    fn div<const K: usize>(s: Lanes<K>, d: &Lanes<K>) -> Lanes<K> {
+        #[cfg(target_arch = "x86_64")]
+        if K == 4 {
+            return sse2::div(&s, d);
+        }
+        scalar::div(s, d)
+    }
+
+    #[inline(always)]
+    fn half_sum<const K: usize>(a: &Lanes<K>, b: &Lanes<K>) -> Lanes<K> {
+        #[cfg(target_arch = "x86_64")]
+        if K == 4 {
+            return sse2::half_sum(a, b);
+        }
+        scalar::half_sum(a, b)
+    }
+}
+
+/// The 4-lane SSE2 forms. Callers guarantee `K == 4`; SSE2 is part of the
+/// x86-64 baseline, so the instructions exist on every x86-64 target.
+#[cfg(target_arch = "x86_64")]
+mod sse2 {
     use super::Lanes;
     use std::arch::x86_64::{__m128d, _mm_add_pd, _mm_div_pd, _mm_mul_pd, _mm_set1_pd, _mm_sub_pd};
 
@@ -180,6 +299,111 @@ mod x4 {
                 _mm_mul_pd(h, _mm_add_pd(a[0], b[0])),
                 _mm_mul_pd(h, _mm_add_pd(a[1], b[1])),
             ])
+        }
+    }
+}
+
+/// The AVX path: one 256-bit instruction per 4-lane operation. Only ever
+/// inlined into [`with_avx`], which the dispatcher calls on AVX hosts.
+#[cfg(target_arch = "x86_64")]
+struct Avx;
+
+#[cfg(target_arch = "x86_64")]
+impl Arith for Avx {
+    #[inline(always)]
+    fn sub_mul<const K: usize>(s: Lanes<K>, a: &Lanes<K>, b: &Lanes<K>) -> Lanes<K> {
+        if K == 4 {
+            return avx::sub_mul(&s, a, b);
+        }
+        scalar::sub_mul(s, a, b)
+    }
+
+    #[inline(always)]
+    fn add_mul<const K: usize>(t: Lanes<K>, w: &Lanes<K>, z: &Lanes<K>) -> Lanes<K> {
+        if K == 4 {
+            return avx::add_mul(&t, w, z);
+        }
+        scalar::add_mul(t, w, z)
+    }
+
+    #[inline(always)]
+    fn add_mul_shared<const K: usize>(t: Lanes<K>, w: f64, z: &Lanes<K>) -> Lanes<K> {
+        if K == 4 {
+            return avx::add_mul(&t, &[w; K], z);
+        }
+        scalar::add_mul_shared(t, w, z)
+    }
+
+    #[inline(always)]
+    fn div<const K: usize>(s: Lanes<K>, d: &Lanes<K>) -> Lanes<K> {
+        if K == 4 {
+            return avx::div(&s, d);
+        }
+        scalar::div(s, d)
+    }
+
+    #[inline(always)]
+    fn half_sum<const K: usize>(a: &Lanes<K>, b: &Lanes<K>) -> Lanes<K> {
+        if K == 4 {
+            return avx::half_sum(a, b);
+        }
+        scalar::half_sum(a, b)
+    }
+}
+
+/// The 4-lane AVX forms (`_mm256_{add,sub,mul,div}_pd`, never FMA).
+/// Callers guarantee `K == 4` and an AVX host.
+#[cfg(target_arch = "x86_64")]
+mod avx {
+    use super::Lanes;
+    use std::arch::x86_64::{
+        __m256d, _mm256_add_pd, _mm256_div_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_sub_pd,
+    };
+
+    #[inline(always)]
+    fn ld<const K: usize>(x: &Lanes<K>) -> __m256d {
+        // SAFETY: `[f64; 4]` and `__m256d` have the same size and layout.
+        unsafe { std::mem::transmute([x[0], x[1], x[2], x[3]]) }
+    }
+
+    #[inline(always)]
+    fn st<const K: usize>(v: __m256d) -> Lanes<K> {
+        // SAFETY: `__m256d` and `[f64; 4]` have the same size and layout.
+        let v: [f64; 4] = unsafe { std::mem::transmute(v) };
+        let mut out = [0.0; K];
+        out[0] = v[0];
+        out[1] = v[1];
+        out[2] = v[2];
+        out[3] = v[3];
+        out
+    }
+
+    #[inline(always)]
+    pub(super) fn sub_mul<const K: usize>(s: &Lanes<K>, a: &Lanes<K>, b: &Lanes<K>) -> Lanes<K> {
+        // SAFETY: AVX arithmetic on an AVX host (the caller's contract).
+        unsafe { st(_mm256_sub_pd(ld(s), _mm256_mul_pd(ld(a), ld(b)))) }
+    }
+
+    #[inline(always)]
+    pub(super) fn add_mul<const K: usize>(t: &Lanes<K>, w: &Lanes<K>, z: &Lanes<K>) -> Lanes<K> {
+        // SAFETY: AVX arithmetic on an AVX host (the caller's contract).
+        unsafe { st(_mm256_add_pd(ld(t), _mm256_mul_pd(ld(w), ld(z)))) }
+    }
+
+    #[inline(always)]
+    pub(super) fn div<const K: usize>(s: &Lanes<K>, d: &Lanes<K>) -> Lanes<K> {
+        // SAFETY: AVX arithmetic on an AVX host (the caller's contract).
+        unsafe { st(_mm256_div_pd(ld(s), ld(d))) }
+    }
+
+    #[inline(always)]
+    pub(super) fn half_sum<const K: usize>(a: &Lanes<K>, b: &Lanes<K>) -> Lanes<K> {
+        // SAFETY: AVX arithmetic on an AVX host (the caller's contract).
+        unsafe {
+            st(_mm256_mul_pd(
+                _mm256_set1_pd(0.5),
+                _mm256_add_pd(ld(a), ld(b)),
+            ))
         }
     }
 }
@@ -269,17 +493,17 @@ impl<const K: usize> LaneMat<K> {
     ///
     /// Panics if the matrix is not square.
     pub fn symmetrize_in_place(&mut self) {
-        assert_eq!(self.rows, self.cols, "symmetrize of non-square matrix");
-        let n = self.rows;
-        for i in 0..n {
-            let d = self.data[i * n + i];
-            self.data[i * n + i] = half_sum(&d, &d);
-            for j in i + 1..n {
-                let v = half_sum(&self.data[i * n + j], &self.data[j * n + i]);
-                self.data[i * n + j] = v;
-                self.data[j * n + i] = v;
-            }
-        }
+        self.symmetrize_in_place_on(LaneIsa::detect::<K>());
+    }
+
+    /// [`LaneMat::symmetrize_in_place`] on an explicit path.
+    ///
+    /// # Panics
+    ///
+    /// Panics as the public kernel does, or if `isa` is unavailable.
+    #[doc(hidden)]
+    pub fn symmetrize_in_place_on(&mut self, isa: LaneIsa) {
+        on_isa!(isa, symmetrize_body::<K>(self))
     }
 
     /// Lane-wise Cholesky factorization into `out`.
@@ -299,71 +523,17 @@ impl<const K: usize> LaneMat<K> {
     ///
     /// Panics if `self` is non-square or `out` has a different shape.
     pub fn cholesky_into(&self, out: &mut LaneMat<K>) -> [bool; K] {
-        assert_eq!(self.rows, self.cols, "cholesky of non-square matrix");
-        let n = self.rows;
-        assert_eq!((out.rows, out.cols), (n, n), "cholesky output shape");
-        let mut ok = [true; K];
-        for i in 0..n {
-            let (head, tail) = out.data.split_at_mut(i * n);
-            let li = &mut tail[..n];
-            let a = &self.data[i * n..(i + 1) * n];
-            let mut j = 0;
-            while j + 4 <= i {
-                let r0 = &head[j * n..j * n + j + 1];
-                let r1 = &head[(j + 1) * n..(j + 1) * n + j + 2];
-                let r2 = &head[(j + 2) * n..(j + 2) * n + j + 3];
-                let r3 = &head[(j + 3) * n..(j + 3) * n + j + 4];
-                let (mut s0, mut s1, mut s2, mut s3) = (a[j], a[j + 1], a[j + 2], a[j + 3]);
-                let prefix = li[..j].iter().zip(&r0[..j]).zip(&r1[..j]);
-                for (((x, y0), y1), (y2, y3)) in prefix.zip(r2[..j].iter().zip(&r3[..j])) {
-                    s0 = sub_mul(s0, x, y0);
-                    s1 = sub_mul(s1, x, y1);
-                    s2 = sub_mul(s2, x, y2);
-                    s3 = sub_mul(s3, x, y3);
-                }
-                let v0 = div(s0, &r0[j]);
-                s1 = sub_mul(s1, &v0, &r1[j]);
-                let v1 = div(s1, &r1[j + 1]);
-                s2 = sub_mul(s2, &v0, &r2[j]);
-                s2 = sub_mul(s2, &v1, &r2[j + 1]);
-                let v2 = div(s2, &r2[j + 2]);
-                s3 = sub_mul(s3, &v0, &r3[j]);
-                s3 = sub_mul(s3, &v1, &r3[j + 1]);
-                s3 = sub_mul(s3, &v2, &r3[j + 2]);
-                let v3 = div(s3, &r3[j + 3]);
-                li[j] = v0;
-                li[j + 1] = v1;
-                li[j + 2] = v2;
-                li[j + 3] = v3;
-                j += 4;
-            }
-            while j < i {
-                let rj = &head[j * n..j * n + j + 1];
-                let mut s = a[j];
-                for (x, y) in li[..j].iter().zip(rj) {
-                    s = sub_mul(s, x, y);
-                }
-                li[j] = div(s, &rj[j]);
-                j += 1;
-            }
-            let mut s = a[i];
-            for x in &li[..i] {
-                s = sub_mul(s, x, x);
-            }
-            let mut d = s;
-            for l in 0..K {
-                if s[l] <= 0.0 || !s[l].is_finite() {
-                    ok[l] = false;
-                }
-                d[l] = s[l].sqrt();
-            }
-            if !ok.iter().any(|&o| o) {
-                return ok;
-            }
-            li[i] = d;
-            li[i + 1..].fill(splat(0.0));
-        }
-        ok
+        self.cholesky_into_on(LaneIsa::detect::<K>(), out)
+    }
+
+    /// [`LaneMat::cholesky_into`] on an explicit path.
+    ///
+    /// # Panics
+    ///
+    /// Panics as the public kernel does, or if `isa` is unavailable.
+    #[doc(hidden)]
+    pub fn cholesky_into_on(&self, isa: LaneIsa, out: &mut LaneMat<K>) -> [bool; K] {
+        on_isa!(isa, cholesky_body::<K>(self, out))
     }
 
     /// Forward substitution `L·x = b` in place, per lane — bit-identical to
@@ -373,17 +543,17 @@ impl<const K: usize> LaneMat<K> {
     ///
     /// Panics on dimension mismatch.
     pub fn solve_lower_in_place(&self, x: &mut [Lanes<K>]) {
-        assert!(self.rows == self.cols && self.rows == x.len());
-        let n = self.rows;
-        for i in 0..n {
-            let lrow = &self.data[i * n..(i + 1) * n];
-            let (done, rest) = x.split_at_mut(i);
-            let mut s = rest[0];
-            for (a, b) in lrow[..i].iter().zip(done.iter()) {
-                s = sub_mul(s, a, b);
-            }
-            rest[0] = div(s, &lrow[i]);
-        }
+        self.solve_lower_in_place_on(LaneIsa::detect::<K>(), x);
+    }
+
+    /// [`LaneMat::solve_lower_in_place`] on an explicit path.
+    ///
+    /// # Panics
+    ///
+    /// Panics as the public kernel does, or if `isa` is unavailable.
+    #[doc(hidden)]
+    pub fn solve_lower_in_place_on(&self, isa: LaneIsa, x: &mut [Lanes<K>]) {
+        on_isa!(isa, solve_lower_body::<K>(self, x))
     }
 
     /// Back substitution `Lᵀ·x = b` in place, per lane — bit-identical to
@@ -393,23 +563,129 @@ impl<const K: usize> LaneMat<K> {
     ///
     /// Panics on dimension mismatch.
     pub fn solve_lower_transpose_in_place(&self, x: &mut [Lanes<K>]) {
-        assert!(self.rows == self.cols && self.rows == x.len());
-        let n = self.rows;
-        for i in (0..n).rev() {
-            let mut s = x[i];
-            for k in i + 1..n {
-                s = sub_mul(s, &self.data[k * n + i], &x[k]);
-            }
-            x[i] = div(s, &self.data[i * n + i]);
+        self.solve_lower_transpose_in_place_on(LaneIsa::detect::<K>(), x);
+    }
+
+    /// [`LaneMat::solve_lower_transpose_in_place`] on an explicit path.
+    ///
+    /// # Panics
+    ///
+    /// Panics as the public kernel does, or if `isa` is unavailable.
+    #[doc(hidden)]
+    pub fn solve_lower_transpose_in_place_on(&self, isa: LaneIsa, x: &mut [Lanes<K>]) {
+        on_isa!(isa, solve_lower_transpose_body::<K>(self, x))
+    }
+}
+
+#[inline(always)]
+fn symmetrize_body<I: Arith, const K: usize>(a: &mut LaneMat<K>) {
+    assert_eq!(a.rows, a.cols, "symmetrize of non-square matrix");
+    let n = a.rows;
+    for i in 0..n {
+        let d = a.data[i * n + i];
+        a.data[i * n + i] = I::half_sum(&d, &d);
+        for j in i + 1..n {
+            let v = I::half_sum(&a.data[i * n + j], &a.data[j * n + i]);
+            a.data[i * n + j] = v;
+            a.data[j * n + i] = v;
         }
     }
 }
 
-/// `y += s·x` per lane with a scalar `s` shared by every lane.
 #[inline(always)]
-fn axpy_shared<const K: usize>(y: &mut [Lanes<K>], s: f64, x: &[Lanes<K>]) {
-    for (yv, xv) in y.iter_mut().zip(x) {
-        *yv = add_mul_shared(*yv, s, xv);
+fn cholesky_body<I: Arith, const K: usize>(a: &LaneMat<K>, out: &mut LaneMat<K>) -> [bool; K] {
+    assert_eq!(a.rows, a.cols, "cholesky of non-square matrix");
+    let n = a.rows;
+    assert_eq!((out.rows, out.cols), (n, n), "cholesky output shape");
+    let mut ok = [true; K];
+    for i in 0..n {
+        let (head, tail) = out.data.split_at_mut(i * n);
+        let li = &mut tail[..n];
+        let ai = &a.data[i * n..(i + 1) * n];
+        let mut j = 0;
+        while j + 4 <= i {
+            let r0 = &head[j * n..j * n + j + 1];
+            let r1 = &head[(j + 1) * n..(j + 1) * n + j + 2];
+            let r2 = &head[(j + 2) * n..(j + 2) * n + j + 3];
+            let r3 = &head[(j + 3) * n..(j + 3) * n + j + 4];
+            let (mut s0, mut s1, mut s2, mut s3) = (ai[j], ai[j + 1], ai[j + 2], ai[j + 3]);
+            let prefix = li[..j].iter().zip(&r0[..j]).zip(&r1[..j]);
+            for (((x, y0), y1), (y2, y3)) in prefix.zip(r2[..j].iter().zip(&r3[..j])) {
+                s0 = I::sub_mul(s0, x, y0);
+                s1 = I::sub_mul(s1, x, y1);
+                s2 = I::sub_mul(s2, x, y2);
+                s3 = I::sub_mul(s3, x, y3);
+            }
+            let v0 = I::div(s0, &r0[j]);
+            s1 = I::sub_mul(s1, &v0, &r1[j]);
+            let v1 = I::div(s1, &r1[j + 1]);
+            s2 = I::sub_mul(s2, &v0, &r2[j]);
+            s2 = I::sub_mul(s2, &v1, &r2[j + 1]);
+            let v2 = I::div(s2, &r2[j + 2]);
+            s3 = I::sub_mul(s3, &v0, &r3[j]);
+            s3 = I::sub_mul(s3, &v1, &r3[j + 1]);
+            s3 = I::sub_mul(s3, &v2, &r3[j + 2]);
+            let v3 = I::div(s3, &r3[j + 3]);
+            li[j] = v0;
+            li[j + 1] = v1;
+            li[j + 2] = v2;
+            li[j + 3] = v3;
+            j += 4;
+        }
+        while j < i {
+            let rj = &head[j * n..j * n + j + 1];
+            let mut s = ai[j];
+            for (x, y) in li[..j].iter().zip(rj) {
+                s = I::sub_mul(s, x, y);
+            }
+            li[j] = I::div(s, &rj[j]);
+            j += 1;
+        }
+        let mut s = ai[i];
+        for x in &li[..i] {
+            s = I::sub_mul(s, x, x);
+        }
+        let mut d = s;
+        for l in 0..K {
+            if s[l] <= 0.0 || !s[l].is_finite() {
+                ok[l] = false;
+            }
+            d[l] = s[l].sqrt();
+        }
+        if !ok.iter().any(|&o| o) {
+            return ok;
+        }
+        li[i] = d;
+        li[i + 1..].fill(splat(0.0));
+    }
+    ok
+}
+
+#[inline(always)]
+fn solve_lower_body<I: Arith, const K: usize>(l: &LaneMat<K>, x: &mut [Lanes<K>]) {
+    assert!(l.rows == l.cols && l.rows == x.len());
+    let n = l.rows;
+    for i in 0..n {
+        let lrow = &l.data[i * n..(i + 1) * n];
+        let (done, rest) = x.split_at_mut(i);
+        let mut s = rest[0];
+        for (a, b) in lrow[..i].iter().zip(done.iter()) {
+            s = I::sub_mul(s, a, b);
+        }
+        rest[0] = I::div(s, &lrow[i]);
+    }
+}
+
+#[inline(always)]
+fn solve_lower_transpose_body<I: Arith, const K: usize>(l: &LaneMat<K>, x: &mut [Lanes<K>]) {
+    assert!(l.rows == l.cols && l.rows == x.len());
+    let n = l.rows;
+    for i in (0..n).rev() {
+        let mut s = x[i];
+        for k in i + 1..n {
+            s = I::sub_mul(s, &l.data[k * n + i], &x[k]);
+        }
+        x[i] = I::div(s, &l.data[i * n + i]);
     }
 }
 
@@ -440,13 +716,43 @@ pub fn sym_sandwich_block<const K: usize>(
     v: &mut LaneMat<K>,
     out: &mut LaneMat<K>,
 ) {
+    sym_sandwich_block_on(LaneIsa::detect::<K>(), x, entries, rows, zinv, v, out);
+}
+
+/// [`sym_sandwich_block`] on an explicit path.
+///
+/// # Panics
+///
+/// Panics as the public kernel does, or if `isa` is unavailable.
+#[doc(hidden)]
+pub fn sym_sandwich_block_on<const K: usize>(
+    isa: LaneIsa,
+    x: &LaneMat<K>,
+    entries: &[(usize, usize, f64)],
+    rows: &[usize],
+    zinv: &LaneMat<K>,
+    v: &mut LaneMat<K>,
+    out: &mut LaneMat<K>,
+) {
+    on_isa!(isa, sandwich_body::<K>(x, entries, rows, zinv, v, out))
+}
+
+#[inline(always)]
+fn sandwich_body<I: Arith, const K: usize>(
+    x: &LaneMat<K>,
+    entries: &[(usize, usize, f64)],
+    rows: &[usize],
+    zinv: &LaneMat<K>,
+    v: &mut LaneMat<K>,
+    out: &mut LaneMat<K>,
+) {
     for &r in rows {
         v.row_mut(r).fill(splat(0.0));
     }
     for &(r, c, val) in entries {
-        axpy_shared(v.row_mut(c), val, x.row(r));
+        axpy_shared::<I, K>(v.row_mut(c), val, x.row(r));
         if r != c {
-            axpy_shared(v.row_mut(r), val, x.row(c));
+            axpy_shared::<I, K>(v.row_mut(r), val, x.row(c));
         }
     }
     // Row i of T accumulates Σ_k V[k][i]·Z⁻¹[k] over the touched rows k
@@ -477,10 +783,10 @@ pub fn sym_sandwich_block<const K: usize>(
             let z: [&[Lanes<K>]; 4] = std::array::from_fn(|p| zinv.row(ks[p]));
             if w[..q].iter().all(|wv| wv.iter().all(|&x| x != 0.0)) {
                 match q {
-                    1 => row_terms::<K, 1>(trow, first, &w, &z),
-                    2 => row_terms::<K, 2>(trow, first, &w, &z),
-                    3 => row_terms::<K, 3>(trow, first, &w, &z),
-                    _ => row_terms::<K, 4>(trow, first, &w, &z),
+                    1 => row_terms::<I, K, 1>(trow, first, &w, &z),
+                    2 => row_terms::<I, K, 2>(trow, first, &w, &z),
+                    3 => row_terms::<I, K, 3>(trow, first, &w, &z),
+                    _ => row_terms::<I, K, 4>(trow, first, &w, &z),
                 }
             } else {
                 row_terms_masked(trow, first, &w[..q], &z[..q]);
@@ -488,13 +794,21 @@ pub fn sym_sandwich_block<const K: usize>(
             first = false;
         }
     }
-    out.symmetrize_in_place();
+    symmetrize_body::<I, K>(out);
+}
+
+/// `y += s·x` per lane with a scalar `s` shared by every lane.
+#[inline(always)]
+fn axpy_shared<I: Arith, const K: usize>(y: &mut [Lanes<K>], s: f64, x: &[Lanes<K>]) {
+    for (yv, xv) in y.iter_mut().zip(x) {
+        *yv = I::add_mul_shared(*yv, s, xv);
+    }
 }
 
 /// `t[j] (+0.0 when `first`) + w[0]·z[0][j] + … + w[Q−1]·z[Q−1][j]` per
 /// lane, left to right, for every `j`.
 #[inline(always)]
-fn row_terms<const K: usize, const Q: usize>(
+fn row_terms<I: Arith, const K: usize, const Q: usize>(
     trow: &mut [Lanes<K>],
     first: bool,
     w: &[Lanes<K>; 4],
@@ -505,7 +819,7 @@ fn row_terms<const K: usize, const Q: usize>(
     for (j, t) in trow.iter_mut().enumerate() {
         let mut acc = if first { splat(0.0) } else { *t };
         for p in 0..Q {
-            acc = add_mul(acc, &w[p], &z[p][j]);
+            acc = I::add_mul(acc, &w[p], &z[p][j]);
         }
         *t = acc;
     }
@@ -514,6 +828,7 @@ fn row_terms<const K: usize, const Q: usize>(
 /// [`row_terms`] where some lane's `w` is zero: that lane skips the term,
 /// exactly as the scalar kernel does (the skipped product could be a NaN
 /// if `z` is not finite).
+#[inline(always)]
 fn row_terms_masked<const K: usize>(
     trow: &mut [Lanes<K>],
     first: bool,
@@ -533,20 +848,169 @@ fn row_terms_masked<const K: usize>(
     }
 }
 
-/// `acc + Σ w·x[off]` per lane, one term at a time in `terms` order — the
-/// lane form of the SDP solver's flattened constraint inner product.
+/// One term `w·x[block][off]` of a sparse inner-product program.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct DotTerm {
+    /// Block the term reads.
+    pub block: u32,
+    /// Row-major offset inside the block.
+    pub off: u32,
+    /// Weight.
+    pub w: f64,
+}
+
+/// Sparse inner-product programs over a block matrix, stored flat.
 ///
-/// # Panics
-///
-/// Panics if an offset is out of range.
-#[inline]
-pub fn dot_terms<const K: usize>(
+/// Program `k` evaluates `Σ w·x[block][off]` over its terms, adding them
+/// one at a time in push order to an accumulator that starts at `+0.0`.
+/// Each program also carries the bitmask of the blocks it reads (every
+/// bit set past block 63), so a caller can skip programs whose support
+/// is disjoint from the data's.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct DotPrograms {
+    terms: Vec<DotTerm>,
+    /// Program `k` is `terms[ends[k − 1]..ends[k]]` (from 0 for `k = 0`).
+    ends: Vec<usize>,
+    masks: Vec<u64>,
+}
+
+impl DotPrograms {
+    /// No programs.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends a program.
+    pub fn push(&mut self, program: impl IntoIterator<Item = DotTerm>) {
+        let start = self.terms.len();
+        self.terms.extend(program);
+        let mask = self.terms[start..].iter().fold(0u64, |m, t| {
+            if t.block < 64 {
+                m | (1 << t.block)
+            } else {
+                !0
+            }
+        });
+        self.ends.push(self.terms.len());
+        self.masks.push(mask);
+    }
+
+    /// Number of programs.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether there are no programs.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Program `k`'s terms, in evaluation order.
+    #[inline(always)]
+    pub fn program(&self, k: usize) -> &[DotTerm] {
+        let start = if k == 0 { 0 } else { self.ends[k - 1] };
+        &self.terms[start..self.ends[k]]
+    }
+
+    /// The blocks program `k` reads, as a bitmask.
+    #[inline(always)]
+    pub fn mask(&self, k: usize) -> u64 {
+        self.masks[k]
+    }
+
+    /// Every program on every lane of `x`, into `out[k]`.
+    ///
+    /// A program whose mask is disjoint from `support` is not run: it gets
+    /// `+0.0`, which is what it computes when `x` is `+0.0` outside
+    /// `support` (`±0.0` terms cannot move a `+0.0` accumulator). The
+    /// others run four at a time in lock step, each chain on its own
+    /// accumulator in its own term order, so each output's bits are those
+    /// of the program run alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` does not have one entry per program, or a term
+    /// addresses outside `x`.
+    pub fn row<const K: usize>(&self, support: u64, x: &[LaneMat<K>], out: &mut [Lanes<K>]) {
+        self.row_on(LaneIsa::detect::<K>(), support, x, out);
+    }
+
+    /// [`DotPrograms::row`] on an explicit path.
+    ///
+    /// # Panics
+    ///
+    /// Panics as the public kernel does, or if `isa` is unavailable.
+    #[doc(hidden)]
+    pub fn row_on<const K: usize>(
+        &self,
+        isa: LaneIsa,
+        support: u64,
+        x: &[LaneMat<K>],
+        out: &mut [Lanes<K>],
+    ) {
+        on_isa!(isa, dot_row_body::<K>(self, support, x, out))
+    }
+}
+
+#[inline(always)]
+fn dot_row_body<I: Arith, const K: usize>(
+    p: &DotPrograms,
+    support: u64,
+    x: &[LaneMat<K>],
+    out: &mut [Lanes<K>],
+) {
+    assert_eq!(out.len(), p.len(), "one output per program");
+    let mut quad = [0usize; 4];
+    let mut q = 0;
+    for k in 0..out.len() {
+        if p.masks[k] & support == 0 {
+            out[k] = splat(0.0);
+            continue;
+        }
+        quad[q] = k;
+        q += 1;
+        if q == 4 {
+            dot4::<I, K>(p, quad, x, out);
+            q = 0;
+        }
+    }
+    for &k in &quad[..q] {
+        out[k] = dot_chain::<I, K>(splat(0.0), p.program(k), x);
+    }
+}
+
+/// Programs `ks` in lock step for their common length, then each one's
+/// remaining terms alone.
+#[inline(always)]
+fn dot4<I: Arith, const K: usize>(
+    p: &DotPrograms,
+    ks: [usize; 4],
+    x: &[LaneMat<K>],
+    out: &mut [Lanes<K>],
+) {
+    let progs: [&[DotTerm]; 4] = std::array::from_fn(|c| p.program(ks[c]));
+    let n = progs.iter().map(|t| t.len()).min().unwrap_or(0);
+    let mut acc = [splat(0.0); 4];
+    let quads = progs[0].iter().zip(progs[1]).zip(progs[2]).zip(progs[3]);
+    for (((t0, t1), t2), t3) in quads {
+        for (a, t) in acc.iter_mut().zip([t0, t1, t2, t3]) {
+            *a = I::add_mul_shared(*a, t.w, &x[t.block as usize].data[t.off as usize]);
+        }
+    }
+    for c in 0..4 {
+        out[ks[c]] = dot_chain::<I, K>(acc[c], &progs[c][n..], x);
+    }
+}
+
+/// `acc + Σ w·x[block][off]` over `terms`, one term at a time.
+#[inline(always)]
+fn dot_chain<I: Arith, const K: usize>(
     mut acc: Lanes<K>,
-    terms: &[(u32, f64)],
-    x: &[Lanes<K>],
+    terms: &[DotTerm],
+    x: &[LaneMat<K>],
 ) -> Lanes<K> {
-    for &(off, w) in terms {
-        acc = add_mul_shared(acc, w, &x[off as usize]);
+    for t in terms {
+        acc = I::add_mul_shared(acc, t.w, &x[t.block as usize].data[t.off as usize]);
     }
     acc
 }

@@ -41,7 +41,9 @@ mod svd;
 pub use cmat::CMat;
 pub use complex::{c64, C64};
 pub use cvec::CVec;
-pub use eigh::{eigh, eigh_vals, herm_fn, herm_sqrt, sym_eig, sym_eigvals, EigError};
+pub use eigh::{
+    eigh, eigh_vals, herm_fn, herm_sqrt, sym_eig, sym_eigvals, sym_eigvals_in_place, EigError,
+};
 pub use embed::{herm_to_real_sym, real_sym_to_herm};
 pub use lanes::{LaneMat, Lanes};
 pub use qr::{lq_thin, qr_thin};

@@ -378,7 +378,27 @@ impl RMat {
 
     /// Transpose.
     pub fn transpose(&self) -> RMat {
-        RMat::from_fn(self.cols, self.rows, |i, j| self.at(j, i))
+        let mut out = RMat::zeros(self.cols, self.rows);
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// Transpose written into a reusable buffer (fully overwritten).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `out` is `cols × rows`.
+    pub fn transpose_into(&self, out: &mut RMat) {
+        assert_eq!(
+            (out.rows, out.cols),
+            (self.cols, self.rows),
+            "transpose_into shape mismatch"
+        );
+        for (i, row) in self.data.chunks_exact(self.cols.max(1)).enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                out.data[j * self.rows + i] = v;
+            }
+        }
     }
 
     /// Trace.

@@ -15,7 +15,7 @@
 //! unchanged under `GLEIPNIR_THREADS=1` and the default thread count (the
 //! kernels are single-threaded; CI exercises both settings).
 
-use gleipnir_linalg::lanes::{dot_terms, sym_sandwich_block};
+use gleipnir_linalg::lanes::{sym_sandwich_block_on, DotPrograms, DotTerm, LaneIsa};
 use gleipnir_linalg::{axpy_slice, dot_slice, sym_eig, sym_eigvals, LaneMat, RMat};
 
 /// Deterministic 64-bit LCG (Knuth MMIX constants) — no dev-dependency on
@@ -398,9 +398,23 @@ fn eigvals_only_path_matches_full_decomposition_bitwise() {
 // ---------------------------------------------------------------------
 // Lane kernels: K same-shape problems interleaved element by element.
 // Every lane must come out bit-identical to the scalar kernel run on that
-// lane's data alone. K = 4 takes the SSE2 path on x86-64; K = 3 and K = 1
-// take the portable path.
+// lane's data alone, on every instruction-set path: each kernel is called
+// through its ISA-explicit entry point, once on the baseline path (SSE2
+// at K = 4 on x86-64, per-lane loops otherwise) and once on the AVX path
+// when the host has AVX (four lanes per instruction at K = 4).
 // ---------------------------------------------------------------------
+
+/// The lane paths this host can run. Without AVX the AVX half cannot run;
+/// say so rather than pass silently.
+fn isas() -> Vec<LaneIsa> {
+    let mut out = vec![LaneIsa::Baseline];
+    if LaneIsa::Avx.available() {
+        out.push(LaneIsa::Avx);
+    } else {
+        eprintln!("SKIPPED: this host has no AVX; only the baseline lane path was checked");
+    }
+    out
+}
 
 fn pack<const K: usize>(mats: &[RMat]) -> LaneMat<K> {
     let mut out = LaneMat::<K>::zeros(mats[0].rows(), mats[0].cols());
@@ -416,9 +430,10 @@ fn lane_of<const K: usize>(m: &LaneMat<K>, lane: usize) -> RMat {
     out
 }
 
-/// Lane Cholesky, both triangular solves and symmetrize against the
-/// scalar kernels, with lane `bad` holding an indefinite matrix.
-fn check_lane_factor_kernels<const K: usize>(rng: &mut Lcg, bad: usize) {
+/// Lane Cholesky, both triangular solves and symmetrize on path `isa`
+/// against the scalar kernels, with lane `bad` holding an indefinite
+/// matrix.
+fn check_lane_factor_kernels<const K: usize>(isa: LaneIsa, rng: &mut Lcg, bad: usize) {
     for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 13, 32, 33] {
         let mats: Vec<RMat> = (0..K)
             .map(|lane| {
@@ -432,13 +447,20 @@ fn check_lane_factor_kernels<const K: usize>(rng: &mut Lcg, bad: usize) {
             .collect();
         let lanes = pack::<K>(&mats);
         let mut chol = LaneMat::<K>::zeros(n, n);
-        let ok = lanes.cholesky_into(&mut chol);
+        let ok = lanes.cholesky_into_on(isa, &mut chol);
         let mut scalar = RMat::zeros(n, n);
         for (lane, a) in mats.iter().enumerate() {
             let want_ok = a.cholesky_into(&mut scalar);
-            assert_eq!(ok[lane], want_ok, "K {K} n {n} lane {lane}: definiteness");
+            assert_eq!(
+                ok[lane], want_ok,
+                "{isa:?} K {K} n {n} lane {lane}: definiteness"
+            );
             if want_ok {
-                assert_bits_eq(&lane_of(&chol, lane), &scalar, "lane cholesky");
+                assert_bits_eq(
+                    &lane_of(&chol, lane),
+                    &scalar,
+                    &format!("{isa:?} lane cholesky"),
+                );
             }
         }
 
@@ -452,8 +474,8 @@ fn check_lane_factor_kernels<const K: usize>(rng: &mut Lcg, bad: usize) {
             .collect();
         let mut fwd: Vec<[f64; K]> = (0..n).map(|i| std::array::from_fn(|k| rhs[k][i])).collect();
         let mut bwd = fwd.clone();
-        l.solve_lower_in_place(&mut fwd);
-        l.solve_lower_transpose_in_place(&mut bwd);
+        l.solve_lower_in_place_on(isa, &mut fwd);
+        l.solve_lower_transpose_in_place_on(isa, &mut bwd);
         for (lane, f) in factors.iter().enumerate() {
             let mut want_f = rhs[lane].clone();
             f.solve_lower_in_place(&mut want_f);
@@ -463,33 +485,39 @@ fn check_lane_factor_kernels<const K: usize>(rng: &mut Lcg, bad: usize) {
                 assert_eq!(
                     fwd[i][lane].to_bits(),
                     want_f[i].to_bits(),
-                    "solve_lower K {K} n {n}"
+                    "{isa:?} solve_lower K {K} n {n}"
                 );
                 assert_eq!(
                     bwd[i][lane].to_bits(),
                     want_b[i].to_bits(),
-                    "solve_lower_transpose K {K} n {n}"
+                    "{isa:?} solve_lower_transpose K {K} n {n}"
                 );
             }
         }
 
         let raw: Vec<RMat> = (0..K).map(|_| random_mat(rng, n, n)).collect();
         let mut sym = pack::<K>(&raw);
-        sym.symmetrize_in_place();
+        sym.symmetrize_in_place_on(isa);
         for (lane, a) in raw.iter().enumerate() {
             let mut want = a.clone();
             want.symmetrize_in_place();
-            assert_bits_eq(&lane_of(&sym, lane), &want, "lane symmetrize");
+            assert_bits_eq(
+                &lane_of(&sym, lane),
+                &want,
+                &format!("{isa:?} lane symmetrize"),
+            );
         }
     }
 }
 
 #[test]
 fn lane_cholesky_solves_and_symmetrize_match_scalar_bitwise() {
-    let mut rng = Lcg::new(0x0bad_c0de_1234_5678);
-    check_lane_factor_kernels::<4>(&mut rng, 2);
-    check_lane_factor_kernels::<3>(&mut rng, 0);
-    check_lane_factor_kernels::<1>(&mut rng, usize::MAX);
+    for isa in isas() {
+        let mut rng = Lcg::new(0x0bad_c0de_1234_5678);
+        check_lane_factor_kernels::<4>(isa, &mut rng, 2);
+        check_lane_factor_kernels::<3>(isa, &mut rng, 0);
+        check_lane_factor_kernels::<1>(isa, &mut rng, usize::MAX);
+    }
 }
 
 /// The historical scalar sandwich `sym(X·A·Z⁻¹)` on one block: `U = X·A`
@@ -526,7 +554,7 @@ fn reference_sandwich(x: &RMat, entries: &[(usize, usize, f64)], zinv: &RMat) ->
     naive_symmetrize(&t)
 }
 
-fn check_lane_sandwich_and_dots<const K: usize>(rng: &mut Lcg) {
+fn check_lane_sandwich<const K: usize>(isa: LaneIsa, rng: &mut Lcg) {
     for n in [1usize, 3, 8, 17, 32] {
         // X is bit-symmetric in the solver (every update ends in a
         // symmetrize); zero rows in some lanes make V zero there, so the
@@ -570,33 +598,77 @@ fn check_lane_sandwich_and_dots<const K: usize>(rng: &mut Lcg) {
         let z = pack::<K>(&zs);
         let mut v = LaneMat::<K>::zeros(n, n);
         let mut out = LaneMat::<K>::zeros(n, n);
-        sym_sandwich_block(&x, &entries, &rows, &z, &mut v, &mut out);
+        sym_sandwich_block_on(isa, &x, &entries, &rows, &z, &mut v, &mut out);
         for lane in 0..K {
             let want = reference_sandwich(&xs[lane], &entries, &zs[lane]);
             let got = lane_of(&out, lane);
             for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
                 assert!(
                     g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
-                    "sandwich K {K} n {n} lane {lane} element {i}: {g:e} vs {w:e}"
+                    "{isa:?} sandwich K {K} n {n} lane {lane} element {i}: {g:e} vs {w:e}"
                 );
             }
         }
+    }
+}
 
-        // The flattened inner-product program, against a sequential sum.
-        let terms: Vec<(u32, f64)> = (0..rng.size(9))
-            .map(|_| ((rng.size(n * n) - 1) as u32, rng.coeff()))
+/// The Schur row kernel: ragged programs (1–9 terms) over three blocks,
+/// a program count that is often not a multiple of 4, and programs whose
+/// support is disjoint from the caller's — they read a block holding
+/// non-finite values and must still come out `+0.0`.
+fn check_dot_row<const K: usize>(isa: LaneIsa, rng: &mut Lcg) {
+    let dims = [1 + rng.size(6), 1 + rng.size(3), 2];
+    let mut x: Vec<LaneMat<K>> = dims.iter().map(|&d| LaneMat::zeros(d, d)).collect();
+    for (bl, m) in x.iter_mut().enumerate() {
+        for v in m.as_mut_slice() {
+            *v = std::array::from_fn(|lane| match (bl, lane % 2) {
+                (2, 0) => f64::NAN,
+                (2, _) => f64::INFINITY,
+                _ => rng.coeff(),
+            });
+        }
+    }
+    // Blocks 0 and 1 are the support; block 2 lies outside it.
+    let support = 0b011;
+    let mut programs = DotPrograms::new();
+    let mut want: Vec<[f64; K]> = Vec::new();
+    for _ in 0..rng.size(11) {
+        let outside = rng.next_u64().is_multiple_of(4);
+        let terms: Vec<DotTerm> = (0..rng.size(9))
+            .map(|_| {
+                let block = if outside {
+                    2
+                } else {
+                    (rng.next_u64() % 2) as usize
+                };
+                let d = dims[block];
+                DotTerm {
+                    block: block as u32,
+                    off: (rng.size(d * d) - 1) as u32,
+                    w: rng.coeff(),
+                }
+            })
             .collect();
-        let start: [f64; K] = std::array::from_fn(|_| rng.coeff());
-        let got = dot_terms(start, &terms, out.as_slice());
-        for lane in 0..K {
-            let flat = lane_of(&out, lane);
-            let mut want = start[lane];
-            for &(off, w) in &terms {
-                want += w * flat.as_slice()[off as usize];
+        want.push(std::array::from_fn(|lane| {
+            let mut acc = 0.0;
+            if !outside {
+                for t in &terms {
+                    acc += t.w * x[t.block as usize].as_slice()[t.off as usize][lane];
+                }
             }
-            assert!(
-                got[lane].to_bits() == want.to_bits() || (got[lane].is_nan() && want.is_nan()),
-                "dot_terms K {K} n {n} lane {lane}"
+            acc
+        }));
+        programs.push(terms);
+    }
+    let mut got = vec![[f64::NAN; K]; programs.len()];
+    programs.row_on(isa, support, &x, &mut got);
+    for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+        for lane in 0..K {
+            assert_eq!(
+                g[lane].to_bits(),
+                w[lane].to_bits(),
+                "{isa:?} dot row K {K} program {k} of {} lane {lane}",
+                programs.len()
             );
         }
     }
@@ -604,10 +676,17 @@ fn check_lane_sandwich_and_dots<const K: usize>(rng: &mut Lcg) {
 
 #[test]
 fn lane_sandwich_and_dots_match_scalar_bitwise() {
-    let mut rng = Lcg::new(0x5eed_1a4e_5a4d_0001);
-    for _ in 0..4 {
-        check_lane_sandwich_and_dots::<4>(&mut rng);
-        check_lane_sandwich_and_dots::<3>(&mut rng);
-        check_lane_sandwich_and_dots::<1>(&mut rng);
+    for isa in isas() {
+        let mut rng = Lcg::new(0x5eed_1a4e_5a4d_0001);
+        for _ in 0..4 {
+            check_lane_sandwich::<4>(isa, &mut rng);
+            check_lane_sandwich::<3>(isa, &mut rng);
+            check_lane_sandwich::<1>(isa, &mut rng);
+        }
+        for _ in 0..64 {
+            check_dot_row::<4>(isa, &mut rng);
+            check_dot_row::<3>(isa, &mut rng);
+            check_dot_row::<1>(isa, &mut rng);
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Block-diagonal symmetric matrices — the variable type of the SDP solver.
 
-use gleipnir_linalg::{sym_eigvals, RMat};
+use gleipnir_linalg::{sym_eigvals, sym_eigvals_in_place, EigError, RMat};
 
 /// A symmetric block-diagonal real matrix.
 ///
@@ -153,11 +153,23 @@ impl BlockMat {
 
     /// Blockwise Cholesky; `None` if any block is not positive definite.
     pub fn cholesky(&self) -> Option<BlockMat> {
-        let mut blocks = Vec::with_capacity(self.blocks.len());
-        for b in &self.blocks {
-            blocks.push(b.cholesky()?);
-        }
-        Some(Self::with_blocks(blocks))
+        let mut l = Self::zeros(&self.dims);
+        self.cholesky_into(&mut l).then_some(l)
+    }
+
+    /// Blockwise Cholesky written into a reusable buffer, bit-identical
+    /// to [`BlockMat::cholesky`]. Returns `false` (leaving `out` partially
+    /// written) if a block is not numerically positive definite.
+    ///
+    /// # Panics
+    ///
+    /// Panics on block-shape mismatch.
+    pub(crate) fn cholesky_into(&self, out: &mut BlockMat) -> bool {
+        assert_eq!(self.dims, out.dims, "cholesky_into shape mismatch");
+        self.blocks
+            .iter()
+            .zip(&mut out.blocks)
+            .all(|(b, l)| b.cholesky_into(l))
     }
 
     /// Blockwise inverse from a Cholesky factor of `self`
@@ -218,17 +230,46 @@ impl BlockMat {
     ///
     /// Returns `None` if `self` is not positive definite.
     pub fn max_step(&self, dir: &BlockMat, gamma: f64) -> Option<f64> {
+        let l = self.cholesky()?;
+        l.max_step_factored(dir, gamma, &mut StepWork::new(&self.dims))
+    }
+
+    /// [`BlockMat::max_step`] of the matrix whose blockwise Cholesky
+    /// factor is `self`, on reusable scratch — bit-identical, and the
+    /// factor can serve several directions.
+    ///
+    /// Returns `None` if an eigensolve fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics on block-shape mismatch.
+    pub(crate) fn max_step_factored(
+        &self,
+        dir: &BlockMat,
+        gamma: f64,
+        work: &mut StepWork,
+    ) -> Option<f64> {
+        assert_eq!(self.dims, dir.dims, "max_step shape mismatch");
         let mut alpha: f64 = 1.0 / gamma; // so that γ·α starts at 1
-        for (x, d) in self.blocks.iter().zip(&dir.blocks) {
-            if x.rows() == 0 {
+        for ((l, d), (t, k)) in self
+            .blocks
+            .iter()
+            .zip(&dir.blocks)
+            .zip(work.t.blocks.iter_mut().zip(&mut work.k.blocks))
+        {
+            if l.rows() == 0 {
                 continue;
             }
-            let l = x.cholesky()?;
-            // K = L⁻¹ · D · L⁻ᵀ.
-            let t = l.solve_lower_mat(d);
-            let k = l.solve_lower_mat(&t.transpose()).transpose().symmetrize();
-            let vals = sym_eigvals(&k).ok()?;
-            let lam_min = vals[0];
+            // K = L⁻¹ · D · L⁻ᵀ = (L⁻¹ · (L⁻¹ · D)ᵀ)ᵀ, symmetrized. The
+            // final transpose is skipped: symmetrizing Kᵀ gives K's bits,
+            // because IEEE addition commutes.
+            t.copy_from(d);
+            l.solve_lower_mat_in_place(t);
+            t.transpose_into(k);
+            l.solve_lower_mat_in_place(k);
+            k.symmetrize_in_place();
+            sym_eigvals_in_place(k, &mut work.vals, &mut work.scratch).ok()?;
+            let lam_min = work.vals[0];
             if lam_min < 0.0 {
                 alpha = alpha.min(-1.0 / lam_min);
             }
@@ -236,36 +277,69 @@ impl BlockMat {
         Some((gamma * alpha).min(1.0))
     }
 
-    /// Minimum eigenvalue across blocks (symmetrizing first).
-    pub fn min_eigenvalue(&self) -> f64 {
+    /// Minimum eigenvalue across blocks (symmetrizing first); `0.0` when
+    /// every block is empty.
+    ///
+    /// # Errors
+    ///
+    /// [`EigError`] if any block's eigensolve fails or its spectrum is
+    /// not finite: a failed block is never skipped.
+    pub fn min_eigenvalue(&self) -> Result<f64, EigError> {
         let mut m = f64::INFINITY;
-        for b in &self.blocks {
-            if b.rows() == 0 {
-                continue;
-            }
-            if let Ok(vals) = sym_eigvals(&b.symmetrize()) {
-                m = m.min(vals[0]);
-            }
+        for vals in self.spectra() {
+            m = m.min(vals?[0]);
         }
-        if m.is_finite() {
-            m
-        } else {
-            0.0
-        }
+        Ok(if m == f64::INFINITY { 0.0 } else { m })
     }
 
     /// Spectral norm (max |eigenvalue|) across blocks.
-    pub fn spectral_norm(&self) -> f64 {
+    ///
+    /// # Errors
+    ///
+    /// [`EigError`] if any block's eigensolve fails or its spectrum is
+    /// not finite.
+    pub fn spectral_norm(&self) -> Result<f64, EigError> {
         let mut m = 0.0f64;
-        for b in &self.blocks {
-            if b.rows() == 0 {
-                continue;
-            }
-            if let Ok(vals) = sym_eigvals(&b.symmetrize()) {
-                m = m.max(vals[0].abs()).max(vals[vals.len() - 1].abs());
-            }
+        for vals in self.spectra() {
+            let vals = vals?;
+            m = m.max(vals[0].abs()).max(vals[vals.len() - 1].abs());
         }
-        m
+        Ok(m)
+    }
+
+    /// Each non-empty block's ascending spectrum (symmetrized first),
+    /// with a non-finite eigenvalue reported as an error.
+    fn spectra(&self) -> impl Iterator<Item = Result<Vec<f64>, EigError>> + '_ {
+        self.blocks.iter().filter(|b| b.rows() > 0).map(|b| {
+            let vals = sym_eigvals(&b.symmetrize())?;
+            if vals.iter().all(|v| v.is_finite()) {
+                Ok(vals)
+            } else {
+                Err(EigError::NotFinite)
+            }
+        })
+    }
+}
+
+/// Reusable scratch for [`BlockMat::max_step_factored`].
+#[derive(Clone, Debug)]
+pub(crate) struct StepWork {
+    t: BlockMat,
+    k: BlockMat,
+    vals: Vec<f64>,
+    scratch: Vec<f64>,
+}
+
+impl StepWork {
+    /// Scratch for block matrices of shape `dims`.
+    pub(crate) fn new(dims: &[usize]) -> Self {
+        let n = dims.iter().copied().max().unwrap_or(0);
+        StepWork {
+            t: BlockMat::zeros(dims),
+            k: BlockMat::zeros(dims),
+            vals: Vec::with_capacity(n),
+            scratch: Vec::with_capacity(n),
+        }
     }
 }
 
@@ -315,12 +389,58 @@ mod tests {
     fn min_eigenvalue_detects_indefiniteness() {
         let mut a = BlockMat::scaled_identity(&[3], 2.0);
         a.block_mut(0).set(2, 2, -1.0);
-        assert!((a.min_eigenvalue() + 1.0).abs() < 1e-10);
+        assert!((a.min_eigenvalue().unwrap() + 1.0).abs() < 1e-10);
+    }
+
+    #[test]
+    fn max_step_on_shared_factor_and_scratch_matches_fresh_calls() {
+        let x = BlockMat::from_blocks(vec![
+            spd_block(5, 0.3),
+            spd_block(3, 1.1),
+            spd_block(1, 0.5),
+        ]);
+        let l = x.cholesky().unwrap();
+        let mut work = StepWork::new(x.dims());
+        for (k, gamma) in [(0.2, 1.0), (1.7, 0.9), (-0.6, 0.98)] {
+            let dir = BlockMat::from_blocks(
+                x.dims()
+                    .iter()
+                    .map(|&n| {
+                        RMat::from_fn(n, n, |i, j| ((i + 2 * j) as f64 * k).cos() - 0.4)
+                            .symmetrize()
+                    })
+                    .collect(),
+            );
+            let fresh = x.max_step(&dir, gamma).unwrap();
+            let shared = l.max_step_factored(&dir, gamma, &mut work).unwrap();
+            assert_eq!(fresh.to_bits(), shared.to_bits(), "k {k} gamma {gamma}");
+        }
+    }
+
+    #[test]
+    fn failed_or_non_finite_spectra_are_errors_not_skipped_blocks() {
+        let mut nan = RMat::identity(2);
+        nan.set(0, 1, f64::NAN);
+        nan.set(1, 0, f64::NAN);
+        let with_nan = BlockMat::from_blocks(vec![RMat::identity(2), nan]);
+        assert!(with_nan.min_eigenvalue().is_err());
+        assert!(with_nan.spectral_norm().is_err());
+
+        let mut inf = RMat::identity(2);
+        inf.set(1, 1, f64::INFINITY);
+        let with_inf = BlockMat::from_blocks(vec![RMat::identity(3), inf]);
+        assert!(with_inf.min_eigenvalue().is_err());
+        assert!(with_inf.spectral_norm().is_err());
+
+        // Empty blocks have no spectrum to fail.
+        let empty = BlockMat::zeros(&[0, 0]);
+        assert_eq!(empty.min_eigenvalue(), Ok(0.0));
+        assert_eq!(empty.spectral_norm(), Ok(0.0));
     }
 
     #[test]
     fn spectral_norm_of_identity() {
         let a = BlockMat::scaled_identity(&[3, 2], -2.5);
-        assert!((a.spectral_norm() - 2.5).abs() < 1e-12);
+        assert!((a.spectral_norm().unwrap() - 2.5).abs() < 1e-12);
     }
 }

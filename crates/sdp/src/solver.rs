@@ -21,8 +21,9 @@
 //! the residual dual infeasibility (`bᵀy − R·max(0, −λ_min(C − Aᵀy))` for
 //! any trace bound `R` on the feasible set).
 
+use crate::blockmat::StepWork;
 use crate::{BlockMat, SdpProblem, SparseSym};
-use gleipnir_linalg::lanes::{dot_terms, sym_sandwich_block};
+use gleipnir_linalg::lanes::{sym_sandwich_block, DotPrograms, DotTerm};
 use gleipnir_linalg::{LaneMat, Lanes, RMat};
 use std::cell::RefCell;
 use std::fmt;
@@ -110,8 +111,7 @@ pub struct SolverProfile {
     /// Total time of the solve (summed over solves in an aggregate).
     pub total_ms: f64,
     /// Heap allocations the iteration loop itself still performs after the
-    /// workspace refactor (e.g. Schur regularization retries). Internal
-    /// allocations of the eigenvalue line search are not counted.
+    /// workspace refactor (e.g. Schur regularization retries).
     pub loop_allocs: u64,
 }
 
@@ -238,7 +238,9 @@ impl SdpProblem {
     /// # Errors
     ///
     /// [`SdpError::Numerical`] if `y` has the wrong length for this
-    /// problem or contains non-finite entries.
+    /// problem or contains non-finite entries, if an eigensolve of the
+    /// dual slack fails or yields a non-finite spectrum, or if the bound
+    /// itself is not finite: a failed certificate never yields a bound.
     pub fn certified_dual_bound_for(&self, y: &[f64], trace_bound: f64) -> Result<f64, SdpError> {
         if y.len() != self.n_constraints() {
             return Err(SdpError::Numerical(format!(
@@ -253,9 +255,22 @@ impl SdpProblem {
             ));
         }
         let dobj: f64 = self.rhs().iter().zip(y).map(|(b, y)| b * y).sum();
-        let min_eig = self.dual_slack(y).min_eigenvalue();
-        Ok(dobj - (-min_eig).max(0.0) * trace_bound)
+        let min_eig = dual_slack_min_eig(self, y)?;
+        let bound = dobj - (-min_eig).max(0.0) * trace_bound;
+        if !bound.is_finite() {
+            return Err(SdpError::Numerical(format!(
+                "certified bound is not finite ({bound:e})"
+            )));
+        }
+        Ok(bound)
     }
+}
+
+/// `λ_min(C − Aᵀ(y))`, the certificate's eigenvalue.
+fn dual_slack_min_eig(p: &SdpProblem, y: &[f64]) -> Result<f64, SdpError> {
+    p.dual_slack(y)
+        .min_eigenvalue()
+        .map_err(|e| SdpError::Numerical(format!("dual-slack eigenvalues: {e}")))
 }
 
 /// The lane width of [`SdpBatch`]: how many solves one lock-step batch
@@ -460,7 +475,7 @@ impl<T> SdpBatch<T> {
             if lanes[i].exit.is_some() {
                 let lane = lanes.swap_remove(i);
                 let (tag, sol) = lane.finish();
-                done(tag, Ok(sol));
+                done(tag, sol);
             } else {
                 i += 1;
             }
@@ -698,19 +713,13 @@ fn iterate<T, const K: usize>(
         // support, so a block-disjoint pair's inner product is +0.0
         // whether computed (±0.0 terms cannot move a +0.0 accumulator) or
         // skipped — writing the constant is bit-identical.
-        let ml = tpl.index.masks[l];
+        let ml = tpl.index.dots.mask(l);
         let row = w.m.row_mut(l);
-        for (k, out) in row[..n_shared].iter_mut().enumerate() {
-            *out = if tpl.index.masks[k] & ml == 0 {
-                [0.0; K]
-            } else {
-                tpl.index.dot_lanes(k, &w.sw)
-            };
-        }
+        tpl.index.dots.row(ml, &w.sw, &mut row[..n_shared]);
         for (s, &i) in slot.iter().enumerate() {
             let own = &lanes[i].own;
             for (k, out) in row[n_shared..].iter_mut().enumerate() {
-                out[s] = if own.masks[k] & ml == 0 {
+                out[s] = if own.dots.mask(k) & ml == 0 {
                     0.0
                 } else {
                     own.dot_lane(k, &w.sw, s)
@@ -732,14 +741,14 @@ fn iterate<T, const K: usize>(
                 &mut w.sw,
                 &mut w.sw_dirty,
             );
-            let ml = own.masks[l - n_shared];
+            let ml = own.dots.mask(l - n_shared);
             for (k, out) in w.m.row_mut(l).iter_mut().enumerate() {
                 let (index, k) = if k < n_shared {
                     (&tpl.index, k)
                 } else {
                     (own, k - n_shared)
                 };
-                out[s] = if index.masks[k] & ml == 0 {
+                out[s] = if index.dots.mask(k) & ml == 0 {
                     0.0
                 } else {
                     index.dot_lane(k, &w.sw, s)
@@ -910,6 +919,35 @@ struct LaneWork {
     dy: Vec<f64>,
     dx: BlockMat,
     dz: BlockMat,
+    /// `X`'s blockwise Cholesky factor for this iteration's line
+    /// searches, and whether `X` factored.
+    xl: BlockMat,
+    x_pd: bool,
+    step: StepWork,
+}
+
+impl LaneWork {
+    /// The line search along `dX` (`dXa` for the predictor) from the
+    /// iteration's factor of `X`; `0.0` when `X` did not factor or an
+    /// eigensolve failed, as [`BlockMat::max_step`]'s `None` always meant.
+    fn step_x(&mut self, corrector: bool, gamma: f64) -> f64 {
+        let dir = if corrector { &self.dx } else { &self.dx_a };
+        if !self.x_pd {
+            return 0.0;
+        }
+        self.xl
+            .max_step_factored(dir, gamma, &mut self.step)
+            .unwrap_or(0.0)
+    }
+
+    /// The line search along `dZ` (`dZa` for the predictor) from the
+    /// factor `invert_z` left in `zl` (a live lane's `Z` factored).
+    fn step_z(&mut self, corrector: bool, gamma: f64) -> f64 {
+        let dir = if corrector { &self.dz } else { &self.dz_a };
+        self.zl
+            .max_step_factored(dir, gamma, &mut self.step)
+            .unwrap_or(0.0)
+    }
 }
 
 impl<T> Lane<T> {
@@ -947,6 +985,9 @@ impl<T> Lane<T> {
             dy: vec![0.0; m],
             dx: zeros(),
             dz: zeros(),
+            xl: zeros(),
+            x_pd: false,
+            step: StepWork::new(&dims),
         };
         Lane {
             own: ConstraintIndex::build(&p.constraints()[n_shared..], &dims),
@@ -1032,10 +1073,13 @@ impl<T> Lane<T> {
             .extend(w.rp.iter().zip(w.ag.iter()).map(|(r, a)| r - a));
     }
 
-    /// The predictor's step lengths (γ = 1).
+    /// The predictor's step lengths (γ = 1). Factors `X` for both of
+    /// this iteration's line searches; `Z`'s factor is `invert_z`'s.
     fn predictor_step(&mut self) {
-        self.ap_a = self.x.max_step(&self.w.dx_a, 1.0).unwrap_or(0.0);
-        self.ad_a = self.z.max_step(&self.w.dz_a, 1.0).unwrap_or(0.0);
+        let w = &mut self.w;
+        w.x_pd = self.x.cholesky_into(&mut w.xl);
+        self.ap_a = w.step_x(false, 1.0);
+        self.ad_a = w.step_z(false, 1.0);
     }
 
     /// The centering parameter and the corrector's right-hand side
@@ -1083,9 +1127,9 @@ impl<T> Lane<T> {
     /// no-progress exit instead when neither iterate can move.
     fn take_step(&mut self) {
         let gamma = if self.iter < 2 { 0.9 } else { 0.98 };
+        let ap = self.w.step_x(true, gamma);
+        let ad = self.w.step_z(true, gamma);
         let w = &self.w;
-        let ap = self.x.max_step(&w.dx, gamma).unwrap_or(0.0);
-        let ad = self.z.max_step(&w.dz, gamma).unwrap_or(0.0);
         if ap <= 1e-14 && ad <= 1e-14 {
             // No progress possible; return the current iterate.
             self.exit = Some((self.iter, SdpStatus::MaxIterations));
@@ -1102,8 +1146,8 @@ impl<T> Lane<T> {
     }
 
     /// Post-loop certificate work: final residuals and the exact
-    /// dual-slack minimum eigenvalue.
-    fn finish(self) -> (T, SdpSolution) {
+    /// dual-slack minimum eigenvalue; an error if that eigensolve fails.
+    fn finish(self) -> (T, Result<SdpSolution, SdpError>) {
         let t_c = Instant::now();
         let (iterations, status) = self.exit.expect("finished lane has an exit");
         let p = &self.p;
@@ -1115,7 +1159,10 @@ impl<T> Lane<T> {
         let mut rd = self.c_dense.clone();
         rd.axpy(-1.0, &self.z);
         rd.axpy(-1.0, &p.apply_at(&self.y));
-        let exact_dual_slack_min_eig = p.dual_slack(&self.y).min_eigenvalue();
+        let exact_dual_slack_min_eig = match dual_slack_min_eig(p, &self.y) {
+            Ok(v) => v,
+            Err(e) => return (self.tag, Err(e)),
+        };
         let mut profile = self.profile;
         profile.cert_ms = ms_since(t_c);
         profile.total_ms += profile.cert_ms;
@@ -1136,7 +1183,7 @@ impl<T> Lane<T> {
             status,
             profile,
         };
-        (self.tag, sol)
+        (self.tag, Ok(sol))
     }
 }
 
@@ -1169,29 +1216,16 @@ struct ConstraintIndex {
     /// `groups[l]` holds constraint `l`'s non-empty block groups, in
     /// ascending block order (matching the old filter loop).
     groups: Vec<Vec<BlockGroup>>,
-    /// `masks[l]` is a bitmask of the blocks constraint `l` touches
-    /// (saturated to "all" past 64 blocks), for skipping Schur pairs whose
-    /// supports are block-disjoint.
-    masks: Vec<u64>,
-    /// `dots[l]` is constraint `l`'s flattened inner-product program: runs
-    /// of consecutive same-block entries, each entry a `(row-major offset,
-    /// weight)` pair in original entry order, with the off-diagonal mirror
-    /// factor pre-folded into the weight (`2.0 * v`, the exact product
-    /// [`SparseSym::dot`] forms). Grouping into runs hoists the block
-    /// lookup out of the per-entry loop without reordering a single term,
-    /// so replaying the program is bit-identical to `SparseSym::dot` at a
-    /// fraction of the per-entry overhead — this inner product runs m²
-    /// times per interior-point iteration.
-    dots: Vec<Vec<DotRun>>,
-}
-
-/// One maximal run of same-block terms inside a constraint's inner-product
-/// program (a consecutive segment of the original entry list).
-struct DotRun {
-    /// Block every term in the run addresses.
-    block: u32,
-    /// `(row-major offset, weight)` per term, in original entry order.
-    terms: Vec<(u32, f64)>,
+    /// Program `l` is constraint `l`'s flattened inner product: one
+    /// `(block, row-major offset, weight)` term per entry, in original
+    /// entry order, with the off-diagonal mirror factor pre-folded into
+    /// the weight (`2.0 * v`, the exact product [`SparseSym::dot`] forms).
+    /// Replaying it is bit-identical to `SparseSym::dot` at a fraction of
+    /// the per-entry overhead — this inner product runs m² times per
+    /// interior-point iteration. Its block mask (saturated to "all" past
+    /// 64 blocks) lets the Schur loop skip pairs whose supports are
+    /// block-disjoint.
+    dots: DotPrograms,
 }
 
 impl ConstraintIndex {
@@ -1222,55 +1256,23 @@ impl ConstraintIndex {
                     .collect()
             })
             .collect();
-        let masks = groups
-            .iter()
-            .map(|gs| {
-                gs.iter().fold(
-                    0u64,
-                    |m, g| {
-                        if g.block < 64 {
-                            m | (1 << g.block)
-                        } else {
-                            !0
-                        }
-                    },
-                )
-            })
-            .collect();
-        let dots = constraints
-            .iter()
-            .map(|a| {
-                let mut runs: Vec<DotRun> = Vec::new();
-                for &(b, r, c, v) in a.entries() {
-                    let off = (r * dims[b] + c) as u32;
-                    let w = if r == c { v } else { 2.0 * v };
-                    match runs.last_mut() {
-                        Some(run) if run.block as usize == b => run.terms.push((off, w)),
-                        _ => runs.push(DotRun {
-                            block: b as u32,
-                            terms: vec![(off, w)],
-                        }),
-                    }
-                }
-                runs
-            })
-            .collect();
-        ConstraintIndex {
-            groups,
-            masks,
-            dots,
+        let mut dots = DotPrograms::new();
+        for a in constraints {
+            dots.push(a.entries().iter().map(|&(b, r, c, v)| DotTerm {
+                block: b as u32,
+                off: (r * dims[b] + c) as u32,
+                w: if r == c { v } else { 2.0 * v },
+            }));
         }
+        ConstraintIndex { groups, dots }
     }
 
     /// `⟨A_l, X⟩` via the flattened program — bit-identical to
     /// `constraints[l].dot(x)` (same products, same order).
     fn dot(&self, l: usize, x: &BlockMat) -> f64 {
         let mut acc = 0.0;
-        for run in &self.dots[l] {
-            let xb = x.block(run.block as usize).as_slice();
-            for &(off, w) in &run.terms {
-                acc += w * xb[off as usize];
-            }
+        for t in self.dots.program(l) {
+            acc += t.w * x.block(t.block as usize).as_slice()[t.off as usize];
         }
         acc
     }
@@ -1280,25 +1282,12 @@ impl ConstraintIndex {
         self.dots.len()
     }
 
-    /// [`ConstraintIndex::dot`] on every lane of a lane-interleaved block
-    /// matrix at once.
-    fn dot_lanes<const K: usize>(&self, l: usize, x: &[LaneMat<K>]) -> Lanes<K> {
-        let mut acc = [0.0; K];
-        for run in &self.dots[l] {
-            acc = dot_terms(acc, &run.terms, x[run.block as usize].as_slice());
-        }
-        acc
-    }
-
     /// [`ConstraintIndex::dot`] on lane `s` of a lane-interleaved block
     /// matrix.
     fn dot_lane<const K: usize>(&self, l: usize, x: &[LaneMat<K>], s: usize) -> f64 {
         let mut acc = 0.0;
-        for run in &self.dots[l] {
-            let xb = x[run.block as usize].as_slice();
-            for &(off, w) in &run.terms {
-                acc += w * xb[off as usize][s];
-            }
+        for t in self.dots.program(l) {
+            acc += t.w * x[t.block as usize].as_slice()[t.off as usize][s];
         }
         acc
     }
@@ -1493,7 +1482,7 @@ mod tests {
         assert!(sol.dual_infeasibility < 1e-7);
         assert!(sol.relative_gap < 1e-7);
         // X ⪰ 0.
-        assert!(sol.x.min_eigenvalue() > -1e-9);
+        assert!(sol.x.min_eigenvalue().unwrap() > -1e-9);
         // Weak duality.
         assert!(sol.dual_objective <= sol.primal_objective + 1e-6);
     }
@@ -1523,6 +1512,27 @@ mod tests {
         // primal min = −λmax; the certificate must not exceed it.
         assert!(lower <= -lam_max + 1e-9, "{lower} vs {}", -lam_max);
         assert!((lower + lam_max).abs() < 1e-5, "certificate far off");
+    }
+
+    #[test]
+    fn a_failed_dual_slack_eigensolve_never_certifies() {
+        // minimize ⟨diag(−2, −1, 0), X⟩ s.t. tr X = 1, X₁₂ = 0 and
+        // X₁₂ + X₂₂ − X₁₁ = 0: the optimum is −2, at X = e₀e₀ᵀ.
+        let mut c = SparseSym::new();
+        c.push(0, 0, 0, -2.0).push(0, 1, 1, -1.0);
+        let mut tr = SparseSym::new();
+        tr.push(0, 0, 0, 1.0).push(0, 1, 1, 1.0).push(0, 2, 2, 1.0);
+        let mut a2 = SparseSym::new();
+        a2.push(0, 1, 2, 0.5);
+        let mut a3 = SparseSym::new();
+        a3.push(0, 1, 2, 0.5).push(0, 2, 2, 1.0).push(0, 1, 1, -1.0);
+        let p = SdpProblem::new(vec![3], c, vec![tr, a2, a3], vec![1.0, 0.0, 0.0]);
+        assert_eq!(p.certified_dual_bound_for(&[-2.0, 0.0, 0.0], 1.0), Ok(-2.0));
+        // Finite multipliers whose dual slack overflows to −∞ at (1, 2):
+        // its eigensolve fails, and that must not read as λ_min = 0 (a
+        // "bound" of bᵀy = −0.5 above the optimum).
+        let r = p.certified_dual_bound_for(&[-0.5, 1.7e308, 1.7e308], 1.0);
+        assert!(matches!(r, Err(SdpError::Numerical(_))), "{r:?}");
     }
 
     #[test]
