@@ -37,8 +37,8 @@
 //! | `POST /analyze` | GLQ source + params (see [`wire`]) | `{"ok":true,"report":{…}}` |
 //! | `POST /batch` | `{"programs":[…]}` | per-entry results |
 //! | `GET /healthz` | — | `{"ok":true,"status":"ok",…}` plus uptime, version, and worker/queue saturation |
-//! | `GET /metrics` | — | cache hits/misses/in-flight dedup, stage-time totals, queue depth, shed count, peer-sync counters, pool size, latency quantiles |
-//! | `GET /metrics?format=prometheus` | — | the same numbers (plus full latency histograms) in Prometheus text exposition format v0.0.4 |
+//! | `GET /metrics` | — | the JSON keys of the metric catalog in `docs/OBSERVABILITY.md` |
+//! | `GET /metrics?format=prometheus` | — | the catalog's Prometheus series (text exposition format v0.0.4) |
 //! | `GET /trace/<id>` | — | the span tree for a recent request, by the `X-Trace-Id` its response carried (see `docs/OBSERVABILITY.md`) |
 //! | `GET /certs/since/<seq>` | — | framed certificate records from sequence `<seq>` (the peer-sync feed) |
 //!

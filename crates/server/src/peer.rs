@@ -15,6 +15,7 @@
 //! `already_present`, re-pulling from zero — e.g. after this process
 //! restarts and its cursor map is empty — is idempotent.
 
+use crate::metrics::Counter;
 use crate::server::{persist_now, Shared};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -42,13 +43,10 @@ pub(crate) fn gossip_loop(shared: &Shared) {
                 Ok(body) => match gleipnir_core::import_sync(&body, &shared.engine) {
                     Ok(stats) => {
                         let m = &shared.metrics;
-                        m.peer_pull_ok.fetch_add(1, Ordering::Relaxed);
-                        m.peer_records_received
-                            .fetch_add(stats.received, Ordering::Relaxed);
-                        m.peer_records_added
-                            .fetch_add(stats.added, Ordering::Relaxed);
-                        m.peer_records_rejected
-                            .fetch_add(stats.rejected, Ordering::Relaxed);
+                        m.inc(Counter::PeerPullOk);
+                        m.add(Counter::PeerRecordsReceived, stats.received);
+                        m.add(Counter::PeerRecordsAdded, stats.added);
+                        m.add(Counter::PeerRecordsRejected, stats.rejected);
                         cursors.insert(peer.clone(), stats.next_seq);
                         if stats.added > 0 {
                             // Route the imports through the one persist
@@ -62,11 +60,11 @@ pub(crate) fn gossip_loop(shared: &Shared) {
                         // Unusable body (bad magic/version, torn framing):
                         // keep the cursor, count the failure, retry next
                         // interval.
-                        shared.metrics.peer_pull_err.fetch_add(1, Ordering::Relaxed);
+                        shared.metrics.inc(Counter::PeerPullErr);
                     }
                 },
                 Err(_) => {
-                    shared.metrics.peer_pull_err.fetch_add(1, Ordering::Relaxed);
+                    shared.metrics.inc(Counter::PeerPullErr);
                 }
             }
         }

@@ -43,6 +43,7 @@
 //! dropped outright (hard shed — bounded, honest backpressure).
 
 use crate::http::{self, HttpRequest, Parse, ParseError};
+use crate::metrics::Counter;
 use crate::poll::{self, Interest};
 use crate::server::Shared;
 use crate::wire;
@@ -445,18 +446,12 @@ impl Reactor {
         loop {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    self.shared
-                        .metrics
-                        .connections_total
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.shared.metrics.inc(Counter::ConnectionsTotal);
                     let _ = stream.set_nonblocking(true);
                     let _ = stream.set_nodelay(true);
                     let serving = self.conns.values().filter(|c| !c.shed && !c.dead).count();
                     if serving >= self.shared.max_serving_conns() {
-                        self.shared
-                            .metrics
-                            .shed_total
-                            .fetch_add(1, Ordering::Relaxed);
+                        self.shared.metrics.inc(Counter::ShedTotal);
                         let shed = self.conns.values().filter(|c| c.shed && !c.dead).count();
                         if shed >= MAX_SHED_CONNS {
                             // Hard shed: drop without a response. Under this
@@ -470,11 +465,8 @@ impl Reactor {
                         // rates, not just in `shed_total`. (Hard sheds
                         // above produce no response and count in
                         // `shed_total` only.)
-                        self.shared
-                            .metrics
-                            .requests_total
-                            .fetch_add(1, Ordering::Relaxed);
-                        self.shared.metrics.http_err.fetch_add(1, Ordering::Relaxed);
+                        self.shared.metrics.inc(Counter::RequestsTotal);
+                        self.shared.metrics.inc(Counter::HttpErr);
                         let mut conn = Conn::new(stream);
                         conn.shed = true;
                         conn.enqueue_close_response(
@@ -567,7 +559,7 @@ impl Reactor {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     conn.dead = true;
-                    self.shared.metrics.http_err.fetch_add(1, Ordering::Relaxed);
+                    self.shared.metrics.inc(Counter::HttpErr);
                     return;
                 }
             }
@@ -615,7 +607,7 @@ impl Reactor {
                     }
                     if conn.eof {
                         // Mid-request disconnect: nobody left to answer.
-                        self.shared.metrics.http_err.fetch_add(1, Ordering::Relaxed);
+                        self.shared.metrics.inc(Counter::HttpErr);
                         conn.dead = true;
                     }
                     return;
@@ -643,15 +635,9 @@ impl Reactor {
                     let permit = match self.shared.quotas.try_admit(&tenant, class) {
                         Some(permit) => permit,
                         None => {
-                            self.shared
-                                .metrics
-                                .requests_total
-                                .fetch_add(1, Ordering::Relaxed);
-                            self.shared.metrics.http_err.fetch_add(1, Ordering::Relaxed);
-                            self.shared
-                                .metrics
-                                .quota_rejections
-                                .fetch_add(1, Ordering::Relaxed);
+                            self.shared.metrics.inc(Counter::RequestsTotal);
+                            self.shared.metrics.inc(Counter::HttpErr);
+                            self.shared.metrics.inc(Counter::QuotaRejections);
                             conn.out.extend_from_slice(&http::json_response(
                                 429,
                                 &wire::error_json(&format!(
@@ -669,10 +655,7 @@ impl Reactor {
                         }
                     };
                     conn.inflight = true;
-                    self.shared
-                        .metrics
-                        .requests_total
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.shared.metrics.inc(Counter::RequestsTotal);
                     // Every request gets a trace: the root span opens at
                     // parse start, the parse itself is its first child,
                     // and the worker closes the root at response framing.
@@ -712,11 +695,8 @@ impl Reactor {
                     // Unified accounting: every response the server
                     // generates counts in `requests_total`, so dashboard
                     // rates don't undercount under protocol abuse.
-                    self.shared
-                        .metrics
-                        .requests_total
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.shared.metrics.http_err.fetch_add(1, Ordering::Relaxed);
+                    self.shared.metrics.inc(Counter::RequestsTotal);
+                    self.shared.metrics.inc(Counter::HttpErr);
                     conn.enqueue_close_response(status, &msg);
                     let id = id;
                     self.handle_write(id);
@@ -787,11 +767,8 @@ impl Reactor {
                 if now >= t && !conn.inflight && !conn.reading_dead {
                     // Unified accounting: a 408 is a generated response,
                     // so it counts in `requests_total` too.
-                    self.shared
-                        .metrics
-                        .requests_total
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.shared.metrics.http_err.fetch_add(1, Ordering::Relaxed);
+                    self.shared.metrics.inc(Counter::RequestsTotal);
+                    self.shared.metrics.inc(Counter::HttpErr);
                     conn.enqueue_close_response(408, "request read timed out");
                     timed_out.push(id);
                 }

@@ -35,7 +35,7 @@
 use crate::config::ServerConfig;
 use crate::http;
 use crate::json;
-use crate::metrics::{Metrics, MetricsView, VERSION};
+use crate::metrics::{Counter, Metrics, MetricsView, VERSION};
 use crate::peer;
 use crate::reactor::{waker_pair, Completion, JobQueue, Reactor, Waker};
 use crate::wire;
@@ -204,7 +204,8 @@ pub fn spawn(config: ServerConfig) -> Result<ServerHandle, ServerError> {
         Some(dir) => {
             let mut store = CertStore::open(dir).map_err(ServerError::Store)?;
             let stats = store.load_into(&engine).map_err(ServerError::Store)?;
-            metrics.note_load(&stats);
+            metrics.add(Counter::LoadLoaded, stats.loaded);
+            metrics.add(Counter::LoadRejected, stats.rejected);
             eprintln!(
                 "gleipnir-server: certificate store {}: {} loaded, {} rejected{}",
                 store
@@ -281,7 +282,7 @@ pub fn spawn(config: ServerConfig) -> Result<ServerHandle, ServerError> {
 fn worker_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.jobs.pop(&shared.shutdown) {
         let popped_ns = telemetry::now_ns();
-        shared.metrics.in_flight.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.inc(Counter::InFlight);
         // The trace root lives on the Job: the reactor minted the ids and
         // recorded the parse span; this thread records queue wait, the
         // handler, and finally the root request span, then seals the
@@ -354,7 +355,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             });
         }
         shared.waker.wake();
-        shared.metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
+        shared.metrics.dec(Counter::InFlight);
     }
 }
 
@@ -448,7 +449,7 @@ fn route(shared: &Arc<Shared>, request: &http::HttpRequest) -> Response {
                         let store = shared.store.lock().unwrap_or_else(|e| e.into_inner());
                         store.encode_since(seq)
                     };
-                    shared.metrics.certs_served.fetch_add(1, Ordering::Relaxed);
+                    shared.metrics.inc(Counter::CertsServed);
                     Response {
                         status: 200,
                         content_type: "application/octet-stream",
@@ -456,37 +457,33 @@ fn route(shared: &Arc<Shared>, request: &http::HttpRequest) -> Response {
                     }
                 }
                 Err(_) => {
-                    shared.metrics.http_err.fetch_add(1, Ordering::Relaxed);
+                    shared.metrics.inc(Counter::HttpErr);
                     Response::json(400, wire::error_json("bad sequence number"))
                 }
             }
         }
-        (_, "/healthz" | "/metrics" | "/analyze" | "/batch" | "/diff") => {
-            shared.metrics.http_err.fetch_add(1, Ordering::Relaxed);
-            Response::json(405, wire::error_json("method not allowed"))
-        }
-        (_, path)
-            if path.starts_with(CERTS_SINCE)
-                || path.starts_with(TRACE_PREFIX)
-                || path.starts_with(REFINE_PREFIX) =>
-        {
-            shared.metrics.http_err.fetch_add(1, Ordering::Relaxed);
-            Response::json(405, wire::error_json("method not allowed"))
-        }
         (_, path) => {
-            shared.metrics.http_err.fetch_add(1, Ordering::Relaxed);
-            Response::json(404, wire::error_json(&format!("no such endpoint: {path}")))
+            shared.metrics.inc(Counter::HttpErr);
+            // A known endpoint asked with the wrong method is a 405.
+            if endpoint_code(path) == detail::ENDPOINT_OTHER {
+                Response::json(404, wire::error_json(&format!("no such endpoint: {path}")))
+            } else {
+                Response::json(405, wire::error_json("method not allowed"))
+            }
         }
     }
 }
 
-/// Snapshots everything the metrics renderers need: engine stats, HTTP
-/// queue depth, and the combined per-class scheduler backlog (HTTP jobs
-/// waiting for a worker plus engine obligations waiting for a solver).
+/// Snapshots everything `/metrics` and `/healthz` read besides the
+/// histograms: counters, uptime, engine stats, HTTP queue depth, and the
+/// combined per-class scheduler backlog (HTTP jobs waiting for a worker
+/// plus engine obligations waiting for a solver).
 fn metrics_view(shared: &Arc<Shared>) -> MetricsView {
     let http = shared.jobs.depths();
     let engine = shared.engine.scheduler_depths();
     MetricsView {
+        uptime: shared.metrics.uptime(),
+        counts: shared.metrics.counts(),
         cache: shared.engine.cache_stats(),
         tiers: shared.engine.tier_stats(),
         pool_threads: shared.engine.threads(),
@@ -505,6 +502,7 @@ fn metrics_view(shared: &Arc<Shared>) -> MetricsView {
 }
 
 fn handle_healthz(shared: &Arc<Shared>) -> Response {
+    let v = metrics_view(shared);
     let body = format!(
         concat!(
             "{{\"ok\":true,\"status\":\"ok\",",
@@ -512,12 +510,12 @@ fn handle_healthz(shared: &Arc<Shared>) -> Response {
             "\"in_flight\":{},\"workers\":{},",
             "\"queue_depth\":{},\"queue_capacity\":{}}}"
         ),
-        shared.metrics.uptime_seconds(),
+        v.uptime.as_secs(),
         VERSION,
-        shared.metrics.in_flight.load(Ordering::Relaxed),
-        shared.config.workers.max(1),
-        shared.jobs.len(),
-        shared.config.queue_capacity.max(1),
+        v.count(Counter::InFlight),
+        v.workers,
+        v.queue_depth,
+        v.queue_capacity,
     );
     Response::json(200, body)
 }
@@ -529,7 +527,7 @@ fn handle_trace(shared: &Arc<Shared>, id: &str) -> Response {
     match telemetry::parse_trace_id(id).and_then(|id| telemetry::global().trace(id)) {
         Some(trace) => Response::json(200, trace.to_json()),
         None => {
-            shared.metrics.http_err.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.inc(Counter::HttpErr);
             Response::json(404, wire::error_json("no such trace (recent traces only)"))
         }
     }
@@ -545,14 +543,14 @@ fn handle_analyze(shared: &Arc<Shared>, body: &[u8]) -> Response {
     let value = match parse_body(body) {
         Ok(v) => v,
         Err(msg) => {
-            shared.metrics.analyze_err.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.inc(Counter::AnalyzeErr);
             return Response::json(400, wire::error_json(&msg));
         }
     };
     let spec = match wire::analyze_spec_from_json(&value) {
         Ok(spec) => spec,
         Err(msg) => {
-            shared.metrics.analyze_err.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.inc(Counter::AnalyzeErr);
             return Response::json(422, wire::error_json(&msg));
         }
     };
@@ -561,12 +559,12 @@ fn handle_analyze(shared: &Arc<Shared>, body: &[u8]) -> Response {
     }
     match shared.engine.analyze(&spec.request) {
         Ok(report) => {
-            shared.metrics.analyze_ok.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.inc(Counter::AnalyzeOk);
             persist_now(shared);
             Response::json(200, wire::analyze_ok_json(&spec, &report))
         }
         Err(e) => {
-            shared.metrics.analyze_err.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.inc(Counter::AnalyzeErr);
             Response::json(422, wire::error_json(&e.to_string()))
         }
     }
@@ -594,10 +592,7 @@ fn handle_analyze_anytime(shared: &Arc<Shared>, spec: wire::AnalyzeSpec) -> Resp
                     }
                 }
             }
-            shared
-                .metrics
-                .anytime_accepted
-                .fetch_add(1, Ordering::Relaxed);
+            shared.metrics.inc(Counter::AnytimeAccepted);
             let body = format!(
                 concat!(
                     "{{\"ok\":true,\"anytime\":true,\"token\":{},",
@@ -614,7 +609,7 @@ fn handle_analyze_anytime(shared: &Arc<Shared>, spec: wire::AnalyzeSpec) -> Resp
             Response::json(202, body)
         }
         Err(e) => {
-            shared.metrics.analyze_err.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.inc(Counter::AnalyzeErr);
             Response::json(422, wire::error_json(&e.to_string()))
         }
     }
@@ -629,7 +624,7 @@ fn handle_analyze_anytime(shared: &Arc<Shared>, spec: wire::AnalyzeSpec) -> Resp
 /// * `422` — the refinement failed; terminal, served repeatedly.
 fn handle_refine(shared: &Arc<Shared>, rest: &str, query: Option<&str>) -> Response {
     let Some(token) = RefineToken::parse(rest) else {
-        shared.metrics.http_err.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.inc(Counter::HttpErr);
         return Response::json(404, wire::error_json("no such refinement token"));
     };
     let wait_ms: Option<u64> = query.and_then(|q| {
@@ -638,14 +633,20 @@ fn handle_refine(shared: &Arc<Shared>, rest: &str, query: Option<&str>) -> Respo
             .and_then(|v| v.parse().ok())
     });
     let status = match wait_ms {
-        Some(ms) => shared
-            .engine
-            .wait_refinement(token, Duration::from_millis(ms.min(MAX_WAIT_MS))),
+        Some(ms) => {
+            let span = telemetry::active().map(|c| telemetry::Span::start(c, SpanName::RefineWait));
+            let wait = Duration::from_millis(ms.min(MAX_WAIT_MS));
+            let status = shared.engine.wait_refinement(token, wait);
+            if let Some(span) = span {
+                span.end();
+            }
+            status
+        }
         None => shared.engine.refinement(token),
     };
     match status {
         None => {
-            shared.metrics.http_err.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.inc(Counter::HttpErr);
             Response::json(404, wire::error_json("no such refinement token"))
         }
         Some(RefineStatus::Pending) => {
@@ -700,7 +701,7 @@ fn handle_refine(shared: &Arc<Shared>, rest: &str, query: Option<&str>) -> Respo
             Response::json(200, body)
         }
         Some(RefineStatus::Failed(msg)) => {
-            shared.metrics.analyze_err.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.inc(Counter::AnalyzeErr);
             Response::json(422, wire::error_json(&msg))
         }
     }
@@ -710,14 +711,14 @@ fn handle_diff(shared: &Arc<Shared>, body: &[u8]) -> Response {
     let value = match parse_body(body) {
         Ok(v) => v,
         Err(msg) => {
-            shared.metrics.diff_err.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.inc(Counter::DiffErr);
             return Response::json(400, wire::error_json(&msg));
         }
     };
     let spec = match wire::diff_spec_from_json(&value) {
         Ok(spec) => spec,
         Err(msg) => {
-            shared.metrics.diff_err.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.inc(Counter::DiffErr);
             return Response::json(422, wire::error_json(&msg));
         }
     };
@@ -726,16 +727,15 @@ fn handle_diff(shared: &Arc<Shared>, body: &[u8]) -> Response {
         .analyze_diff(&spec.old_request, &spec.new_request)
     {
         Ok(diff) => {
-            shared.metrics.diff_ok.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.inc(Counter::DiffOk);
             shared
                 .metrics
-                .diff_prefix_gates_reused
-                .fetch_add(diff.prefix_gates_reused(), Ordering::Relaxed);
+                .add(Counter::DiffPrefixGatesReused, diff.prefix_gates_reused());
             persist_now(shared);
             Response::json(200, wire::diff_ok_json(&spec, &diff))
         }
         Err(e) => {
-            shared.metrics.diff_err.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.inc(Counter::DiffErr);
             Response::json(422, wire::error_json(&e.to_string()))
         }
     }
@@ -746,7 +746,7 @@ fn handle_batch(shared: &Arc<Shared>, body: &[u8]) -> Response {
     let specs = match parsed {
         Ok(specs) => specs,
         Err(msg) => {
-            shared.metrics.batch_err.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.inc(Counter::BatchErr);
             return Response::json(400, wire::error_json(&msg));
         }
     };
@@ -766,7 +766,7 @@ fn handle_batch(shared: &Arc<Shared>, body: &[u8]) -> Response {
             Err(msg) => wire::error_json(msg),
         })
         .collect();
-    shared.metrics.batch_ok.fetch_add(1, Ordering::Relaxed);
+    shared.metrics.inc(Counter::BatchOk);
     persist_now(shared);
     let body = format!(
         "{{\"ok\":true,\"results\":[{}],\"worker_threads\":{},\"elapsed_ms\":{}}}",
@@ -787,10 +787,7 @@ pub(crate) fn persist_now(shared: &Shared) {
     match store.persist_new(&shared.engine) {
         Ok(n) => {
             if n > 0 {
-                shared
-                    .metrics
-                    .persisted_records
-                    .fetch_add(n, Ordering::Relaxed);
+                shared.metrics.add(Counter::PersistedRecords, n);
             }
         }
         Err(e) => eprintln!("gleipnir-server: certificate persist failed: {e}"),

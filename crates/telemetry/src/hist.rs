@@ -25,8 +25,9 @@ pub const LATENCY_BOUNDS_MS: &[f64] = &[
 ];
 
 /// A concurrent fixed-boundary histogram. All mutation is relaxed-atomic;
-/// reads are snapshots (each counter individually consistent, the set
-/// approximately so — fine for monitoring, never fed back into analysis).
+/// reads are snapshots whose count is their bucket total and whose sum
+/// may be off by an observation racing the read (fine for monitoring,
+/// never fed back into analysis).
 #[derive(Debug)]
 pub struct Histogram {
     bounds: &'static [f64],
@@ -40,24 +41,14 @@ pub struct Histogram {
 impl Histogram {
     /// A histogram over [`LATENCY_BOUNDS_MS`].
     pub fn latency() -> Histogram {
-        Histogram::with_bounds(LATENCY_BOUNDS_MS)
-    }
-
-    /// A histogram over caller-provided strictly increasing upper bounds
-    /// (milliseconds).
-    pub fn with_bounds(bounds: &'static [f64]) -> Histogram {
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
         Histogram {
-            bounds,
-            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
+            bounds: LATENCY_BOUNDS_MS,
+            buckets: (0..=LATENCY_BOUNDS_MS.len())
+                .map(|_| AtomicU64::new(0))
+                .collect(),
             sum_ns: AtomicU64::new(0),
             count: AtomicU64::new(0),
         }
-    }
-
-    /// The bucket upper bounds (ms); the final +Inf bucket is implicit.
-    pub fn bounds_ms(&self) -> &'static [f64] {
-        self.bounds
     }
 
     /// Records one observation in milliseconds. Negative and non-finite
@@ -87,25 +78,21 @@ impl Histogram {
     }
 
     /// A point-in-time copy of the per-bucket counts (non-cumulative),
-    /// sum, and count.
+    /// sum, and count. The count is the total of the loaded buckets, not
+    /// a separate load, so an observation racing the snapshot can never
+    /// leave it counting more than its buckets hold.
     pub fn snapshot(&self) -> HistogramSnapshot {
+        let buckets: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
         HistogramSnapshot {
             bounds: self.bounds,
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
+            count: buckets.iter().sum(),
+            buckets,
             sum_ms: self.sum_ms(),
-            count: self.count(),
         }
-    }
-
-    /// Estimated `q`-quantile (0 ≤ q ≤ 1) in milliseconds: linear
-    /// interpolation inside the bucket holding the target rank. Returns
-    /// 0.0 for an empty histogram.
-    pub fn quantile_ms(&self, q: f64) -> f64 {
-        self.snapshot().quantile_ms(q)
     }
 }
 
@@ -117,12 +104,14 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<u64>,
     /// Sum of observations (ms).
     pub sum_ms: f64,
-    /// Number of observations.
+    /// Number of observations: the bucket total.
     pub count: u64,
 }
 
 impl HistogramSnapshot {
-    /// See [`Histogram::quantile_ms`].
+    /// Estimated `q`-quantile (0 ≤ q ≤ 1) in milliseconds: linear
+    /// interpolation inside the bucket holding the target rank. Returns
+    /// 0.0 for an empty histogram.
     pub fn quantile_ms(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
@@ -196,7 +185,7 @@ mod tests {
         assert_eq!(h.count(), 4);
         assert!(h.sum_ms().is_finite());
         assert_eq!(h.sum_ms(), 0.0);
-        assert!(h.quantile_ms(0.99).is_finite());
+        assert!(h.snapshot().quantile_ms(0.99).is_finite());
     }
 
     /// Quantile estimates land within one bucket boundary of the exact
@@ -216,7 +205,7 @@ mod tests {
         }
         values.sort_by(|a, b| a.partial_cmp(b).unwrap());
         for q in [0.5, 0.95, 0.99] {
-            let est = h.quantile_ms(q);
+            let est = h.snapshot().quantile_ms(q);
             let exact = values[(((values.len() - 1) as f64) * q).round() as usize];
             // The estimate must fall within the bucket adjacent to the
             // bucket containing the exact value.
@@ -237,8 +226,31 @@ mod tests {
         }
     }
 
+    /// A snapshot racing an observation can load the buckets before that
+    /// observation's bucket add and the count after its count add. Its
+    /// count must still be the bucket total, so `_count` equals the
+    /// `+Inf` bucket and no quantile reads past the last observation.
+    #[test]
+    fn a_torn_read_cannot_count_past_the_buckets() {
+        let h = Histogram::latency();
+        h.observe_ms(2.0);
+        // The racing observation as the later loads see it: sum and
+        // count added, bucket not yet visible.
+        h.sum_ns.fetch_add(3_000_000, Ordering::Relaxed);
+        h.count.fetch_add(1, Ordering::Relaxed);
+        let snap = h.snapshot();
+        assert_eq!(snap.count, snap.buckets.iter().sum::<u64>());
+        for q in [0.5, 0.99, 1.0] {
+            let p = snap.quantile_ms(q);
+            assert!(
+                p > 1.7783 && p <= 3.1623,
+                "q={q}: {p} outside 2 ms's bucket"
+            );
+        }
+    }
+
     #[test]
     fn empty_histogram_quantile_is_zero() {
-        assert_eq!(Histogram::latency().quantile_ms(0.5), 0.0);
+        assert_eq!(Histogram::latency().snapshot().quantile_ms(0.5), 0.0);
     }
 }

@@ -15,9 +15,10 @@
 //! * **Histograms** ([`Histogram`]) — fixed-boundary log-scale buckets
 //!   (4 per decade, 1 µs … 100 s) with `p50`/`p95`/`p99` estimation and
 //!   Prometheus `_bucket`/`_sum`/`_count` exposition.
-//! * **Exposition** ([`prom`]) — the Prometheus text format v0.0.4
-//!   (label escaping, non-finite policy mirroring `jsonfmt`: NaN/±Inf
-//!   never leak into the output).
+//! * **Metric registry** ([`registry`]) — metric families declared once
+//!   in an ordered table and rendered from it as Prometheus text format
+//!   v0.0.4 (label escaping, non-finite values as 0), as a nested JSON
+//!   document, and as the docs' Markdown catalog.
 //!
 //! Telemetry is *passive*: nothing here feeds back into any computation,
 //! every counter is a relaxed atomic, and span recording off the hot path
@@ -29,7 +30,8 @@
 #![warn(missing_docs)]
 
 mod hist;
-pub mod prom;
+mod prom;
+pub mod registry;
 mod span;
 mod trace;
 

@@ -1,19 +1,15 @@
-//! Prometheus text exposition, format v0.0.4.
-//!
-//! Tiny append-style renderer used by the server's
-//! `GET /metrics?format=prometheus`. Follows the format rules that
-//! matter for scrapers: one `# HELP`/`# TYPE` pair per metric family,
-//! backslash-escaped label values, cumulative monotone histogram
-//! `_bucket` series ending in `le="+Inf"`, and — mirroring the repo's
-//! `jsonfmt` policy for JSON — NaN/±Inf never leak into a sample value
-//! (non-finite renders as 0).
+//! Prometheus text exposition, format v0.0.4: the line-level writers
+//! behind [`crate::registry::render_prometheus`]. Label values are
+//! backslash-escaped, histogram `_bucket` series are cumulative and end
+//! in `le="+Inf"`, and NaN/±Inf never leak into a sample (non-finite
+//! renders as 0, as `jsonfmt` renders `null`).
 
 use crate::hist::HistogramSnapshot;
+use std::fmt::Write;
 
-/// Escapes a label value per the exposition format: backslash, double
-/// quote, and newline.
-pub fn escape_label(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
+/// Writes a label value escaped per the exposition format: backslash,
+/// double quote, and newline.
+fn escape_label(out: &mut String, value: &str) {
     for c in value.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -22,14 +18,11 @@ pub fn escape_label(value: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
-/// Renders a sample value. Finite values use the shortest round-trip
-/// float spelling; non-finite values render as `0` (the `jsonfmt`
-/// non-finite policy, adapted: JSON gets `null`, exposition gets a
-/// harmless zero because the format has no null).
-pub fn fmt_value(v: f64) -> String {
+/// Renders a sample value: the shortest round-trip float spelling, `0`
+/// when not finite (the format has no null).
+pub(crate) fn fmt_value(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
@@ -37,79 +30,75 @@ pub fn fmt_value(v: f64) -> String {
     }
 }
 
-fn fmt_labels(labels: &[(&str, &str)]) -> String {
-    if labels.is_empty() {
-        return String::new();
-    }
-    let inner: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
-        .collect();
-    format!("{{{}}}", inner.join(","))
-}
-
-fn header(out: &mut String, name: &str, help: &str, kind: &str) {
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-}
-
-/// Renders one counter family with any number of labeled series.
-pub fn counter(out: &mut String, name: &str, help: &str, series: &[(&[(&str, &str)], u64)]) {
-    header(out, name, help, "counter");
-    for (labels, v) in series {
-        out.push_str(&format!("{name}{} {v}\n", fmt_labels(labels)));
+/// Writes `name="value"` pairs, comma-separated.
+fn pairs(out: &mut String, names: &[&str], values: &[&str]) {
+    for (i, (name, value)) in names.iter().zip(values).enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(name);
+        out.push_str("=\"");
+        escape_label(out, value);
+        out.push('"');
     }
 }
 
-/// Renders one gauge family with any number of labeled series.
-pub fn gauge(out: &mut String, name: &str, help: &str, series: &[(&[(&str, &str)], f64)]) {
-    header(out, name, help, "gauge");
-    for (labels, v) in series {
-        out.push_str(&format!("{name}{} {}\n", fmt_labels(labels), fmt_value(*v)));
+/// Writes a label set `{name="value",…}`; nothing for an empty set.
+pub(crate) fn labels(out: &mut String, names: &[&str], values: &[&str]) {
+    if !names.is_empty() {
+        out.push('{');
+        pairs(out, names, values);
+        out.push('}');
     }
 }
 
-/// Renders one histogram family. Bucket bounds are converted from the
+/// Writes one histogram series. Bucket bounds are converted from the
 /// snapshot's milliseconds to **seconds** (the Prometheus base unit);
-/// `_bucket` counts are cumulative and end with the `le="+Inf"` total.
-pub fn histogram(
+/// `_bucket` counts are cumulative and end with the `le="+Inf"` total,
+/// which equals `_count`.
+pub(crate) fn histogram(
     out: &mut String,
     name: &str,
-    help: &str,
-    series: &[(&[(&str, &str)], HistogramSnapshot)],
+    names: &[&str],
+    values: &[&str],
+    snap: &HistogramSnapshot,
 ) {
-    header(out, name, help, "histogram");
-    for (labels, snap) in series {
-        let mut cum = 0u64;
-        for (i, n) in snap.buckets.iter().enumerate() {
-            cum += n;
-            let le = match snap.bounds.get(i) {
-                Some(b) => fmt_value(b / 1e3),
-                None => "+Inf".to_string(),
-            };
-            let mut all = labels.to_vec();
-            all.push(("le", le.as_str()));
-            out.push_str(&format!("{name}_bucket{} {cum}\n", fmt_labels(&all)));
+    let mut cum = 0u64;
+    for (i, n) in snap.buckets.iter().enumerate() {
+        cum += n;
+        let _ = write!(out, "{name}_bucket{{");
+        pairs(out, names, values);
+        if !names.is_empty() {
+            out.push(',');
         }
-        let base = fmt_labels(labels);
-        out.push_str(&format!(
-            "{name}_sum{base} {}\n",
-            fmt_value(snap.sum_ms / 1e3)
-        ));
-        out.push_str(&format!("{name}_count{base} {}\n", snap.count));
+        let _ = match snap.bounds.get(i) {
+            Some(b) => writeln!(out, "le=\"{}\"}} {cum}", b / 1e3),
+            None => writeln!(out, "le=\"+Inf\"}} {cum}"),
+        };
     }
+    let _ = write!(out, "{name}_sum");
+    labels(out, names, values);
+    let _ = write!(out, " {}\n{name}_count", fmt_value(snap.sum_ms / 1e3));
+    labels(out, names, values);
+    let _ = writeln!(out, " {}", snap.count);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Histogram;
 
     #[test]
     fn label_escaping_covers_the_specials() {
-        assert_eq!(escape_label("plain"), "plain");
-        assert_eq!(escape_label("a\\b"), "a\\\\b");
-        assert_eq!(escape_label("say \"hi\""), "say \\\"hi\\\"");
-        assert_eq!(escape_label("line\nbreak"), "line\\nbreak");
+        let mut out = String::new();
+        labels(
+            &mut out,
+            &["a", "b"],
+            &["plain", "a\\b say \"hi\" line\nbreak"],
+        );
+        assert_eq!(
+            out,
+            "{a=\"plain\",b=\"a\\\\b say \\\"hi\\\" line\\nbreak\"}"
+        );
     }
 
     #[test]
@@ -118,15 +107,11 @@ mod tests {
         assert_eq!(fmt_value(f64::INFINITY), "0");
         assert_eq!(fmt_value(f64::NEG_INFINITY), "0");
         assert_eq!(fmt_value(1.5), "1.5");
-        let mut out = String::new();
-        gauge(&mut out, "g", "help", &[(&[], f64::NAN)]);
-        assert!(out.contains("g 0\n"));
-        assert!(!out.contains("NaN") && !out.to_lowercase().contains("inf"));
     }
 
     #[test]
     fn histogram_buckets_are_cumulative_monotone_and_end_at_inf() {
-        let h = Histogram::latency();
+        let h = crate::Histogram::latency();
         for v in [0.002, 0.5, 0.5, 3.0, 42.0, 950.0, 1e9] {
             h.observe_ms(v);
         }
@@ -134,40 +119,39 @@ mod tests {
         histogram(
             &mut out,
             "req_seconds",
-            "request latency",
-            &[(&[("endpoint", "analyze")], h.snapshot())],
+            &["endpoint"],
+            &["analyze"],
+            &h.snapshot(),
         );
         let mut prev = 0u64;
-        let mut saw_inf = false;
+        let mut buckets = 0;
         for line in out.lines().filter(|l| l.contains("_bucket")) {
+            assert!(line.starts_with("req_seconds_bucket{endpoint=\"analyze\",le=\""));
             let count: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
             assert!(count >= prev, "non-monotone bucket line: {line}");
             prev = count;
-            if line.contains("le=\"+Inf\"") {
-                saw_inf = true;
-                assert_eq!(count, h.count());
-            }
+            buckets += 1;
         }
-        assert!(saw_inf, "missing +Inf bucket: {out}");
-        assert!(out.contains("req_seconds_count{endpoint=\"analyze\"} 7"));
-        assert!(out.contains("# TYPE req_seconds histogram"));
+        assert_eq!(buckets, crate::LATENCY_BOUNDS_MS.len() + 1);
+        assert!(out.contains("req_seconds_bucket{endpoint=\"analyze\",le=\"+Inf\"} 7\n"));
+        assert!(out.contains("req_seconds_count{endpoint=\"analyze\"} 7\n"));
+        assert!(out.contains("req_seconds_sum{endpoint=\"analyze\"} "));
     }
 
     #[test]
     fn counter_and_gauge_render_labeled_series() {
-        let mut out = String::new();
-        counter(
-            &mut out,
-            "requests_total",
-            "total",
-            &[
-                (&[("endpoint", "analyze")], 3),
-                (&[("endpoint", "diff")], 1),
-            ],
+        let families = crate::registry::tests::FAMILIES;
+        let out = crate::registry::render_prometheus(families, |read| read());
+        assert!(out.starts_with("# HELP jobs_total Jobs.\n# TYPE jobs_total counter\n"));
+        assert!(out.contains("jobs_total{outcome=\"ok\"} 3\njobs_total{outcome=\"err\"} 1\n"));
+        // An escaped label value, NaN as 0, and no JSON-only family.
+        let gauges = "ratio{of=\"a\\\"b\"} 0\n# HELP up 1 when up.\n# TYPE up gauge\nup 1\n";
+        assert!(out.contains(gauges) && !out.contains("version"), "{out}");
+        assert!(
+            out.contains("wall_seconds_count{endpoint=\"x\"} 1\n"),
+            "{out}"
         );
-        gauge(&mut out, "up", "1 if up", &[(&[], 1.0)]);
-        assert!(out.contains("requests_total{endpoint=\"analyze\"} 3"));
-        assert!(out.contains("requests_total{endpoint=\"diff\"} 1"));
-        assert!(out.contains("\nup 1\n"));
+        assert_eq!(out.matches("# HELP ").count(), 4);
+        assert_eq!(out.matches("# TYPE ").count(), 4);
     }
 }

@@ -19,6 +19,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// * `HttpParse` — the reactor parse that produced the request.
 /// * `QueueWait` — job queue residence (reactor push → worker pop).
 /// * `Handler` — the worker's route/handler call.
+/// * `RefineWait` — a `/refine/<token>?wait_ms=` long poll parked on its
+///   refinement.
 /// * `Mps` / `Plan` / `Solve` / `Assemble` — pipeline stages.
 /// * `Obligation` — one proof-obligation unit on a pool worker; `detail`
 ///   = outcome code, `value` = pool queue-wait ns, `value2` = IP
@@ -61,6 +63,8 @@ pub enum SpanName {
     PhaseStep = 15,
     /// Interior-point phase: soundness certificate extraction.
     PhaseCert = 16,
+    /// A refinement long poll waiting for its result.
+    RefineWait = 17,
 }
 
 impl SpanName {
@@ -83,6 +87,7 @@ impl SpanName {
             SpanName::PhaseDirection => "phase_direction",
             SpanName::PhaseStep => "phase_step",
             SpanName::PhaseCert => "phase_cert",
+            SpanName::RefineWait => "refine_wait",
         }
     }
 
@@ -119,6 +124,7 @@ impl SpanName {
             14 => SpanName::PhaseDirection,
             15 => SpanName::PhaseStep,
             16 => SpanName::PhaseCert,
+            17 => SpanName::RefineWait,
             _ => return None,
         })
     }

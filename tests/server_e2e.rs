@@ -1063,92 +1063,52 @@ fn diff_trace_attributes_every_stage() {
     server.join();
 }
 
-/// The backticked words of a catalog cell, skipping parenthesized label
-/// values: "`endpoint` (`analyze`, `batch`)" yields `endpoint`.
-fn backticked_outside_parens(cell: &str) -> Vec<String> {
-    let mut depth = 0;
-    let outside: String = cell
-        .chars()
-        .filter(|&ch| {
-            match ch {
-                '(' => depth += 1,
-                ')' => depth -= 1,
-                _ => {}
-            }
-            depth == 0 && ch != ')'
-        })
-        .collect();
-    outside
-        .split('`')
-        .skip(1)
-        .step_by(2)
-        .map(str::to_string)
-        .collect()
-}
-
-/// The Prometheus exposition and the docs catalog name the same
-/// families, with the same types and label names.
+/// A `/refine/<token>?wait_ms=` long poll parks in a `refine_wait` span
+/// under `handler`, so the wait does not read as handler self time.
 #[test]
-fn prometheus_exposition_matches_the_docs_catalog() {
-    use std::collections::{BTreeMap, BTreeSet};
-    type Families = BTreeMap<String, (String, BTreeSet<String>)>;
-
+fn refine_long_poll_waits_in_its_own_span() {
     let server = spawn(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        workers: 1,
+        workers: 2,
         threads: 1,
         ..ServerConfig::default()
     })
     .expect("spawn server");
-    let (status, exposition) = get(server.addr(), "/metrics?format=prometheus");
-    server.join();
-    assert_eq!(status, 200);
-
-    let mut scraped = Families::new();
-    let mut family = String::new();
-    for line in exposition.lines() {
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let (name, kind) = rest.split_once(' ').expect("`# TYPE name kind`");
-            family = name.to_string();
-            scraped.insert(family.clone(), (kind.to_string(), BTreeSet::new()));
-        } else if !line.starts_with('#') && !line.is_empty() {
-            let labels = scraped
-                .get_mut(&family)
-                .expect("sample after its TYPE line");
-            if let Some((_, inner)) = line.split_once('{') {
-                let inner = inner.split_once('}').expect("closed label set").0;
-                for pair in inner.split(',') {
-                    let name = pair.split_once('=').expect("label=value").0;
-                    if name != "le" {
-                        labels.1.insert(name.to_string());
-                    }
-                }
-            }
-        }
-    }
-
-    let docs = std::fs::read_to_string(
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("docs/OBSERVABILITY.md"),
-    )
-    .expect("read docs/OBSERVABILITY.md");
-    let catalog = docs
-        .split_once("### Prometheus catalog")
-        .expect("catalog section")
-        .1;
-    let mut documented = Families::new();
-    for row in catalog.lines().take_while(|l| !l.starts_with('#')) {
-        let cells: Vec<&str> = row.split('|').collect();
-        if cells.len() < 5 || !cells[1].contains("`gleipnir_") {
-            continue;
-        }
-        let labels: BTreeSet<String> = backticked_outside_parens(cells[3]).into_iter().collect();
-        for name in backticked_outside_parens(cells[1]) {
-            documented.insert(name, (cells[2].trim().to_string(), labels.clone()));
-        }
-    }
-    assert!(
-        scraped.contains_key("gleipnir_queue_depth"),
-        "exposition parsed: {scraped:?}"
+    // Scripted: the refinement stays queued, so the poll waits out wait_ms.
+    server.engine().set_scripted_refinements(true);
+    let addr = server.addr();
+    let body = format!(
+        "{{\"source\":{},\"width\":8,\"noise\":\"bitflip:1e-4\",\"anytime\":true}}",
+        json_str(GHZ_SRC)
     );
-    assert_eq!(documented, scraped, "docs/OBSERVABILITY.md catalog drifted");
+    let (status, resp) = post(addr, "/analyze", &body);
+    assert_eq!(status, 202, "{resp}");
+    let v = json::parse(&resp).unwrap();
+    let token = v.get("token").and_then(json::Json::as_str).expect("token");
+
+    let raw =
+        format!("GET /refine/{token}?wait_ms=300 HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+    let (status, head, _) = exchange_with_head(addr, &raw);
+    assert_eq!(status, 204, "{head}");
+    let (status, trace_body) = get(addr, &format!("/trace/{}", trace_id(&head)));
+    assert_eq!(status, 200, "{trace_body}");
+    let v = json::parse(&trace_body).expect("trace is JSON");
+    let root = &v.get("spans").unwrap().as_array().unwrap()[0];
+    assert_eq!(root.get("detail").unwrap().as_str(), Some("refine"));
+    let handler = find_child(root, "handler").expect("handler span");
+    let wait = find_child(handler, "refine_wait").expect("handler → refine_wait");
+    let wait_ms = wait.get("wall_ms").unwrap().as_f64().unwrap();
+    assert!(
+        wait_ms >= 250.0,
+        "the poll waited out wait_ms: {trace_body}"
+    );
+    let handler_ms = handler.get("wall_ms").unwrap().as_f64().unwrap();
+    let self_ms = handler_ms - child_walls_ms(handler.get("children").unwrap().as_array().unwrap());
+    assert!(
+        self_ms <= 0.10 * handler_ms,
+        "handler self time {self_ms:.3} ms of {handler_ms:.3} ms: {trace_body}"
+    );
+
+    assert!(server.engine().run_next_refinement());
+    server.join();
 }
