@@ -26,7 +26,7 @@
 use crate::assemble::assemble_report;
 use crate::engine::EngineHandle;
 use crate::logic::StateAwareReport;
-use crate::plan::{plan_stmts, Plan, Walk};
+use crate::plan::Walk;
 use crate::request::AnalysisRequest;
 use crate::solve::spawn_solve;
 use crate::AnalysisError;
@@ -143,11 +143,7 @@ pub(crate) fn run_adaptive(
     config.validate()?;
     let start = Instant::now();
     let walk = Walk::of(h, request);
-    let program = request.program();
-    let make_plan = |width: usize| -> Result<Plan, AnalysisError> {
-        let mut mps = walk.start(program, width)?;
-        plan_stmts(std::slice::from_ref(program.body()), &mut mps, &walk)
-    };
+    let make_plan = |width: usize| walk.plan(request.program(), width);
 
     let mut width = config.start_width;
     let mut best: Option<(usize, StateAwareReport)> = None;

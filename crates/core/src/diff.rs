@@ -1,56 +1,50 @@
 //! Differential analysis: edit-cost latency for edited circuits.
 //!
 //! [`Engine::analyze_diff`] answers "what did this edit do to the certified
-//! error bound?" without paying for a full re-analysis. The two programs'
-//! top-level statement lists are aligned; the MPS walk of the **shared
-//! prefix** — the statements before the first divergence — is planned once
-//! (snapshotting the evolved [`Mps`](gleipnir_mps::Mps) at the divergence
-//! point), and each program's suffix is replanned from a clone of that
-//! snapshot. Only the *new* suffix's obligations are fanned over the worker
-//! pool; the prefix's ε's are taken verbatim from the old program's
-//! analysis, and unchanged-suffix judgments still hit the engine's shared
+//! error bound?" without paying for a full re-solve. Both programs are
+//! planned in full, by the same walk every other analysis uses. The old
+//! program is solved in full; its leading run of obligations whose solver
+//! inputs are bit-identical to the new program's — the gate matrix, the
+//! noisy Kraus operators, ρ′ and δ — gives the new program's first ε's
+//! verbatim, and only the new obligations after that run are fanned over
+//! the worker pool, where unchanged judgments still hit the engine's shared
 //! certificate cache by content address.
 //!
-//! ## Soundness: prefix reuse is a performance path, never a new bound
+//! ## Soundness: reuse is a performance path, never a new bound
 //!
 //! Under the default exact tier policy a diff answer is **bit-identical to
 //! a cold full analysis of the new program at any pool size** (SOUNDNESS.md
 //! obligation 7, pinned by `tests/diff_determinism.rs`):
 //!
-//! * the prefix plan evolves the MPS exactly as the full walk's first
-//!   statements would, so the suffix plan sees bit-identical `(ρ′, δ)`
-//!   judgments;
+//! * the Gate rule is local: a gate's ε is a function of its solver inputs
+//!   and the walk configuration alone, so two obligations with
+//!   bit-identical inputs under equal walks certify the same ε wherever in
+//!   the program they occur;
 //! * keyed obligations are *canonical* — the quantized judgment is
 //!   recoverable from the content address alone, so a cache hit returns the
 //!   same bits a cold solve would produce;
-//! * uncached obligations are re-solved at their exact judgment by the
+//! * uncached obligations are solved at their exact judgment by the
 //!   deterministic solver.
 //!
-//! The prefix stops **before the first statement containing a
-//! measurement**: `if-measure` duplicates its continuation into both
-//! branches (§5.2), so obligations after a measurement depend on the tail
-//! and cannot be reused across an edit.
+//! ## What invalidates reuse
 //!
-//! ## What invalidates the prefix
-//!
-//! A shared prefix exists only when the two requests agree on everything
-//! that feeds the walk — their [`Walk`]s (input state, noise model, solver
-//! options, cache participation, δ bucket width, tier policy) compare
-//! equal and their MPS widths match. Any
-//! disagreement degrades to two independent analyses
-//! (`prefix_gates_reused == 0`) — still one [`DiffReport`], never a stale
-//! bound.
+//! Reuse happens only when the two requests agree on everything that feeds
+//! the walk — their [`Walk`]s (input state, noise model, solver options,
+//! cache participation, δ bucket width, tier policy) compare equal and
+//! their MPS widths match. Any disagreement degrades to two independent
+//! analyses (`prefix_gates_reused == 0`) — still one [`DiffReport`], never
+//! a stale bound.
 
 use crate::assemble::assemble_report;
 use crate::engine::EngineHandle;
 use crate::error::AnalysisError;
 use crate::logic::{Derivation, StateAwareReport};
-use crate::plan::{plan_stmts, Plan, Walk};
+use crate::plan::{SolveObligation, Walk};
 use crate::request::{AnalysisRequest, Method};
 use crate::solve::{spawn_solve, SolveOutcome};
 use crate::tiers::BoundTier;
 use crate::Engine;
-use gleipnir_circuit::Stmt;
+use gleipnir_linalg::CMat;
 use std::time::{Duration, Instant};
 
 /// Why a gate's certified ε differs between the old and new analyses.
@@ -123,8 +117,9 @@ impl DiffReport {
     }
 
     /// The new program's analysis. Its solve accounting covers **only the
-    /// divergent suffix**: `gate_rule_count = prefix_gates_reused +
-    /// sdp_solves + cache_hits + tier_counts.closed_form`.
+    /// obligations after the reused run**: `gate_rule_count =
+    /// prefix_gates_reused + sdp_solves + cache_hits +
+    /// tier_counts.closed_form`.
     pub fn new_report(&self) -> &StateAwareReport {
         &self.new
     }
@@ -135,7 +130,8 @@ impl DiffReport {
         self.new.error_bound()
     }
 
-    /// Gate judgments answered verbatim from the shared-prefix walk (no
+    /// The leading run of gate judgments whose solver inputs equal the old
+    /// program's bit for bit, answered verbatim from the old analysis (no
     /// lookup, no solve — their ε bits are the old analysis's).
     pub fn prefix_gates_reused(&self) -> usize {
         self.prefix_gates_reused
@@ -153,53 +149,24 @@ impl DiffReport {
     }
 }
 
-/// Whether a statement contains a measurement anywhere. Measurements
-/// duplicate their continuation (§5.2), so the shared prefix must stop
-/// before the first one.
-fn contains_measure(stmt: &Stmt) -> bool {
-    match stmt {
-        Stmt::Skip | Stmt::Gate(_) => false,
-        Stmt::Seq(ss) => ss.iter().any(contains_measure),
-        Stmt::IfMeasure { .. } => true,
+/// Whether two obligations pose the same SDP: gate matrix, noisy Kraus
+/// operators, ρ′ and δ equal bit for bit (`f64 ==` would equate `0.0` with
+/// `-0.0`).
+fn same_solver_inputs(a: &SolveObligation, b: &SolveObligation) -> bool {
+    fn same(a: &CMat, b: &CMat) -> bool {
+        a.rows() == b.rows()
+            && a.cols() == b.cols()
+            && a.as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
     }
-}
-
-/// The top-level statement list of a program body (one `Seq` level
-/// flattened — exactly how the plan walk consumes it).
-fn top_stmts(body: &Stmt) -> &[Stmt] {
-    match body {
-        Stmt::Seq(ss) => ss,
-        other => std::slice::from_ref(other),
-    }
-}
-
-/// Length of the reusable shared prefix: equal statements up to (not
-/// including) the first divergence or measurement-containing statement.
-fn shared_prefix_len(old: &[Stmt], new: &[Stmt]) -> usize {
-    old.iter()
-        .zip(new.iter())
-        .take_while(|(o, n)| o == n && !contains_measure(o))
-        .count()
-}
-
-/// Splices a measure-free prefix skeleton and a suffix skeleton into the
-/// tree the full walk of `[prefix ++ suffix]` would have produced: the
-/// walk puts the prefix nodes ahead of the suffix's `Seq` children (or
-/// ahead of a non-`Seq` suffix, e.g. a leading `Meas`, exactly like the
-/// plan walk does).
-fn merge_skeleton(prefix: Derivation, suffix: Derivation) -> Derivation {
-    let mut children = match prefix {
-        Derivation::Seq { children } => children,
-        other => vec![other],
-    };
-    if children.is_empty() {
-        return suffix;
-    }
-    match suffix {
-        Derivation::Seq { children: sc } => children.extend(sc),
-        other => children.push(other),
-    }
-    Derivation::Seq { children }
+    let (ka, kb) = (a.noisy.kraus(), b.noisy.kraus());
+    same(&a.gate_matrix, &b.gate_matrix)
+        && ka.len() == kb.len()
+        && ka.iter().zip(kb).all(|(x, y)| same(x, y))
+        && same(&a.rho_prime, &b.rho_prime)
+        && a.delta.to_bits() == b.delta.to_bits()
 }
 
 /// Collects `(label, ε)` for every Gate rule in skeleton pre-order — the
@@ -230,10 +197,10 @@ fn collect_gates(d: &Derivation, out: &mut Vec<(String, f64)>) {
 }
 
 /// Classifies the per-gate ε changes between the two assembled reports.
-/// Alignment: the first `prefix_gates` pre-order gates are shared by
-/// construction; the longest label-equal run from the end is the common
-/// tail (unchanged gates downstream of the edit); everything between is
-/// the edited middle, paired by offset.
+/// Alignment: the first `prefix_gates` pre-order gates are the reused
+/// run; the longest label-equal run from the end is the common tail
+/// (unchanged gates downstream of the edit); everything between is the
+/// edited middle, paired by offset.
 fn classify_changes(
     old_gates: &[(String, f64)],
     new_gates: &[(String, f64)],
@@ -338,54 +305,35 @@ pub(crate) fn analyze_diff_request(
     let noise_shared = format!("{:?}", old_walk.noise) == format!("{:?}", new_walk.noise);
     let config_shared = old_width == new_width && old_walk == new_walk;
 
-    // One prefix walk evolves the MPS to the divergence point; each
-    // suffix replans from its own copy of that snapshot. The walks are
-    // equal whenever a prefix is shared, so the old one speaks for both;
-    // with nothing shared each program starts from its own input.
-    let old_stmts = top_stmts(old_request.program().body());
-    let new_stmts = top_stmts(new_request.program().body());
-    let shared = if config_shared {
-        shared_prefix_len(old_stmts, new_stmts)
+    // Two ordinary walks. With equal walks the leading run of obligation
+    // pairs with bit-identical solver inputs shares its ε's.
+    let mut old_plan = old_walk.plan(old_request.program(), old_width)?;
+    let mut new_plan = new_walk.plan(new_request.program(), new_width)?;
+    let prefix_gates = if config_shared {
+        old_plan
+            .obligations
+            .iter()
+            .zip(&new_plan.obligations)
+            .take_while(|(o, n)| same_solver_inputs(o, n))
+            .count()
     } else {
         0
     };
-    let mut old_mps = old_walk.start(old_request.program(), old_width)?;
-    let prefix = match shared {
-        0 => None,
-        _ => Some(plan_stmts(&old_stmts[..shared], &mut old_mps, &old_walk)?),
-    };
-    let mut new_mps = match shared {
-        0 => new_walk.start(new_request.program(), new_width)?,
-        _ => old_mps.clone(),
-    };
-    let mut old_suffix = plan_stmts(&old_stmts[shared..], &mut old_mps, &old_walk)?;
-    let mut new_suffix = plan_stmts(&new_stmts[shared..], &mut new_mps, &new_walk)?;
-    let (prefix_skeleton, mut old_obligations, prefix_elapsed) = match prefix {
-        Some(p) => (p.skeleton, p.obligations, p.elapsed),
-        None => (
-            Derivation::Seq {
-                children: Vec::new(),
-            },
-            Vec::new(),
-            Duration::ZERO,
-        ),
-    };
-    let prefix_gates = old_obligations.len();
 
-    // Solve the old program in full: prefix + old-suffix obligations in
-    // plan order (all cache hits when the engine analyzed it before).
-    // Joining *before* the new solve keeps the new suffix's accounting a
-    // deterministic function of the engine state, pool size aside.
-    old_obligations.append(&mut old_suffix.obligations);
-    let old_solved = spawn_solve(h, old_obligations, &old_walk).join(h)?;
+    // Solve the old program in full (all cache hits when the engine
+    // analyzed it before). Joining *before* the new solve keeps the new
+    // program's accounting a deterministic function of the engine state,
+    // pool size aside.
+    let old_solved =
+        spawn_solve(h, std::mem::take(&mut old_plan.obligations), &old_walk).join(h)?;
 
-    // Solve only the new program's divergent suffix.
-    let suffix_solved =
-        spawn_solve(h, std::mem::take(&mut new_suffix.obligations), &new_walk).join(h)?;
+    // Solve only the new obligations after the reused run.
+    let suffix = std::mem::take(&mut new_plan.obligations).split_off(prefix_gates);
+    let suffix_solved = spawn_solve(h, suffix, &new_walk).join(h)?;
 
-    // The new program's ε vector: prefix bits verbatim from the old solve,
-    // then the suffix. The accounting carries only the suffix's work —
-    // that is the point of the diff.
+    // The new program's ε vector: the reused run's bits verbatim from the
+    // old solve, then the rest. The accounting carries only the rest's
+    // work — that is the point of the diff.
     let mut epsilons = old_solved.epsilons[..prefix_gates].to_vec();
     epsilons.extend_from_slice(&suffix_solved.epsilons);
     let mut tiers = old_solved.tiers[..prefix_gates].to_vec();
@@ -397,22 +345,8 @@ pub(crate) fn analyze_diff_request(
     };
 
     let new_tiers_by_gate = new_solved.tiers.clone();
-    let old_report = assemble_report(
-        Plan {
-            skeleton: merge_skeleton(prefix_skeleton.clone(), old_suffix.skeleton),
-            elapsed: prefix_elapsed + old_suffix.elapsed,
-            ..old_suffix
-        },
-        old_solved,
-    );
-    let new_report = assemble_report(
-        Plan {
-            skeleton: merge_skeleton(prefix_skeleton, new_suffix.skeleton),
-            elapsed: prefix_elapsed + new_suffix.elapsed,
-            ..new_suffix
-        },
-        new_solved,
-    );
+    let old_report = assemble_report(old_plan, old_solved);
+    let new_report = assemble_report(new_plan, new_solved);
 
     let mut old_gates = Vec::new();
     let mut new_gates = Vec::new();
@@ -437,13 +371,14 @@ pub(crate) fn analyze_diff_request(
 }
 
 impl Engine {
-    /// Differential analysis: analyzes `new_request` by reusing the MPS
-    /// walk prefix shared with `old_request` and re-solving only the
-    /// divergent suffix's obligations.
+    /// Differential analysis: analyzes `new_request` by reusing the ε's of
+    /// the leading run of obligations it shares bit for bit with
+    /// `old_request` and solving only the obligations after that run.
     ///
     /// Both reports come back: the old one (near-free when the engine
     /// analyzed the old program before — its obligations hit the cache)
-    /// and the new one, whose solve accounting covers only the suffix.
+    /// and the new one, whose solve accounting covers only the obligations
+    /// after the reused run.
     /// Under the default exact tier policy the new report's ε bits are
     /// identical to [`Engine::analyze`] of the new request on a cold
     /// engine, at any pool size.
@@ -516,91 +451,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_stops_at_divergence_and_measurement() {
-        let mut a = ProgramBuilder::new(2);
-        a.h(0).cnot(0, 1).x(1);
-        let mut b = ProgramBuilder::new(2);
-        b.h(0).cnot(0, 1).z(1);
-        let sa = a.build();
-        let sb = b.build();
-        assert_eq!(
-            shared_prefix_len(&top_stmts(sa.body()), &top_stmts(sb.body())),
-            2
-        );
-
-        let mut m = ProgramBuilder::new(2);
-        m.h(0).if_measure(
-            0,
-            |z| {
-                z.x(1);
-            },
-            |o| {
-                o.z(1);
-            },
-        );
-        let sm = m.build();
-        // Identical programs still stop the prefix at the measurement.
-        assert_eq!(
-            shared_prefix_len(&top_stmts(sm.body()), &top_stmts(sm.body())),
-            1
-        );
-    }
-
-    #[test]
-    fn merge_skeleton_matches_full_walk_shapes() {
-        let gate = |eps: f64| Derivation::Gate {
-            gate: gleipnir_circuit::Gate::X,
-            qubits: vec![0],
-            rho_prime: gleipnir_linalg::CMat::identity(2),
-            delta: 0.0,
-            epsilon: eps,
-        };
-        // Seq prefix ++ Seq suffix → one flat Seq.
-        let merged = merge_skeleton(
-            Derivation::Seq {
-                children: vec![gate(1.0)],
-            },
-            Derivation::Seq {
-                children: vec![gate(2.0), gate(3.0)],
-            },
-        );
-        match &merged {
-            Derivation::Seq { children } => assert_eq!(children.len(), 3),
-            other => panic!("expected Seq, got {other:?}"),
-        }
-        // Empty prefix → the suffix as-is (a leading Meas stays unwrapped).
-        let meas = Derivation::Meas {
-            qubit: 0,
-            delta_prob: 0.0,
-            zero: None,
-            one: Some(Box::new(gate(1.0))),
-        };
-        assert!(matches!(
-            merge_skeleton(
-                Derivation::Seq {
-                    children: Vec::new()
-                },
-                meas.clone()
-            ),
-            Derivation::Meas { .. }
-        ));
-        // Non-empty prefix + Meas suffix → the Meas becomes the last child,
-        // exactly like the walk's prepend wrap.
-        match merge_skeleton(
-            Derivation::Seq {
-                children: vec![gate(1.0)],
-            },
-            meas,
-        ) {
-            Derivation::Seq { children } => {
-                assert_eq!(children.len(), 2);
-                assert!(matches!(children[1], Derivation::Meas { .. }));
-            }
-            other => panic!("expected Seq, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn diff_reuses_prefix_and_matches_full_analysis() {
         let mut a = ProgramBuilder::new(3);
         a.h(0).cnot(0, 1).rx(2, 0.3).cnot(1, 2);
@@ -660,8 +510,7 @@ mod tests {
         let (diff, spans) = traced(|| Engine::new().analyze_diff(&old, &new).unwrap());
         assert_eq!(bits(&diff), bits(&untraced), "tracing moved a bit");
 
-        // One start MPS (the prefix is shared), plans of the prefix and
-        // both suffixes, the old and the new solve, one assemble per report.
+        // Each program is walked, solved and assembled once.
         let runs = |name| spans.iter().filter(|s| s.name == name).count();
         let stages = [
             SpanName::Mps,
@@ -669,7 +518,7 @@ mod tests {
             SpanName::Solve,
             SpanName::Assemble,
         ];
-        assert_eq!(stages.map(runs), [1, 3, 2, 2]);
+        assert_eq!(stages.map(runs), [2, 2, 2, 2]);
         let solves: Vec<u32> = spans
             .iter()
             .filter(|s| s.name == SpanName::Solve)
@@ -679,7 +528,7 @@ mod tests {
         assert_eq!(
             obligations.clone().count(),
             4 + 2,
-            "old program, then new suffix"
+            "old program, then the new obligations after the reused run"
         );
         assert!(obligations.clone().all(|o| solves.contains(&o.parent)));
     }

@@ -36,7 +36,7 @@ use crate::adaptive::run_adaptive;
 use crate::assemble::assemble_report;
 use crate::baseline::{run_lqr_full_sim, run_worst_case};
 use crate::diamond::DiamondError;
-use crate::plan::{plan_stmts, Walk};
+use crate::plan::Walk;
 // `lock` recovers poisoned mutexes: the cache only ever holds
 // fully-written `(key, ε)` pairs — a worker that panicked mid-analysis
 // cannot leave a torn entry behind — so a poisoned shard is safe to keep
@@ -523,9 +523,7 @@ pub(crate) fn analyze_request(
     match request.method() {
         Method::StateAware { mps_width } => {
             let walk = Walk::of(h, request);
-            let program = request.program();
-            let mut mps = walk.start(program, *mps_width)?;
-            let mut plan = plan_stmts(std::slice::from_ref(program.body()), &mut mps, &walk)?;
+            let mut plan = walk.plan(request.program(), *mps_width)?;
             let solved = spawn_solve(h, std::mem::take(&mut plan.obligations), &walk).join(h)?;
             Ok(Report::StateAware(assemble_report(plan, solved)))
         }

@@ -89,10 +89,10 @@ pub(crate) struct Plan {
 
 /// Everything besides the program and the MPS width that feeds the
 /// pipeline's stages, borrowed from one request and resolved once (the
-/// engine's default solver options filled in). Two requests whose walks
-/// compare equal at the same width evolve the same MPS and pose the same
-/// obligations, which is what lets the differential analyzer
-/// ([`crate::diff`]) share a prefix walk between them.
+/// engine's default solver options filled in). Under walks that compare
+/// equal, bit-identical obligations certify the same ε, which is what
+/// lets the differential analyzer ([`crate::diff`]) reuse the old
+/// analysis's ε's.
 #[derive(Debug)]
 pub(crate) struct Walk<'a> {
     input: &'a InputState,
@@ -116,17 +116,23 @@ impl<'a> Walk<'a> {
         }
     }
 
-    /// The pipeline's first stage: materializes the input state as an MPS
-    /// of bond-dimension budget `width` for `program` (recorded as the
-    /// `mps` span).
+    /// The pipeline's first two stages: materializes the input state as an
+    /// MPS of bond-dimension budget `width` for `program` (recorded as the
+    /// `mps` span), then walks the program from it, emitting one obligation
+    /// per Gate-rule application (recorded as the `plan` span and the
+    /// `plan_ms` histogram).
     ///
     /// # Errors
     ///
     /// [`AnalysisError::WidthMismatch`] if the input and program widths
-    /// disagree, or [`AnalysisError::InvalidConfig`] for an invalid input.
-    pub(crate) fn start(&self, program: &Program, width: usize) -> Result<Mps, AnalysisError> {
+    /// disagree, [`AnalysisError::InvalidConfig`] for an invalid input, or
+    /// [`AnalysisError::Unsupported`] when both branches of a measurement
+    /// are unreachable, the program has more than [`MAX_PLAN_PATHS`]
+    /// execution paths, or one path has more than [`MAX_PLAN_FORK_DEPTH`]
+    /// measurements.
+    pub(crate) fn plan(&self, program: &Program, width: usize) -> Result<Plan, AnalysisError> {
         let span = telemetry::active().map(|c| telemetry::Span::start(c, SpanName::Mps));
-        let mps = self.input.build_mps(width)?;
+        let mut mps = self.input.build_mps(width)?;
         if let Some(span) = span {
             span.end();
         }
@@ -136,7 +142,28 @@ impl<'a> Walk<'a> {
                 program: program.n_qubits(),
             });
         }
-        Ok(mps)
+
+        let span = telemetry::active().map(|c| telemetry::Span::start(c, SpanName::Plan));
+        let start = Instant::now();
+        let mut planner = Planner {
+            walk: self,
+            obligations: Vec::new(),
+            final_delta: 0.0,
+            paths: 0,
+        };
+        let skeleton = planner.walk(vec![std::slice::from_ref(program.body())], &mut mps, 0);
+        let elapsed = start.elapsed();
+        telemetry::global().plan_ms.observe_duration(elapsed);
+        if let Some(span) = span {
+            span.end();
+        }
+        Ok(Plan {
+            skeleton: skeleton?,
+            obligations: planner.obligations,
+            final_delta: planner.final_delta,
+            mps_width: mps.max_bond(),
+            elapsed,
+        })
     }
 }
 
@@ -148,50 +175,6 @@ impl PartialEq for Walk<'_> {
     fn eq(&self, other: &Self) -> bool {
         format!("{self:?}") == format!("{other:?}")
     }
-}
-
-/// The pipeline's plan stage: walks `stmts` from `mps`, emitting one
-/// obligation per Gate-rule application and leaving `mps` evolved through
-/// the slice (single-path programs only; after a measurement fork the
-/// caller's `mps` is the *pre-fork* state). Records the `plan` span and
-/// the `plan_ms` histogram.
-///
-/// The differential analyzer ([`crate::diff`]) plans a shared prefix this
-/// way to capture the MPS at the divergence point, then plans each suffix
-/// from a clone of that snapshot.
-///
-/// # Errors
-///
-/// [`AnalysisError::Unsupported`] when both branches of a measurement are
-/// unreachable, the program has more than [`MAX_PLAN_PATHS`] execution
-/// paths, or one path has more than [`MAX_PLAN_FORK_DEPTH`] measurements.
-pub(crate) fn plan_stmts(
-    stmts: &[Stmt],
-    mps: &mut Mps,
-    walk: &Walk<'_>,
-) -> Result<Plan, AnalysisError> {
-    let span = telemetry::active().map(|c| telemetry::Span::start(c, SpanName::Plan));
-    let start = Instant::now();
-    let mps_width = mps.max_bond();
-    let mut planner = Planner {
-        walk,
-        obligations: Vec::new(),
-        final_delta: 0.0,
-        paths: 0,
-    };
-    let skeleton = planner.walk(vec![stmts], mps, 0);
-    let elapsed = start.elapsed();
-    telemetry::global().plan_ms.observe_duration(elapsed);
-    if let Some(span) = span {
-        span.end();
-    }
-    Ok(Plan {
-        skeleton: skeleton?,
-        obligations: planner.obligations,
-        final_delta: planner.final_delta,
-        mps_width,
-        elapsed,
-    })
 }
 
 struct Planner<'a> {
@@ -212,11 +195,10 @@ impl Planner<'_> {
     /// ends this walk. `forks` counts the measurements above this walk on
     /// its path.
     ///
-    /// The tree shape is fixed (the sequential oracle pins it, and
-    /// `diff::merge_skeleton` rebuilds it): a path that runs to the end is
-    /// a `Seq` of its nodes, and a path that ends in a measurement is a
-    /// `Seq` of its nodes followed by the `Meas` — or the bare `Meas` when
-    /// nothing precedes it.
+    /// The tree shape is fixed (the sequential oracle pins it): a path
+    /// that runs to the end is a `Seq` of its nodes, and a path that ends
+    /// in a measurement is a `Seq` of its nodes followed by the `Meas` —
+    /// or the bare `Meas` when nothing precedes it.
     fn walk<'s>(
         &mut self,
         mut rest: Vec<&'s [Stmt]>,
@@ -384,8 +366,7 @@ mod tests {
             delta_quantum,
             tiers: TierPolicy::Exact,
         };
-        let mut mps = walk.start(program, w).expect("input fits");
-        plan_stmts(std::slice::from_ref(program.body()), &mut mps, &walk).expect("plan succeeds")
+        walk.plan(program, w).expect("plan succeeds")
     }
 
     fn plan(program: &Program, w: usize, cache: bool) -> Plan {

@@ -29,7 +29,7 @@
 use crate::assemble::assemble_report;
 use crate::engine::EngineHandle;
 use crate::error::AnalysisError;
-use crate::plan::{plan_stmts, Walk};
+use crate::plan::Walk;
 use crate::pool::{lock, PriorityClass};
 use crate::report::Report;
 use crate::request::{AnalysisRequest, Method};
@@ -340,9 +340,7 @@ pub(crate) fn compute_first_answer(
         ));
     };
     let walk = Walk::of(h, request);
-    let program = request.program();
-    let mut mps = walk.start(program, *mps_width)?;
-    let plan = plan_stmts(std::slice::from_ref(program.body()), &mut mps, &walk)?;
+    let plan = walk.plan(request.program(), *mps_width)?;
     let mut sources = AnytimeSources::default();
     let epsilons: Vec<f64> = plan
         .obligations

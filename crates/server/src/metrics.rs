@@ -141,7 +141,7 @@ static FAMILIES: &[Family<Source>] = &[
     json_only("/diff responses, ok plus err.", &[series(&[], "diff.requests_total",
         View(|v| Int(v.count(DiffOk) + v.count(DiffErr))))]),
     Family { name: "gleipnir_diff_prefix_gates_reused_total", kind: Kind::Counter, labels: &[],
-        help: "Gates served from reused diff prefixes (no re-plan, no solve).",
+        help: "Gates served from reused diff prefixes (ε taken from the old analysis, no solve).",
         series: &[series(&[], "diff.prefix_gates_reused", Count(DiffPrefixGatesReused))] },
     Family { name: "gleipnir_shed_total", kind: Kind::Counter, labels: &[],
         help: "Connections shed at capacity (soft 429 plus hard close).",
@@ -179,7 +179,7 @@ static FAMILIES: &[Family<Source>] = &[
         help: "Anytime /analyze requests answered 202 with a token.",
         series: &[series(&[], "refinements.accepted", Count(AnytimeAccepted))] },
     Family { name: "gleipnir_in_flight_requests", kind: Kind::Gauge, labels: &[],
-        help: "Requests currently being served by workers.",
+        help: "Requests currently being served by workers (/healthz and /metrics excluded).",
         series: &[series(&[], "in_flight", Count(InFlight))] },
     Family { name: "gleipnir_workers", kind: Kind::Gauge, labels: &[],
         help: "HTTP worker threads.",

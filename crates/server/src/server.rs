@@ -282,7 +282,15 @@ pub fn spawn(config: ServerConfig) -> Result<ServerHandle, ServerError> {
 fn worker_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.jobs.pop(&shared.shutdown) {
         let popped_ns = telemetry::now_ns();
-        shared.metrics.inc(Counter::InFlight);
+        let endpoint = endpoint_code(&job.request.path);
+        // Probes stay out of `InFlight`, so an idle server reads idle.
+        let counted = !matches!(
+            endpoint,
+            detail::ENDPOINT_HEALTHZ | detail::ENDPOINT_METRICS
+        );
+        if counted {
+            shared.metrics.inc(Counter::InFlight);
+        }
         // The trace root lives on the Job: the reactor minted the ids and
         // recorded the parse span; this thread records queue wait, the
         // handler, and finally the root request span, then seals the
@@ -318,7 +326,6 @@ fn worker_loop(shared: &Arc<Shared>) {
             0,
             0,
         );
-        let endpoint = endpoint_code(&job.request.path);
         telemetry::record_span(
             telemetry::TraceCtx {
                 trace_id: job.trace_id,
@@ -355,7 +362,9 @@ fn worker_loop(shared: &Arc<Shared>) {
             });
         }
         shared.waker.wake();
-        shared.metrics.dec(Counter::InFlight);
+        if counted {
+            shared.metrics.dec(Counter::InFlight);
+        }
     }
 }
 

@@ -83,8 +83,8 @@ fn run(args: &[String]) -> Result<(), String> {
 
 fn usage() -> String {
     "usage: gleipnir <analyze|batch|diff|compare|worst|serve|optimize|fmt|route> <file.glq>… [options]\n\
-     diff:    gleipnir diff OLD.glq NEW.glq [--json]   (edit-cost re-analysis; reuses the\n\
-     \x20        unchanged prefix and reports each gate whose ε changed)\n\
+     diff:    gleipnir diff OLD.glq NEW.glq [--json]   (edit-cost re-analysis; reuses the ε of\n\
+     \x20        the leading unchanged gates and reports each gate whose ε changed)\n\
      options: --method state|adaptive|worst|lqr   --width W   --input 0101   --json\n\
      \x20        --noise bitflip:P|depolarizing:P1,P2|ampdamp:G|none   --derivation\n\
      \x20        --trace   (analyze only: print the span tree — plan/solve/assemble,\n\
@@ -498,8 +498,9 @@ fn batch(args: &[String]) -> Result<(), String> {
 }
 
 /// Differential analysis: re-bounds `NEW.glq` after an edit to `OLD.glq`,
-/// reusing the MPS walk prefix and every certificate the two programs
-/// share, and names each gate whose ε changed. The answer is bit-identical
+/// reusing the old ε of the leading gates whose solver inputs are
+/// unchanged and every certificate the two programs share, and names each
+/// gate whose ε changed. The answer is bit-identical
 /// to a cold `gleipnir analyze NEW.glq` under the same (exact-tier)
 /// configuration — prefix reuse is a latency optimization, never a new
 /// bound (docs/SOUNDNESS.md, obligation 7).

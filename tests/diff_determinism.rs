@@ -25,16 +25,16 @@ fn engine_with(threads: usize) -> Engine {
     .expect("explicit thread cap never fails")
 }
 
-fn request(program: &Program, width: usize, noise: &NoiseModel) -> AnalysisRequest {
+fn request(program: &Program, width: usize, noise: &NoiseModel, cache: bool) -> AnalysisRequest {
     AnalysisRequest::builder(program.clone())
         .noise(noise.clone())
         .method(Method::StateAware { mps_width: width })
+        .cache(cache)
         .build()
         .expect("valid request")
 }
 
-/// The program's top-level statement list (the granularity the diff's
-/// prefix alignment works at).
+/// The program's top-level statement list (the granularity edits work at).
 fn top_stmts(program: &Program) -> Vec<Stmt> {
     match program.body() {
         Stmt::Seq(ss) => ss.clone(),
@@ -58,6 +58,34 @@ fn swap_mid(program: &Program) -> Option<Program> {
     let i = (start..stmts.len().saturating_sub(1)).find(|&i| stmts[i] != stmts[i + 1])?;
     stmts.swap(i, i + 1);
     Some(rebuild(program.n_qubits(), stmts))
+}
+
+/// Inserts a `skip` before the middle statement: the program's text
+/// diverges there, but no obligation moves.
+fn insert_skip_mid(program: &Program) -> Option<Program> {
+    let mut stmts = top_stmts(program);
+    stmts.insert(stmts.len() / 2, Stmt::Skip);
+    Some(rebuild(program.n_qubits(), stmts))
+}
+
+/// Gates in the leading equal, measurement-free top-level statements of
+/// two programs: the reuse a statement-level prefix alignment gives, which
+/// the diff must never undercut.
+fn statement_prefix_gates(old: &Program, new: &Program) -> usize {
+    fn gates(s: &Stmt) -> Option<usize> {
+        match s {
+            Stmt::Skip => Some(0),
+            Stmt::Gate(_) => Some(1),
+            Stmt::Seq(ss) => ss.iter().map(gates).sum(),
+            Stmt::IfMeasure { .. } => None,
+        }
+    }
+    top_stmts(old)
+        .iter()
+        .zip(&top_stmts(new))
+        .take_while(|(o, n)| o == n)
+        .map_while(|(o, _)| gates(o))
+        .sum()
 }
 
 /// Appends one extra gate after the last statement.
@@ -126,23 +154,47 @@ fn assert_diff_matches_cold(
 
 /// Every determinism-suite circuit, under every scripted edit, at pool
 /// sizes 1 and default: the diff answer is bit-identical to a cold full
-/// analysis of the edited program.
+/// analysis of the edited program, and reuses at least the gates of the
+/// shared statement prefix. `measure2` runs every edit through a
+/// measurement, whose branches each carry the continuation.
 #[test]
 fn scripted_edits_match_cold_analysis_at_every_pool_size() {
     let noise = NoiseModel::uniform_bit_flip(NOISE_P);
     for (name, program, width) in determinism_suite() {
-        let edits: [(&str, Option<Program>); 3] = [
-            ("swap_mid", swap_mid(&program)),
-            ("append_suffix", append_suffix(&program)),
-            ("edit_gate0", edit_gate0(&program)),
+        // (edit, edited program, cache participation of both requests)
+        let edits: [(&str, Option<Program>, bool); 5] = [
+            ("swap_mid", swap_mid(&program), true),
+            ("swap_mid_uncached", swap_mid(&program), false),
+            ("append_suffix", append_suffix(&program), true),
+            ("edit_gate0", edit_gate0(&program), true),
+            ("insert_skip_mid", insert_skip_mid(&program), true),
         ];
-        for (edit_name, edited) in edits {
+        for (edit_name, edited, cache) in edits {
             let Some(edited) = edited else { continue };
-            let old = request(&program, width, &noise);
-            let new = request(&edited, width, &noise);
+            let old = request(&program, width, &noise, cache);
+            let new = request(&edited, width, &noise, cache);
+            let statement_prefix = statement_prefix_gates(&program, &edited);
             for threads in [1, 0] {
                 let label = format!("{name}/{edit_name}/threads={threads}");
                 let diff = assert_diff_matches_cold(threads, &old, &new, &label);
+                assert!(
+                    diff.prefix_gates_reused() >= statement_prefix,
+                    "{label}: reused {} < the statement prefix's {statement_prefix} gates",
+                    diff.prefix_gates_reused()
+                );
+                if !cache {
+                    assert!(
+                        diff.prefix_gates_reused() > 0,
+                        "{label}: uncached obligations are reused by their bits"
+                    );
+                }
+                if edit_name == "insert_skip_mid" {
+                    assert_eq!(
+                        diff.prefix_gates_reused(),
+                        diff.new_report().derivation().gate_rule_count(),
+                        "{label}: a skip poses no obligation, so every gate is reused"
+                    );
+                }
                 if edit_name == "edit_gate0" {
                     assert_eq!(
                         diff.prefix_gates_reused(),
@@ -163,11 +215,17 @@ fn noise_change_reuses_nothing_and_still_matches_cold() {
         .into_iter()
         .find(|(name, _, _)| name == "ghz4")
         .expect("suite has ghz4");
-    let old = request(&program, width, &NoiseModel::uniform_bit_flip(NOISE_P));
+    let old = request(
+        &program,
+        width,
+        &NoiseModel::uniform_bit_flip(NOISE_P),
+        true,
+    );
     let new = request(
         &program,
         width,
         &NoiseModel::uniform_bit_flip(2.0 * NOISE_P),
+        true,
     );
     for threads in [1, 0] {
         let label = format!("{name}/noise_change/threads={threads}");
@@ -196,8 +254,8 @@ fn ising288_one_gate_edit_resolves_only_the_suffix() {
     let program = ising_chain(12, 12, 1.0, 1.0, 0.1);
     let edited = swap_mid(&program).expect("Ising-288 has a distinct adjacent pair");
     let noise = NoiseModel::uniform_bit_flip(NOISE_P);
-    let old = request(&program, 8, &noise);
-    let new = request(&edited, 8, &noise);
+    let old = request(&program, 8, &noise, true);
+    let new = request(&edited, 8, &noise, true);
     let stmts = top_stmts(&program).len();
     for threads in [1, 0] {
         let label = format!("ising288/swap_mid/threads={threads}");

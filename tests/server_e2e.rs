@@ -377,6 +377,40 @@ fn fifty_thousand_gate_program_is_answered_and_the_server_stays_up() {
     server.join();
 }
 
+/// Probes do not count themselves: an idle server's `/healthz` reads
+/// `in_flight` 0 and its `/metrics` reads no busy worker.
+#[test]
+fn idle_server_probes_read_idle() {
+    let server = spawn(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        threads: 1,
+        ..ServerConfig::default()
+    })
+    .expect("spawn server");
+    let addr = server.addr();
+    let (status, body) = get(addr, "/healthz");
+    assert_eq!(status, 200, "{body}");
+    let health = json::parse(&body).expect("healthz is JSON");
+    assert_eq!(
+        health.get("in_flight").and_then(json::Json::as_usize),
+        Some(0),
+        "{body}"
+    );
+    let (status, body) = get(addr, "/metrics");
+    assert_eq!(status, 200, "{body}");
+    let metrics = json::parse(&body).expect("metrics is JSON");
+    assert_eq!(
+        metrics
+            .get("saturation")
+            .and_then(|s| s.get("workers_busy"))
+            .and_then(json::Json::as_f64),
+        Some(0.0),
+        "{body}"
+    );
+    server.join();
+}
+
 /// A ~200 KB body of nested unary minus, parentheses or `if` blocks gets
 /// a 4xx (the parser's nesting cap), not a worker stack overflow that
 /// aborts the daemon.
