@@ -172,8 +172,10 @@ fn tred2(z: &mut RMat, d: &mut [f64], e: &mut [f64]) {
     householder_tridiag::<true>(z, d, e);
 }
 
-/// Eigenvalue-only Householder reduction (classic `tred1`): identical
-/// arithmetic to [`tred2`] minus the orthogonal-transform accumulation.
+/// Eigenvalue-only Householder reduction of the real symmetric `z` to
+/// tridiagonal form (classic `tred1`): identical arithmetic to `tred2`
+/// minus the orthogonal-transform accumulation. `d` receives the diagonal
+/// and `e[1..]` the subdiagonal (`e[0] = 0`); `z` is overwritten.
 ///
 /// The reduction's `d`/`e` outputs are produced entirely by the forward
 /// Householder sweep, whose reads all live in the lower triangle; the
@@ -181,7 +183,11 @@ fn tred2(z: &mut RMat, d: &mut [f64], e: &mut [f64]) {
 /// only to build `Q`. Skipping them leaves `d` and `e` bit-identical, which
 /// is what keeps `sym_eigvals` on the solver's line-search hot path without
 /// perturbing the pinned interior-point trajectories.
-fn tred1(z: &mut RMat, d: &mut [f64], e: &mut [f64]) {
+///
+/// # Panics
+///
+/// Panics if `d` or `e` is shorter than `z`'s dimension.
+pub fn sym_tridiag_in_place(z: &mut RMat, d: &mut [f64], e: &mut [f64]) {
     householder_tridiag::<false>(z, d, e);
 }
 
@@ -347,13 +353,29 @@ pub fn sym_eigvals_in_place(
     scratch.clear();
     scratch.resize(n, 0.0);
     if n > 0 {
-        tred1(a, vals, scratch);
-        tql2(vals, scratch, &mut NoRotate)?;
+        sym_tridiag_in_place(a, vals, scratch);
     }
-    if vals.iter().any(|v| v.is_nan()) {
+    tridiag_eigvals_in_place(vals, scratch)
+}
+
+/// The ascending eigenvalues of the symmetric tridiagonal matrix with
+/// diagonal `d` and subdiagonal `e[1..]` (the form [`sym_tridiag_in_place`]
+/// leaves), written into `d` by implicit QL; `e` is scratch.
+///
+/// # Errors
+///
+/// Returns [`EigError`] if QL fails to converge or an eigenvalue comes out
+/// NaN.
+///
+/// # Panics
+///
+/// Panics if `e` is shorter than `d`.
+pub fn tridiag_eigvals_in_place(d: &mut [f64], e: &mut [f64]) -> Result<(), EigError> {
+    tql2(d, e, &mut NoRotate)?;
+    if d.iter().any(|v| v.is_nan()) {
         return Err(EigError::NotFinite);
     }
-    vals.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN eigenvalues"));
+    d.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN eigenvalues"));
     Ok(())
 }
 

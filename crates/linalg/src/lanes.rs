@@ -10,10 +10,22 @@
 //! * [`LaneMat::solve_lower_in_place`] ≡ [`RMat::solve_lower_in_place`];
 //! * [`LaneMat::solve_lower_transpose_in_place`] ≡
 //!   [`RMat::solve_lower_transpose_in_place`];
+//! * [`LaneMat::solve_lower_mat_in_place`] ≡
+//!   [`RMat::solve_lower_mat_in_place`], and
+//!   [`LaneMat::invert_lower_into`] ≡ [`RMat::invert_lower_into`];
+//! * [`LaneMat::transpose_mul_self_into`] ≡
+//!   [`RMat::transpose_mul_self_into`];
+//! * [`LaneMat::mul_mat_into`] ≡ [`RMat::mul_mat_into`];
 //! * [`LaneMat::symmetrize_in_place`] ≡ [`RMat::symmetrize_in_place`];
+//! * [`LaneMat::sym_tridiag_in_place`] ≡ [`crate::sym_tridiag_in_place`]
+//!   (the eigenvalue-only Householder reduction);
 //! * [`sym_sandwich_block`] ≡ the SDP solver's scalar Schur sandwich;
 //! * [`DotPrograms::row`] ≡ one sequential `acc += w·x[block][off]`
 //!   program per output, from `+0.0`.
+//!
+//! Where a scalar kernel skips a zero multiplier or branches on a value,
+//! each lane takes its own branch: the skip or the branch's store is a
+//! per-lane select.
 //!
 //! No kernel uses `mul_add` or FMA, and Rust never contracts `a*b + c`
 //! into an FMA by itself. On x86-64 the 4-lane forms are spelled with
@@ -83,95 +95,145 @@ impl LaneIsa {
     }
 }
 
-/// Runs the generic kernel body `$body::<I, K>(args…)` with the lane
-/// arithmetic of `$isa`. The AVX body runs inside [`with_avx`], so it
-/// is compiled for AVX as a whole; the choice is made once per call.
-macro_rules! on_isa {
-    ($isa:expr, $body:ident::<$k:tt>($($arg:expr),* $(,)?)) => {{
-        let isa: LaneIsa = $isa;
-        assert!(isa.available(), "lane path {isa:?} is not available on this host");
-        match isa {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the host reports AVX (asserted above).
-            LaneIsa::Avx => unsafe { with_avx(|| $body::<Avx, $k>($($arg),*)) },
-            _ => $body::<Base, $k>($($arg),*),
+/// Defines, per kernel, `fn $name::<K>(isa, args…)`: it runs the generic
+/// body `$body::<I, K>(args…)` with the lane arithmetic of `isa`, chosen
+/// once per call. The AVX body is inlined into a function of its own
+/// compiled with AVX enabled (FMA stays disabled), so the body and the
+/// lane arithmetic inlined into it become 256-bit instructions whatever
+/// the build's inlining thresholds.
+macro_rules! dispatch {
+    ($(fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? = $body:ident;)*) => {$(
+        #[inline]
+        fn $name<const K: usize>(isa: LaneIsa, $($arg: $ty),*) $(-> $ret)? {
+            assert!(isa.available(), "lane path {isa:?} is not available on this host");
+            match isa {
+                #[cfg(target_arch = "x86_64")]
+                LaneIsa::Avx => {
+                    /// # Safety
+                    ///
+                    /// The host must support AVX.
+                    #[target_feature(enable = "avx")]
+                    unsafe fn avx<const K: usize>($($arg: $ty),*) $(-> $ret)? {
+                        $body::<Avx, K>($($arg),*)
+                    }
+                    // SAFETY: the host reports AVX (asserted above).
+                    unsafe { avx::<K>($($arg),*) }
+                }
+                _ => $body::<Base, K>($($arg),*),
+            }
         }
-    }};
+    )*};
 }
 
-/// Calls `f` from a function compiled with AVX enabled, so the
-/// `#[inline(always)]` kernel body and lane arithmetic inlined into it
-/// become 256-bit instructions. (FMA stays disabled.)
-///
-/// # Safety
-///
-/// The host must support AVX.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn with_avx<R>(f: impl FnOnce() -> R) -> R {
-    f()
+dispatch! {
+    fn symmetrize_on(a: &mut LaneMat<K>) = symmetrize_body;
+    fn cholesky_on(a: &LaneMat<K>, out: &mut LaneMat<K>) -> [bool; K] = cholesky_body;
+    fn solve_lower_on(l: &LaneMat<K>, x: &mut [Lanes<K>]) = solve_lower_body;
+    fn solve_lower_transpose_on(l: &LaneMat<K>, x: &mut [Lanes<K>]) = solve_lower_transpose_body;
+    fn solve_lower_mat_on(l: &LaneMat<K>, x: &mut LaneMat<K>) = solve_lower_mat_body;
+    fn gram_on(a: &LaneMat<K>, out: &mut LaneMat<K>) = gram_body;
+    fn mul_mat_on(a: &LaneMat<K>, b: &LaneMat<K>, out: &mut LaneMat<K>) = mul_mat_body;
+    fn tridiag_on(z: &mut LaneMat<K>, d: &mut [Lanes<K>], e: &mut [Lanes<K>]) = tridiag_body;
+    fn sandwich_on(
+        x: &LaneMat<K>,
+        entries: &[(usize, usize, f64)],
+        rows: &[usize],
+        zinv: &LaneMat<K>,
+        v: &mut LaneMat<K>,
+        out: &mut LaneMat<K>,
+    ) = sandwich_body;
+    fn dot_row_on(p: &DotPrograms, support: u64, x: &[LaneMat<K>], out: &mut [Lanes<K>]) = dot_row_body;
 }
 
-/// Lane arithmetic on one instruction set. Each operation applies one
-/// IEEE operation per lane, in the order its name spells.
+/// One IEEE-754 binary operation.
+#[derive(Clone, Copy)]
+enum Op {
+    Add,
+    Sub,
+    Mul,
+    Div,
+}
+
+impl Op {
+    #[inline(always)]
+    fn apply(self, a: f64, b: f64) -> f64 {
+        match self {
+            Op::Add => a + b,
+            Op::Sub => a - b,
+            Op::Mul => a * b,
+            Op::Div => a / b,
+        }
+    }
+}
+
+/// Lane arithmetic on one instruction set: [`Arith::zip`] applies one IEEE
+/// operation per lane, and every other operation is spelled with it, one
+/// rounding per operation in the order its name spells.
 trait Arith {
+    /// `a op b` per lane.
+    fn zip<const K: usize>(op: Op, a: Lanes<K>, b: Lanes<K>) -> Lanes<K>;
+
+    /// Whether the Cholesky factors two rows per pass. It pays only where
+    /// `K` lanes fill one register, so the pass's eight running
+    /// differences and two row entries stay in registers; with two
+    /// registers per lane group they spill, and per-lane loops are bound
+    /// by the arithmetic, not by the loads a pair shares.
+    #[inline(always)]
+    fn pairs_rows<const K: usize>() -> bool {
+        false
+    }
+
     /// `s − a·b` per lane.
-    fn sub_mul<const K: usize>(s: Lanes<K>, a: &Lanes<K>, b: &Lanes<K>) -> Lanes<K>;
+    #[inline(always)]
+    fn sub_mul<const K: usize>(s: Lanes<K>, a: &Lanes<K>, b: &Lanes<K>) -> Lanes<K> {
+        Self::zip(Op::Sub, s, Self::zip(Op::Mul, *a, *b))
+    }
+
     /// `t + w·z` per lane.
-    fn add_mul<const K: usize>(t: Lanes<K>, w: &Lanes<K>, z: &Lanes<K>) -> Lanes<K>;
+    #[inline(always)]
+    fn add_mul<const K: usize>(t: Lanes<K>, w: &Lanes<K>, z: &Lanes<K>) -> Lanes<K> {
+        Self::zip(Op::Add, t, Self::zip(Op::Mul, *w, *z))
+    }
+
     /// `t + w·z` per lane, for a `w` shared by every lane.
-    fn add_mul_shared<const K: usize>(t: Lanes<K>, w: f64, z: &Lanes<K>) -> Lanes<K>;
+    #[inline(always)]
+    fn add_mul_shared<const K: usize>(t: Lanes<K>, w: f64, z: &Lanes<K>) -> Lanes<K> {
+        Self::add_mul(t, &splat(w), z)
+    }
+
+    /// `v − (f·e + g·u)` per lane.
+    #[inline(always)]
+    fn sub_mul2<const K: usize>(
+        v: Lanes<K>,
+        f: &Lanes<K>,
+        e: &Lanes<K>,
+        g: &Lanes<K>,
+        u: &Lanes<K>,
+    ) -> Lanes<K> {
+        Self::zip(Op::Sub, v, Self::add_mul(Self::zip(Op::Mul, *f, *e), g, u))
+    }
+
     /// `s / d` per lane.
-    fn div<const K: usize>(s: Lanes<K>, d: &Lanes<K>) -> Lanes<K>;
+    #[inline(always)]
+    fn div<const K: usize>(s: Lanes<K>, d: &Lanes<K>) -> Lanes<K> {
+        Self::zip(Op::Div, s, *d)
+    }
+
     /// `0.5·(a + b)` per lane.
-    fn half_sum<const K: usize>(a: &Lanes<K>, b: &Lanes<K>) -> Lanes<K>;
+    #[inline(always)]
+    fn half_sum<const K: usize>(a: &Lanes<K>, b: &Lanes<K>) -> Lanes<K> {
+        Self::zip(Op::Mul, splat(0.5), Self::zip(Op::Add, *a, *b))
+    }
 }
 
 /// Plain per-lane loops: every `K` on targets without a vector form, and
 /// `K ≠ 4` everywhere.
-mod scalar {
-    use super::Lanes;
-
-    #[inline(always)]
-    pub(super) fn sub_mul<const K: usize>(mut s: Lanes<K>, a: &Lanes<K>, b: &Lanes<K>) -> Lanes<K> {
-        for l in 0..K {
-            s[l] -= a[l] * b[l];
-        }
-        s
+#[inline(always)]
+fn zip_scalar<const K: usize>(op: Op, mut a: Lanes<K>, b: Lanes<K>) -> Lanes<K> {
+    for (x, y) in a.iter_mut().zip(b) {
+        *x = op.apply(*x, y);
     }
-
-    #[inline(always)]
-    pub(super) fn add_mul<const K: usize>(mut t: Lanes<K>, w: &Lanes<K>, z: &Lanes<K>) -> Lanes<K> {
-        for l in 0..K {
-            t[l] += w[l] * z[l];
-        }
-        t
-    }
-
-    #[inline(always)]
-    pub(super) fn add_mul_shared<const K: usize>(
-        mut t: Lanes<K>,
-        w: f64,
-        z: &Lanes<K>,
-    ) -> Lanes<K> {
-        for l in 0..K {
-            t[l] += w * z[l];
-        }
-        t
-    }
-
-    #[inline(always)]
-    pub(super) fn div<const K: usize>(mut s: Lanes<K>, d: &Lanes<K>) -> Lanes<K> {
-        for l in 0..K {
-            s[l] /= d[l];
-        }
-        s
-    }
-
-    #[inline(always)]
-    pub(super) fn half_sum<const K: usize>(a: &Lanes<K>, b: &Lanes<K>) -> Lanes<K> {
-        std::array::from_fn(|l| 0.5 * (a[l] + b[l]))
-    }
+    a
 }
 
 /// The baseline path. On x86-64 the 4-lane forms are written with SSE2
@@ -183,57 +245,21 @@ struct Base;
 
 impl Arith for Base {
     #[inline(always)]
-    fn sub_mul<const K: usize>(s: Lanes<K>, a: &Lanes<K>, b: &Lanes<K>) -> Lanes<K> {
+    fn zip<const K: usize>(op: Op, a: Lanes<K>, b: Lanes<K>) -> Lanes<K> {
         #[cfg(target_arch = "x86_64")]
         if K == 4 {
-            return sse2::sub_mul(&s, a, b);
+            return sse2::zip(op, a, b);
         }
-        scalar::sub_mul(s, a, b)
-    }
-
-    #[inline(always)]
-    fn add_mul<const K: usize>(t: Lanes<K>, w: &Lanes<K>, z: &Lanes<K>) -> Lanes<K> {
-        #[cfg(target_arch = "x86_64")]
-        if K == 4 {
-            return sse2::add_mul(&t, w, z);
-        }
-        scalar::add_mul(t, w, z)
-    }
-
-    #[inline(always)]
-    fn add_mul_shared<const K: usize>(t: Lanes<K>, w: f64, z: &Lanes<K>) -> Lanes<K> {
-        #[cfg(target_arch = "x86_64")]
-        if K == 4 {
-            return sse2::add_mul(&t, &[w; K], z);
-        }
-        scalar::add_mul_shared(t, w, z)
-    }
-
-    #[inline(always)]
-    fn div<const K: usize>(s: Lanes<K>, d: &Lanes<K>) -> Lanes<K> {
-        #[cfg(target_arch = "x86_64")]
-        if K == 4 {
-            return sse2::div(&s, d);
-        }
-        scalar::div(s, d)
-    }
-
-    #[inline(always)]
-    fn half_sum<const K: usize>(a: &Lanes<K>, b: &Lanes<K>) -> Lanes<K> {
-        #[cfg(target_arch = "x86_64")]
-        if K == 4 {
-            return sse2::half_sum(a, b);
-        }
-        scalar::half_sum(a, b)
+        zip_scalar(op, a, b)
     }
 }
 
-/// The 4-lane SSE2 forms. Callers guarantee `K == 4`; SSE2 is part of the
+/// The 4-lane SSE2 form. Callers guarantee `K == 4`; SSE2 is part of the
 /// x86-64 baseline, so the instructions exist on every x86-64 target.
 #[cfg(target_arch = "x86_64")]
 mod sse2 {
-    use super::Lanes;
-    use std::arch::x86_64::{__m128d, _mm_add_pd, _mm_div_pd, _mm_mul_pd, _mm_set1_pd, _mm_sub_pd};
+    use super::{Lanes, Op};
+    use std::arch::x86_64::{__m128d, _mm_add_pd, _mm_div_pd, _mm_mul_pd, _mm_sub_pd};
 
     // Loads and stores go through plain array indexing rather than raw
     // pointers, which keeps them free of the debug-build pointer checks
@@ -241,7 +267,7 @@ mod sse2 {
 
     /// Lanes 0–1 and 2–3.
     #[inline(always)]
-    fn ld<const K: usize>(x: &Lanes<K>) -> [__m128d; 2] {
+    fn ld<const K: usize>(x: Lanes<K>) -> [__m128d; 2] {
         // SAFETY: `[f64; 2]` and `__m128d` have the same size and layout.
         unsafe { std::mem::transmute([[x[0], x[1]], [x[2], x[3]]]) }
     }
@@ -259,109 +285,52 @@ mod sse2 {
     }
 
     #[inline(always)]
-    pub(super) fn sub_mul<const K: usize>(s: &Lanes<K>, a: &Lanes<K>, b: &Lanes<K>) -> Lanes<K> {
-        let (s, a, b) = (ld(s), ld(a), ld(b));
-        // SAFETY: baseline SSE2 arithmetic.
-        unsafe {
-            st([
-                _mm_sub_pd(s[0], _mm_mul_pd(a[0], b[0])),
-                _mm_sub_pd(s[1], _mm_mul_pd(a[1], b[1])),
-            ])
-        }
-    }
-
-    #[inline(always)]
-    pub(super) fn add_mul<const K: usize>(t: &Lanes<K>, w: &Lanes<K>, z: &Lanes<K>) -> Lanes<K> {
-        let (t, w, z) = (ld(t), ld(w), ld(z));
-        // SAFETY: baseline SSE2 arithmetic.
-        unsafe {
-            st([
-                _mm_add_pd(t[0], _mm_mul_pd(w[0], z[0])),
-                _mm_add_pd(t[1], _mm_mul_pd(w[1], z[1])),
-            ])
-        }
-    }
-
-    #[inline(always)]
-    pub(super) fn div<const K: usize>(s: &Lanes<K>, d: &Lanes<K>) -> Lanes<K> {
-        let (s, d) = (ld(s), ld(d));
-        // SAFETY: baseline SSE2 arithmetic.
-        unsafe { st([_mm_div_pd(s[0], d[0]), _mm_div_pd(s[1], d[1])]) }
-    }
-
-    #[inline(always)]
-    pub(super) fn half_sum<const K: usize>(a: &Lanes<K>, b: &Lanes<K>) -> Lanes<K> {
+    pub(super) fn zip<const K: usize>(op: Op, a: Lanes<K>, b: Lanes<K>) -> Lanes<K> {
         let (a, b) = (ld(a), ld(b));
         // SAFETY: baseline SSE2 arithmetic.
-        unsafe {
-            let h = _mm_set1_pd(0.5);
-            st([
-                _mm_mul_pd(h, _mm_add_pd(a[0], b[0])),
-                _mm_mul_pd(h, _mm_add_pd(a[1], b[1])),
-            ])
-        }
+        let f = |x, y| unsafe {
+            match op {
+                Op::Add => _mm_add_pd(x, y),
+                Op::Sub => _mm_sub_pd(x, y),
+                Op::Mul => _mm_mul_pd(x, y),
+                Op::Div => _mm_div_pd(x, y),
+            }
+        };
+        st([f(a[0], b[0]), f(a[1], b[1])])
     }
 }
 
-/// The AVX path: one 256-bit instruction per 4-lane operation. Only ever
-/// inlined into [`with_avx`], which the dispatcher calls on AVX hosts.
+/// The AVX path: one 256-bit instruction per 4-lane operation
+/// (`_mm256_{add,sub,mul,div}_pd`, never FMA). Only ever inlined into a
+/// kernel's AVX-enabled function, which the dispatcher calls on AVX
+/// hosts.
 #[cfg(target_arch = "x86_64")]
 struct Avx;
 
 #[cfg(target_arch = "x86_64")]
 impl Arith for Avx {
     #[inline(always)]
-    fn sub_mul<const K: usize>(s: Lanes<K>, a: &Lanes<K>, b: &Lanes<K>) -> Lanes<K> {
+    fn zip<const K: usize>(op: Op, a: Lanes<K>, b: Lanes<K>) -> Lanes<K> {
         if K == 4 {
-            return avx::sub_mul(&s, a, b);
+            return avx::zip(op, a, b);
         }
-        scalar::sub_mul(s, a, b)
+        zip_scalar(op, a, b)
     }
 
     #[inline(always)]
-    fn add_mul<const K: usize>(t: Lanes<K>, w: &Lanes<K>, z: &Lanes<K>) -> Lanes<K> {
-        if K == 4 {
-            return avx::add_mul(&t, w, z);
-        }
-        scalar::add_mul(t, w, z)
-    }
-
-    #[inline(always)]
-    fn add_mul_shared<const K: usize>(t: Lanes<K>, w: f64, z: &Lanes<K>) -> Lanes<K> {
-        if K == 4 {
-            return avx::add_mul(&t, &[w; K], z);
-        }
-        scalar::add_mul_shared(t, w, z)
-    }
-
-    #[inline(always)]
-    fn div<const K: usize>(s: Lanes<K>, d: &Lanes<K>) -> Lanes<K> {
-        if K == 4 {
-            return avx::div(&s, d);
-        }
-        scalar::div(s, d)
-    }
-
-    #[inline(always)]
-    fn half_sum<const K: usize>(a: &Lanes<K>, b: &Lanes<K>) -> Lanes<K> {
-        if K == 4 {
-            return avx::half_sum(a, b);
-        }
-        scalar::half_sum(a, b)
+    fn pairs_rows<const K: usize>() -> bool {
+        K == 4
     }
 }
 
-/// The 4-lane AVX forms (`_mm256_{add,sub,mul,div}_pd`, never FMA).
-/// Callers guarantee `K == 4` and an AVX host.
+/// The 4-lane AVX form. Callers guarantee `K == 4` and an AVX host.
 #[cfg(target_arch = "x86_64")]
 mod avx {
-    use super::Lanes;
-    use std::arch::x86_64::{
-        __m256d, _mm256_add_pd, _mm256_div_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_sub_pd,
-    };
+    use super::{Lanes, Op};
+    use std::arch::x86_64::{__m256d, _mm256_add_pd, _mm256_div_pd, _mm256_mul_pd, _mm256_sub_pd};
 
     #[inline(always)]
-    fn ld<const K: usize>(x: &Lanes<K>) -> __m256d {
+    fn ld<const K: usize>(x: Lanes<K>) -> __m256d {
         // SAFETY: `[f64; 4]` and `__m256d` have the same size and layout.
         unsafe { std::mem::transmute([x[0], x[1], x[2], x[3]]) }
     }
@@ -379,32 +348,17 @@ mod avx {
     }
 
     #[inline(always)]
-    pub(super) fn sub_mul<const K: usize>(s: &Lanes<K>, a: &Lanes<K>, b: &Lanes<K>) -> Lanes<K> {
+    pub(super) fn zip<const K: usize>(op: Op, a: Lanes<K>, b: Lanes<K>) -> Lanes<K> {
+        let (a, b) = (ld(a), ld(b));
         // SAFETY: AVX arithmetic on an AVX host (the caller's contract).
-        unsafe { st(_mm256_sub_pd(ld(s), _mm256_mul_pd(ld(a), ld(b)))) }
-    }
-
-    #[inline(always)]
-    pub(super) fn add_mul<const K: usize>(t: &Lanes<K>, w: &Lanes<K>, z: &Lanes<K>) -> Lanes<K> {
-        // SAFETY: AVX arithmetic on an AVX host (the caller's contract).
-        unsafe { st(_mm256_add_pd(ld(t), _mm256_mul_pd(ld(w), ld(z)))) }
-    }
-
-    #[inline(always)]
-    pub(super) fn div<const K: usize>(s: &Lanes<K>, d: &Lanes<K>) -> Lanes<K> {
-        // SAFETY: AVX arithmetic on an AVX host (the caller's contract).
-        unsafe { st(_mm256_div_pd(ld(s), ld(d))) }
-    }
-
-    #[inline(always)]
-    pub(super) fn half_sum<const K: usize>(a: &Lanes<K>, b: &Lanes<K>) -> Lanes<K> {
-        // SAFETY: AVX arithmetic on an AVX host (the caller's contract).
-        unsafe {
-            st(_mm256_mul_pd(
-                _mm256_set1_pd(0.5),
-                _mm256_add_pd(ld(a), ld(b)),
-            ))
-        }
+        st(unsafe {
+            match op {
+                Op::Add => _mm256_add_pd(a, b),
+                Op::Sub => _mm256_sub_pd(a, b),
+                Op::Mul => _mm256_mul_pd(a, b),
+                Op::Div => _mm256_div_pd(a, b),
+            }
+        })
     }
 }
 
@@ -503,7 +457,7 @@ impl<const K: usize> LaneMat<K> {
     /// Panics as the public kernel does, or if `isa` is unavailable.
     #[doc(hidden)]
     pub fn symmetrize_in_place_on(&mut self, isa: LaneIsa) {
-        on_isa!(isa, symmetrize_body::<K>(self))
+        symmetrize_on(isa, self)
     }
 
     /// Lane-wise Cholesky factorization into `out`.
@@ -512,12 +466,16 @@ impl<const K: usize> LaneMat<K> {
     /// positive definite. A passing lane's factor is bit-identical to
     /// [`RMat::cholesky_into`] on that lane (strict upper triangle zeroed);
     /// a failing lane holds garbage, and never disturbs the other lanes.
+    /// The factorization stops early once every lane has failed.
     ///
-    /// Columns advance four at a time: each row's four running
-    /// differences share the loads of its prefix, and each chain
-    /// subtracts its `p = 0, 1, …` terms in the textbook order — the
-    /// in-block terms (which need the just-computed entries) last, exactly
-    /// where the textbook loop subtracts them.
+    /// Columns advance four at a time, and on the AVX path at `K = 4`
+    /// rows advance in pairs: rows `i` and `i + 1` run all their columns
+    /// `j < i` together, so each load of an earlier row's prefix feeds
+    /// eight running differences; then row `i` finishes and row `i + 1`
+    /// takes its column `i` and its diagonal. Each difference subtracts
+    /// its `p = 0, 1, …` terms in the textbook order — the in-block terms
+    /// (which need the just-computed entries) last, exactly where the
+    /// textbook loop subtracts them.
     ///
     /// # Panics
     ///
@@ -533,7 +491,7 @@ impl<const K: usize> LaneMat<K> {
     /// Panics as the public kernel does, or if `isa` is unavailable.
     #[doc(hidden)]
     pub fn cholesky_into_on(&self, isa: LaneIsa, out: &mut LaneMat<K>) -> [bool; K] {
-        on_isa!(isa, cholesky_body::<K>(self, out))
+        cholesky_on(isa, self, out)
     }
 
     /// Forward substitution `L·x = b` in place, per lane — bit-identical to
@@ -553,7 +511,7 @@ impl<const K: usize> LaneMat<K> {
     /// Panics as the public kernel does, or if `isa` is unavailable.
     #[doc(hidden)]
     pub fn solve_lower_in_place_on(&self, isa: LaneIsa, x: &mut [Lanes<K>]) {
-        on_isa!(isa, solve_lower_body::<K>(self, x))
+        solve_lower_on(isa, self, x)
     }
 
     /// Back substitution `Lᵀ·x = b` in place, per lane — bit-identical to
@@ -573,7 +531,148 @@ impl<const K: usize> LaneMat<K> {
     /// Panics as the public kernel does, or if `isa` is unavailable.
     #[doc(hidden)]
     pub fn solve_lower_transpose_in_place_on(&self, isa: LaneIsa, x: &mut [Lanes<K>]) {
-        on_isa!(isa, solve_lower_transpose_body::<K>(self, x))
+        solve_lower_transpose_on(isa, self, x)
+    }
+
+    /// Copies every entry from `other`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch.
+    pub fn copy_from(&mut self, other: &LaneMat<K>) {
+        assert_eq!(
+            (self.rows, self.cols),
+            (other.rows, other.cols),
+            "lane shape"
+        );
+        self.data.copy_from_slice(&other.data);
+    }
+
+    /// The transpose, written into `out` (fully overwritten).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `out` is `cols × rows`.
+    pub fn transpose_into(&self, out: &mut LaneMat<K>) {
+        assert_eq!((out.rows, out.cols), (self.cols, self.rows), "lane shape");
+        for (i, row) in self.data.chunks_exact(self.cols.max(1)).enumerate() {
+            for (j, v) in row.iter().enumerate() {
+                out.data[j * self.rows + i] = *v;
+            }
+        }
+    }
+
+    /// Forward substitution `L·X = B` in place on `x`, per lane —
+    /// bit-identical to [`RMat::solve_lower_mat_in_place`] on every lane,
+    /// whose skip of zero `L` entries a lane keeps on its own (the skipped
+    /// update could turn a `−0.0` into `+0.0`, or an infinity into NaN).
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch.
+    pub fn solve_lower_mat_in_place(&self, x: &mut LaneMat<K>) {
+        self.solve_lower_mat_in_place_on(LaneIsa::detect::<K>(), x);
+    }
+
+    /// [`LaneMat::solve_lower_mat_in_place`] on an explicit path.
+    ///
+    /// # Panics
+    ///
+    /// Panics as the public kernel does, or if `isa` is unavailable.
+    #[doc(hidden)]
+    pub fn solve_lower_mat_in_place_on(&self, isa: LaneIsa, x: &mut LaneMat<K>) {
+        solve_lower_mat_on(isa, self, x)
+    }
+
+    /// The inverse of a lower-triangular matrix, per lane, into `out`
+    /// (fully overwritten) — bit-identical to [`RMat::invert_lower_into`],
+    /// which is [`LaneMat::solve_lower_mat_in_place`] on the identity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` is non-square or `out` has a different shape.
+    pub fn invert_lower_into(&self, out: &mut LaneMat<K>) {
+        assert_eq!((out.rows, out.cols), (self.rows, self.rows), "lane shape");
+        out.data.fill(splat(0.0));
+        for i in 0..out.rows {
+            out.data[i * out.cols + i] = splat(1.0);
+        }
+        self.solve_lower_mat_in_place(out);
+    }
+
+    /// `selfᵀ·self` per lane, into `out` (fully overwritten) —
+    /// bit-identical to [`RMat::transpose_mul_self_into`] on every lane,
+    /// including its per-lane skip of zero multipliers.
+    ///
+    /// # Panics
+    ///
+    /// Panics on output-shape mismatch.
+    pub fn transpose_mul_self_into(&self, out: &mut LaneMat<K>) {
+        self.transpose_mul_self_into_on(LaneIsa::detect::<K>(), out);
+    }
+
+    /// [`LaneMat::transpose_mul_self_into`] on an explicit path.
+    ///
+    /// # Panics
+    ///
+    /// Panics as the public kernel does, or if `isa` is unavailable.
+    #[doc(hidden)]
+    pub fn transpose_mul_self_into_on(&self, isa: LaneIsa, out: &mut LaneMat<K>) {
+        gram_on(isa, self, out)
+    }
+
+    /// The product `self · rhs` per lane, into `out` (fully overwritten) —
+    /// bit-identical to [`RMat::mul_mat_into`] on every lane: each output
+    /// accumulates its terms in ascending order from `+0.0`, eight outputs
+    /// of a row at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics on inner-dimension or output-shape mismatch.
+    pub fn mul_mat_into(&self, rhs: &LaneMat<K>, out: &mut LaneMat<K>) {
+        self.mul_mat_into_on(LaneIsa::detect::<K>(), rhs, out);
+    }
+
+    /// [`LaneMat::mul_mat_into`] on an explicit path.
+    ///
+    /// # Panics
+    ///
+    /// Panics as the public kernel does, or if `isa` is unavailable.
+    #[doc(hidden)]
+    pub fn mul_mat_into_on(&self, isa: LaneIsa, rhs: &LaneMat<K>, out: &mut LaneMat<K>) {
+        mul_mat_on(isa, self, rhs, out)
+    }
+
+    /// The eigenvalue-only Householder reduction of a symmetric matrix to
+    /// tridiagonal form, per lane — bit-identical in `d` (the diagonal) and
+    /// `e` (the subdiagonal in `e[1..]`, `e[0] = 0`) to
+    /// [`crate::sym_tridiag_in_place`] on every lane. The matrix is
+    /// overwritten.
+    ///
+    /// The scalar reduction leaves a row alone whose off-diagonal part
+    /// sums to `|·| = 0`; a lane with such a row computes the row's update
+    /// on but does not store it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix is not square or `d`, `e` are shorter than it.
+    pub fn sym_tridiag_in_place(&mut self, d: &mut [Lanes<K>], e: &mut [Lanes<K>]) {
+        self.sym_tridiag_in_place_on(LaneIsa::detect::<K>(), d, e);
+    }
+
+    /// [`LaneMat::sym_tridiag_in_place`] on an explicit path.
+    ///
+    /// # Panics
+    ///
+    /// Panics as the public kernel does, or if `isa` is unavailable.
+    #[doc(hidden)]
+    pub fn sym_tridiag_in_place_on(
+        &mut self,
+        isa: LaneIsa,
+        d: &mut [Lanes<K>],
+        e: &mut [Lanes<K>],
+    ) {
+        tridiag_on(isa, self, d, e)
     }
 }
 
@@ -598,67 +697,130 @@ fn cholesky_body<I: Arith, const K: usize>(a: &LaneMat<K>, out: &mut LaneMat<K>)
     let n = a.rows;
     assert_eq!((out.rows, out.cols), (n, n), "cholesky output shape");
     let mut ok = [true; K];
-    for i in 0..n {
+    let mut i = 0;
+    while i < n {
         let (head, tail) = out.data.split_at_mut(i * n);
-        let li = &mut tail[..n];
-        let ai = &a.data[i * n..(i + 1) * n];
-        let mut j = 0;
-        while j + 4 <= i {
-            let r0 = &head[j * n..j * n + j + 1];
-            let r1 = &head[(j + 1) * n..(j + 1) * n + j + 2];
-            let r2 = &head[(j + 2) * n..(j + 2) * n + j + 3];
-            let r3 = &head[(j + 3) * n..(j + 3) * n + j + 4];
-            let (mut s0, mut s1, mut s2, mut s3) = (ai[j], ai[j + 1], ai[j + 2], ai[j + 3]);
-            let prefix = li[..j].iter().zip(&r0[..j]).zip(&r1[..j]);
-            for (((x, y0), y1), (y2, y3)) in prefix.zip(r2[..j].iter().zip(&r3[..j])) {
-                s0 = I::sub_mul(s0, x, y0);
-                s1 = I::sub_mul(s1, x, y1);
-                s2 = I::sub_mul(s2, x, y2);
-                s3 = I::sub_mul(s3, x, y3);
+        let ai = a.row(i);
+        if i + 1 == n || !I::pairs_rows::<K>() {
+            let li = &mut tail[..n];
+            factor_columns::<I, K, 1>(head, n, i, [li], [ai]);
+            if !pivot::<I, K>(&mut ok, li, ai[i], i) {
+                return ok;
             }
-            let v0 = I::div(s0, &r0[j]);
-            s1 = I::sub_mul(s1, &v0, &r1[j]);
-            let v1 = I::div(s1, &r1[j + 1]);
-            s2 = I::sub_mul(s2, &v0, &r2[j]);
-            s2 = I::sub_mul(s2, &v1, &r2[j + 1]);
-            let v2 = I::div(s2, &r2[j + 2]);
-            s3 = I::sub_mul(s3, &v0, &r3[j]);
-            s3 = I::sub_mul(s3, &v1, &r3[j + 1]);
-            s3 = I::sub_mul(s3, &v2, &r3[j + 2]);
-            let v3 = I::div(s3, &r3[j + 3]);
-            li[j] = v0;
-            li[j + 1] = v1;
-            li[j + 2] = v2;
-            li[j + 3] = v3;
-            j += 4;
+            i += 1;
+            continue;
         }
-        while j < i {
-            let rj = &head[j * n..j * n + j + 1];
-            let mut s = ai[j];
-            for (x, y) in li[..j].iter().zip(rj) {
-                s = I::sub_mul(s, x, y);
-            }
-            li[j] = I::div(s, &rj[j]);
-            j += 1;
-        }
-        let mut s = ai[i];
-        for x in &li[..i] {
-            s = I::sub_mul(s, x, x);
-        }
-        let mut d = s;
-        for l in 0..K {
-            if s[l] <= 0.0 || !s[l].is_finite() {
-                ok[l] = false;
-            }
-            d[l] = s[l].sqrt();
-        }
-        if !ok.iter().any(|&o| o) {
+        let (li, rest) = tail.split_at_mut(n);
+        let li1 = &mut rest[..n];
+        let ai1 = a.row(i + 1);
+        factor_columns::<I, K, 2>(head, n, i, [&mut *li, &mut *li1], [ai, ai1]);
+        if !pivot::<I, K>(&mut ok, li, ai[i], i) {
             return ok;
         }
-        li[i] = d;
-        li[i + 1..].fill(splat(0.0));
+        let mut s = ai1[i];
+        for (x, y) in li1[..i].iter().zip(&li[..i]) {
+            s = I::sub_mul(s, x, y);
+        }
+        li1[i] = I::div(s, &li[i]);
+        if !pivot::<I, K>(&mut ok, li1, ai1[i + 1], i + 1) {
+            return ok;
+        }
+        i += 2;
     }
     ok
+}
+
+/// Columns `j < i` of the factor's rows `i .. i + R` (`l`, from the
+/// matrix rows `a`), given the finished rows above them in `head`. Four
+/// columns advance at a time, so each load of an earlier row's prefix
+/// feeds `4·R` running differences; each difference subtracts its
+/// `p = 0, 1, …` terms in the textbook order — the in-block terms (which
+/// need the just-computed entries) last, exactly where the textbook loop
+/// subtracts them.
+#[inline(always)]
+fn factor_columns<I: Arith, const K: usize, const R: usize>(
+    head: &[Lanes<K>],
+    n: usize,
+    i: usize,
+    mut l: [&mut [Lanes<K>]; R],
+    a: [&[Lanes<K>]; R],
+) {
+    let mut j = 0;
+    while j + 4 <= i {
+        let r: [&[Lanes<K>]; 4] =
+            std::array::from_fn(|q| &head[(j + q) * n..(j + q) * n + j + q + 1]);
+        let mut s: [[Lanes<K>; 4]; R] =
+            std::array::from_fn(|t| std::array::from_fn(|q| a[t][j + q]));
+        let x: [&[Lanes<K>]; R] = std::array::from_fn(|t| &l[t][..j]);
+        let prefix = r[0][..j]
+            .iter()
+            .zip(&r[1][..j])
+            .zip(r[2][..j].iter().zip(&r[3][..j]));
+        for (p, ((y0, y1), (y2, y3))) in prefix.enumerate() {
+            for t in 0..R {
+                let xp = &x[t][p];
+                let st = &mut s[t];
+                st[0] = I::sub_mul(st[0], xp, y0);
+                st[1] = I::sub_mul(st[1], xp, y1);
+                st[2] = I::sub_mul(st[2], xp, y2);
+                st[3] = I::sub_mul(st[3], xp, y3);
+            }
+        }
+        for (st, lt) in s.iter().zip(&mut l) {
+            for (q, rq) in r.iter().enumerate() {
+                let mut sq = st[q];
+                for p in 0..q {
+                    sq = I::sub_mul(sq, &lt[j + p], &rq[j + p]);
+                }
+                lt[j + q] = I::div(sq, &rq[j + q]);
+            }
+        }
+        j += 4;
+    }
+    while j < i {
+        let rj = &head[j * n..j * n + j + 1];
+        let mut s: [Lanes<K>; R] = std::array::from_fn(|t| a[t][j]);
+        for (p, y) in rj[..j].iter().enumerate() {
+            for (st, lt) in s.iter_mut().zip(&l) {
+                *st = I::sub_mul(*st, &lt[p], y);
+            }
+        }
+        for (st, lt) in s.iter().zip(&mut l) {
+            lt[j] = I::div(*st, &rj[j]);
+        }
+        j += 1;
+    }
+}
+
+/// The diagonal of row `i` (`li`, its columns `j < i` done): `a_ii` less
+/// the row's squares, checked and rooted per lane, with the strict upper
+/// triangle zeroed. A lane whose pivot is not positive and finite is marked
+/// failed (and computes on, harmlessly); returns whether any lane is left,
+/// without writing the row when none is.
+#[inline(always)]
+fn pivot<I: Arith, const K: usize>(
+    ok: &mut [bool; K],
+    li: &mut [Lanes<K>],
+    aii: Lanes<K>,
+    i: usize,
+) -> bool {
+    let mut s = aii;
+    for x in &li[..i] {
+        s = I::sub_mul(s, x, x);
+    }
+    let mut d = s;
+    for l in 0..K {
+        if s[l] <= 0.0 || !s[l].is_finite() {
+            ok[l] = false;
+        }
+        d[l] = s[l].sqrt();
+    }
+    if !ok.iter().any(|&o| o) {
+        return false;
+    }
+    li[i] = d;
+    li[i + 1..].fill(splat(0.0));
+    true
 }
 
 #[inline(always)]
@@ -686,6 +848,241 @@ fn solve_lower_transpose_body<I: Arith, const K: usize>(l: &LaneMat<K>, x: &mut 
             s = I::sub_mul(s, &l.data[k * n + i], &x[k]);
         }
         x[i] = I::div(s, &l.data[i * n + i]);
+    }
+}
+
+/// `y − w·x` (`SUB`) or `y + w·x` per lane over a row, where a lane
+/// whose `w` is zero keeps its `y`, as the scalar kernels skip zero
+/// multipliers.
+#[inline(always)]
+fn axpy_skip<I: Arith, const K: usize, const SUB: bool>(
+    y: &mut [Lanes<K>],
+    w: &Lanes<K>,
+    x: &[Lanes<K>],
+) {
+    let live: [bool; K] = std::array::from_fn(|l| w[l] != 0.0);
+    if !live.contains(&true) {
+        return;
+    }
+    let f = |a: Lanes<K>, b: &Lanes<K>| {
+        if SUB {
+            I::sub_mul(a, w, b)
+        } else {
+            I::add_mul(a, w, b)
+        }
+    };
+    if live.contains(&false) {
+        for (a, b) in y.iter_mut().zip(x) {
+            let t = f(*a, b);
+            *a = std::array::from_fn(|l| if live[l] { t[l] } else { a[l] });
+        }
+    } else {
+        for (a, b) in y.iter_mut().zip(x) {
+            *a = f(*a, b);
+        }
+    }
+}
+
+#[inline(always)]
+fn solve_lower_mat_body<I: Arith, const K: usize>(l: &LaneMat<K>, x: &mut LaneMat<K>) {
+    assert!(l.rows == l.cols && l.rows == x.rows);
+    let (n, c) = (l.rows, x.cols);
+    for i in 0..n {
+        let (head, tail) = x.data.split_at_mut(i * c);
+        let xi = &mut tail[..c];
+        let lrow = l.row(i);
+        for (k, lik) in lrow[..i].iter().enumerate() {
+            axpy_skip::<I, K, true>(xi, lik, &head[k * c..(k + 1) * c]);
+        }
+        let d = lrow[i];
+        for v in xi {
+            *v = I::div(*v, &d);
+        }
+    }
+}
+
+#[inline(always)]
+fn gram_body<I: Arith, const K: usize>(a: &LaneMat<K>, out: &mut LaneMat<K>) {
+    let n = a.cols;
+    assert_eq!((out.rows, out.cols), (n, n), "gram output shape");
+    for i in 0..n {
+        let orow = &mut out.data[i * n..(i + 1) * n];
+        orow.fill(splat(0.0));
+        for k in 0..a.rows {
+            let row = a.row(k);
+            axpy_skip::<I, K, false>(orow, &row[i], row);
+        }
+    }
+}
+
+#[inline(always)]
+fn mul_mat_body<I: Arith, const K: usize>(a: &LaneMat<K>, b: &LaneMat<K>, out: &mut LaneMat<K>) {
+    assert_eq!(a.cols, b.rows, "matmul inner dimension mismatch");
+    assert_eq!(
+        (out.rows, out.cols),
+        (a.rows, b.cols),
+        "matmul output shape"
+    );
+    let n = b.cols;
+    for i in 0..a.rows {
+        let arow = a.row(i);
+        let orow = &mut out.data[i * n..(i + 1) * n];
+        let mut j = 0;
+        while j + 8 <= n {
+            mul_row_block::<I, K, 8>(arow, &b.data, n, j, &mut orow[j..j + 8]);
+            j += 8;
+        }
+        for j in j..n {
+            mul_row_block::<I, K, 1>(arow, &b.data, n, j, &mut orow[j..j + 1]);
+        }
+    }
+}
+
+/// Outputs `j .. j + Q` of one product row: `Σ_k a[k]·b[k][j + q]` in
+/// ascending `k` from `+0.0`, each output its own chain.
+#[inline(always)]
+fn mul_row_block<I: Arith, const K: usize, const Q: usize>(
+    arow: &[Lanes<K>],
+    b: &[Lanes<K>],
+    n: usize,
+    j: usize,
+    out: &mut [Lanes<K>],
+) {
+    let mut acc = [splat::<K>(0.0); Q];
+    for (brow, aik) in b.chunks_exact(n).zip(arow) {
+        let brow = &brow[j..j + Q];
+        for q in 0..Q {
+            acc[q] = I::add_mul(acc[q], aik, &brow[q]);
+        }
+    }
+    out.copy_from_slice(&acc);
+}
+
+/// The lane form of `eigh`'s eigenvalue-only Householder reduction: the
+/// same loops, with the per-row scalars (the sign choice, `h`, `hh`) taken
+/// lane by lane. A lane whose row `i` has `scale == 0` takes the scalar
+/// kernel's other branch: its `e[i]` is the untouched `z[i][i − 1]`, and
+/// its share of the row's update is computed but not stored. (The row's
+/// own scaled entries are never read again, and the `e[j < i]` the update
+/// uses as scratch are rewritten by the rows that own them.)
+#[inline(always)]
+fn tridiag_body<I: Arith, const K: usize>(
+    z: &mut LaneMat<K>,
+    d: &mut [Lanes<K>],
+    e: &mut [Lanes<K>],
+) {
+    assert_eq!(z.rows, z.cols, "tridiagonalization of non-square matrix");
+    let n = z.rows;
+    for i in (1..n).rev() {
+        let l = i - 1;
+        let (lo, hi) = z.data.split_at_mut(i * n);
+        let ri = &mut hi[..i];
+        if l == 0 {
+            e[i] = ri[l];
+            continue;
+        }
+        let mut scale = splat(0.0);
+        for v in ri.iter() {
+            scale = I::zip(Op::Add, scale, v.map(f64::abs));
+        }
+        let live: [bool; K] = std::array::from_fn(|k| scale[k] != 0.0);
+        let untouched = ri[l];
+        let mut h = splat(0.0);
+        for v in ri.iter_mut() {
+            *v = I::div(*v, &scale);
+            h = I::add_mul(h, v, v);
+        }
+        let f = ri[l];
+        let g: Lanes<K> = std::array::from_fn(|k| {
+            if f[k] >= 0.0 {
+                -h[k].sqrt()
+            } else {
+                h[k].sqrt()
+            }
+        });
+        let scaled = I::zip(Op::Mul, scale, g);
+        e[i] = std::array::from_fn(|k| if live[k] { scaled[k] } else { untouched[k] });
+        h = I::sub_mul(h, &f, &g);
+        ri[l] = I::zip(Op::Sub, f, g);
+        // e[j] = (A·u)[j] / h over the lower triangle, four chains at a
+        // time (each in ascending k), then f = Σ e[j]·u[j] in j order.
+        let mut j = 0;
+        while j + 4 <= i {
+            sym_mul_vec::<I, K, 4>(lo, n, ri, j, &h, e);
+            j += 4;
+        }
+        while j < i {
+            sym_mul_vec::<I, K, 1>(lo, n, ri, j, &h, e);
+            j += 1;
+        }
+        let mut f_acc = splat(0.0);
+        for (ej, uj) in e[..i].iter().zip(ri.iter()) {
+            f_acc = I::add_mul(f_acc, ej, uj);
+        }
+        let hh = I::div(f_acc, &I::zip(Op::Add, h, h));
+        let all_live = !live.contains(&false);
+        for j in 0..i {
+            let f = ri[j];
+            let g = I::sub_mul(e[j], &hh, &f);
+            e[j] = g;
+            let row = &mut lo[j * n..j * n + j + 1];
+            for (k, v) in row.iter_mut().enumerate() {
+                let t = I::sub_mul2(*v, &f, &e[k], &g, &ri[k]);
+                *v = if all_live {
+                    t
+                } else {
+                    std::array::from_fn(|q| if live[q] { t[q] } else { v[q] })
+                };
+            }
+        }
+    }
+    if n > 0 {
+        e[0] = splat(0.0);
+    }
+    for (i, di) in d[..n].iter_mut().enumerate() {
+        *di = z.data[i * n + i];
+    }
+}
+
+/// `e[j + q] = (Σ_k A[j + q][k]·u[k]) / h` for `q < Q`, where `A` is the
+/// symmetric matrix whose lower triangle `lo` holds (row stride `n`) and
+/// `u` has length `i`: each sum runs over `k = 0, 1, …` in order, reading
+/// `A[j + q][k]` from row `j + q` while `k ≤ j + q` and from column
+/// `j + q` after.
+#[inline(always)]
+fn sym_mul_vec<I: Arith, const K: usize, const Q: usize>(
+    lo: &[Lanes<K>],
+    n: usize,
+    u: &[Lanes<K>],
+    j: usize,
+    h: &Lanes<K>,
+    e: &mut [Lanes<K>],
+) {
+    let mut acc = [splat::<K>(0.0); Q];
+    let rows: [&[Lanes<K>]; Q] = std::array::from_fn(|q| &lo[(j + q) * n..(j + q) * n + j + 1]);
+    for (k, uk) in u[..=j].iter().enumerate() {
+        for q in 0..Q {
+            acc[q] = I::add_mul(acc[q], &rows[q][k], uk);
+        }
+    }
+    for k in j + 1..(j + Q).min(u.len()) {
+        for q in 0..Q {
+            let a = if k <= j + q {
+                lo[(j + q) * n + k]
+            } else {
+                lo[k * n + j + q]
+            };
+            acc[q] = I::add_mul(acc[q], &a, &u[k]);
+        }
+    }
+    for (k, uk) in u.iter().enumerate().skip(j + Q) {
+        let col = &lo[k * n + j..k * n + j + Q];
+        for q in 0..Q {
+            acc[q] = I::add_mul(acc[q], &col[q], uk);
+        }
+    }
+    for q in 0..Q {
+        e[j + q] = I::div(acc[q], h);
     }
 }
 
@@ -734,7 +1131,7 @@ pub fn sym_sandwich_block_on<const K: usize>(
     v: &mut LaneMat<K>,
     out: &mut LaneMat<K>,
 ) {
-    on_isa!(isa, sandwich_body::<K>(x, entries, rows, zinv, v, out))
+    sandwich_on(isa, x, entries, rows, zinv, v, out)
 }
 
 #[inline(always)]
@@ -948,7 +1345,7 @@ impl DotPrograms {
         x: &[LaneMat<K>],
         out: &mut [Lanes<K>],
     ) {
-        on_isa!(isa, dot_row_body::<K>(self, support, x, out))
+        dot_row_on(isa, self, support, x, out)
     }
 }
 

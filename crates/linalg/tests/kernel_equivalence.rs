@@ -16,7 +16,9 @@
 //! kernels are single-threaded; CI exercises both settings).
 
 use gleipnir_linalg::lanes::{sym_sandwich_block_on, DotPrograms, DotTerm, LaneIsa};
-use gleipnir_linalg::{axpy_slice, dot_slice, sym_eig, sym_eigvals, LaneMat, RMat};
+use gleipnir_linalg::{
+    axpy_slice, dot_slice, sym_eig, sym_eigvals, sym_tridiag_in_place, LaneMat, RMat,
+};
 
 /// Deterministic 64-bit LCG (Knuth MMIX constants) — no dev-dependency on
 /// an RNG crate, and the stream is identical on every platform.
@@ -688,5 +690,230 @@ fn lane_sandwich_and_dots_match_scalar_bitwise() {
             check_dot_row::<3>(isa, &mut rng);
             check_dot_row::<1>(isa, &mut rng);
         }
+    }
+}
+
+/// Raw bits equal, or both NaN (a NaN's payload may depend on which operand
+/// the compiler put first).
+fn same_bits(got: f64, want: f64) -> bool {
+    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
+}
+
+fn assert_lane_bits<const K: usize>(got: &LaneMat<K>, want: &[RMat], what: &str) {
+    for (lane, w) in want.iter().enumerate() {
+        let g = lane_of(got, lane);
+        for (i, (a, b)) in g.as_slice().iter().zip(w.as_slice()).enumerate() {
+            assert!(
+                same_bits(*a, *b),
+                "{what} lane {lane} element {i}: {a:e} vs {b:e}"
+            );
+        }
+    }
+}
+
+/// The row-paired lane Cholesky at odd and even `n`: lane 1 fails at an
+/// even row and lane 3 at the odd row after it (the two rows of one pair),
+/// the others factor; and a batch where every lane fails stops early with
+/// every flag down.
+fn check_lane_cholesky_failing_partway<const K: usize>(isa: LaneIsa, rng: &mut Lcg) {
+    for n in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 16, 17, 31, 32, 33] {
+        let mid = (n / 2) & !1;
+        let mats: Vec<RMat> = (0..K)
+            .map(|lane| {
+                let mut a = random_spd(rng, n);
+                match lane {
+                    1 => a.set(mid, mid, -1.0),
+                    3 if mid + 1 < n => a.set(mid + 1, mid + 1, -1.0),
+                    _ => {}
+                }
+                a
+            })
+            .collect();
+        let mut chol = LaneMat::<K>::zeros(n, n);
+        let ok = pack::<K>(&mats).cholesky_into_on(isa, &mut chol);
+        let mut scalar = RMat::zeros(n, n);
+        for (lane, a) in mats.iter().enumerate() {
+            let want_ok = a.cholesky_into(&mut scalar);
+            assert_eq!(
+                ok[lane], want_ok,
+                "{isa:?} K {K} n {n} lane {lane}: definiteness"
+            );
+            if want_ok {
+                assert_bits_eq(
+                    &lane_of(&chol, lane),
+                    &scalar,
+                    &format!("{isa:?} K {K} n {n} lane {lane}"),
+                );
+            }
+        }
+
+        let all_bad: Vec<RMat> = (0..K)
+            .map(|_| {
+                let mut a = random_spd(rng, n);
+                a.set(0, 0, -1.0);
+                a
+            })
+            .collect();
+        let ok = pack::<K>(&all_bad).cholesky_into_on(isa, &mut chol);
+        assert_eq!(ok, [false; K], "{isa:?} K {K} n {n}: every lane fails");
+    }
+}
+
+/// A lower-triangular factor whose lanes have exact zeros in different
+/// places, so a zero multiplier is skipped in some lanes and not others.
+fn random_lower_with_zeros(rng: &mut Lcg, n: usize) -> RMat {
+    RMat::from_fn(n, n, |i, j| match i.cmp(&j) {
+        std::cmp::Ordering::Less => 0.0,
+        std::cmp::Ordering::Equal => 1.0 + rng.coeff().abs(),
+        std::cmp::Ordering::Greater => rng.coeff(),
+    })
+}
+
+/// The matrix-RHS forward substitution, the triangular inverse built on
+/// it and the Gram product `LᵀL`, against the scalar kernels. Right-hand
+/// sides carry `−0.0` and `∞`, which a skipped zero multiplier must leave
+/// as they are.
+fn check_lane_triangular_mat_kernels<const K: usize>(isa: LaneIsa, rng: &mut Lcg) {
+    for (n, c) in [
+        (1usize, 1usize),
+        (2, 3),
+        (3, 1),
+        (5, 5),
+        (8, 8),
+        (9, 4),
+        (32, 32),
+        (33, 7),
+    ] {
+        let ls: Vec<RMat> = (0..K).map(|_| random_lower_with_zeros(rng, n)).collect();
+        let bs: Vec<RMat> = (0..K)
+            .map(|lane| {
+                let mut b = random_mat(rng, n, c);
+                if n > 1 && lane % 2 == 1 {
+                    b.set(0, 0, f64::INFINITY);
+                    b.set(1, 0, -0.0);
+                }
+                b
+            })
+            .collect();
+        let l = pack::<K>(&ls);
+        let mut x = pack::<K>(&bs);
+        l.solve_lower_mat_in_place_on(isa, &mut x);
+        let want: Vec<RMat> = ls
+            .iter()
+            .zip(&bs)
+            .map(|(l, b)| l.solve_lower_mat(b))
+            .collect();
+        assert_lane_bits(
+            &x,
+            &want,
+            &format!("{isa:?} solve_lower_mat K {K} n {n} c {c}"),
+        );
+
+        let mut inv = LaneMat::<K>::zeros(n, n);
+        l.invert_lower_into(&mut inv);
+        let want: Vec<RMat> = ls.iter().map(RMat::invert_lower).collect();
+        assert_lane_bits(&inv, &want, &format!("{isa:?} invert_lower K {K} n {n}"));
+
+        let mut gram = LaneMat::<K>::zeros(n, n);
+        l.transpose_mul_self_into_on(isa, &mut gram);
+        let want: Vec<RMat> = ls
+            .iter()
+            .map(|l| {
+                let mut out = RMat::zeros(n, n);
+                l.transpose_mul_self_into(&mut out);
+                out
+            })
+            .collect();
+        assert_lane_bits(
+            &gram,
+            &want,
+            &format!("{isa:?} transpose_mul_self K {K} n {n}"),
+        );
+    }
+}
+
+/// The lane tridiagonalization against the scalar reduction, in `d` and
+/// `e`: lane 1 has a row whose off-diagonal part is all zero (the scalar
+/// `scale == 0.0` branch), lane 2 a NaN, the others are dense.
+fn check_lane_tridiag<const K: usize>(isa: LaneIsa, rng: &mut Lcg) {
+    for n in [1usize, 2, 3, 4, 7, 8, 16, 32, 33] {
+        let mats: Vec<RMat> = (0..K)
+            .map(|lane| {
+                let mut a = random_mat(rng, n, n).symmetrize();
+                if lane == 1 && n > 2 {
+                    for k in 0..n {
+                        if k != n - 2 {
+                            a.set(n - 2, k, 0.0);
+                            a.set(k, n - 2, 0.0);
+                        }
+                    }
+                    for k in 0..n - 1 {
+                        a.set(n - 1, k, -0.0);
+                        a.set(k, n - 1, -0.0);
+                    }
+                }
+                if lane == 2 && n > 1 {
+                    a.set(n - 1, 0, f64::NAN);
+                    a.set(0, n - 1, f64::NAN);
+                }
+                a
+            })
+            .collect();
+        let mut z = pack::<K>(&mats);
+        let mut d = vec![[f64::NAN; K]; n];
+        let mut e = vec![[f64::NAN; K]; n];
+        z.sym_tridiag_in_place_on(isa, &mut d, &mut e);
+        for (lane, a) in mats.iter().enumerate() {
+            let mut a = a.clone();
+            let mut wd = vec![0.0; n];
+            let mut we = vec![0.0; n];
+            sym_tridiag_in_place(&mut a, &mut wd, &mut we);
+            for i in 0..n {
+                assert!(
+                    same_bits(d[i][lane], wd[i]) && same_bits(e[i][lane], we[i]),
+                    "{isa:?} tridiag K {K} n {n} lane {lane} row {i}: ({:e}, {:e}) vs ({:e}, {:e})",
+                    d[i][lane],
+                    e[i][lane],
+                    wd[i],
+                    we[i]
+                );
+            }
+        }
+    }
+}
+
+fn check_lane_mul_mat<const K: usize>(isa: LaneIsa, rng: &mut Lcg) {
+    for (m, k, n) in [
+        (1usize, 1usize, 1usize),
+        (3, 2, 5),
+        (8, 8, 8),
+        (4, 9, 9),
+        (17, 3, 16),
+        (32, 32, 32),
+        (5, 7, 33),
+    ] {
+        let a: Vec<RMat> = (0..K).map(|_| random_mat(rng, m, k)).collect();
+        let b: Vec<RMat> = (0..K).map(|_| random_mat(rng, k, n)).collect();
+        let mut out = LaneMat::<K>::zeros(m, n);
+        pack::<K>(&a).mul_mat_into_on(isa, &pack::<K>(&b), &mut out);
+        let want: Vec<RMat> = a.iter().zip(&b).map(|(a, b)| a.mul_mat(b)).collect();
+        assert_lane_bits(&out, &want, &format!("{isa:?} mul_mat K {K} {m}x{k}x{n}"));
+    }
+}
+
+#[test]
+fn lane_line_search_and_inverse_kernels_match_scalar_bitwise() {
+    for isa in isas() {
+        let mut rng = Lcg::new(0x11e5_ea2c_4000_0004);
+        check_lane_cholesky_failing_partway::<4>(isa, &mut rng);
+        check_lane_cholesky_failing_partway::<1>(isa, &mut rng);
+        check_lane_triangular_mat_kernels::<4>(isa, &mut rng);
+        check_lane_triangular_mat_kernels::<1>(isa, &mut rng);
+        for _ in 0..4 {
+            check_lane_tridiag::<4>(isa, &mut rng);
+            check_lane_tridiag::<1>(isa, &mut rng);
+        }
+        check_lane_mul_mat::<4>(isa, &mut rng);
+        check_lane_mul_mat::<1>(isa, &mut rng);
     }
 }

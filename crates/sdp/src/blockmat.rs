@@ -1,6 +1,6 @@
 //! Block-diagonal symmetric matrices — the variable type of the SDP solver.
 
-use gleipnir_linalg::{sym_eigvals, sym_eigvals_in_place, EigError, RMat};
+use gleipnir_linalg::{sym_eigvals, tridiag_eigvals_in_place, EigError, LaneMat, Lanes, RMat};
 
 /// A symmetric block-diagonal real matrix.
 ///
@@ -154,22 +154,11 @@ impl BlockMat {
     /// Blockwise Cholesky; `None` if any block is not positive definite.
     pub fn cholesky(&self) -> Option<BlockMat> {
         let mut l = Self::zeros(&self.dims);
-        self.cholesky_into(&mut l).then_some(l)
-    }
-
-    /// Blockwise Cholesky written into a reusable buffer, bit-identical
-    /// to [`BlockMat::cholesky`]. Returns `false` (leaving `out` partially
-    /// written) if a block is not numerically positive definite.
-    ///
-    /// # Panics
-    ///
-    /// Panics on block-shape mismatch.
-    pub(crate) fn cholesky_into(&self, out: &mut BlockMat) -> bool {
-        assert_eq!(self.dims, out.dims, "cholesky_into shape mismatch");
         self.blocks
             .iter()
-            .zip(&mut out.blocks)
+            .zip(&mut l.blocks)
             .all(|(b, l)| b.cholesky_into(l))
+            .then_some(l)
     }
 
     /// Blockwise inverse from a Cholesky factor of `self`
@@ -235,8 +224,7 @@ impl BlockMat {
     }
 
     /// [`BlockMat::max_step`] of the matrix whose blockwise Cholesky
-    /// factor is `self`, on reusable scratch — bit-identical, and the
-    /// factor can serve several directions.
+    /// factor is `self` — the solver's lane line search on one lane.
     ///
     /// Returns `None` if an eigensolve fails.
     ///
@@ -247,34 +235,21 @@ impl BlockMat {
         &self,
         dir: &BlockMat,
         gamma: f64,
-        work: &mut StepWork,
+        work: &mut StepWork<1>,
     ) -> Option<f64> {
         assert_eq!(self.dims, dir.dims, "max_step shape mismatch");
-        let mut alpha: f64 = 1.0 / gamma; // so that γ·α starts at 1
-        for ((l, d), (t, k)) in self
-            .blocks
-            .iter()
-            .zip(&dir.blocks)
-            .zip(work.t.blocks.iter_mut().zip(&mut work.k.blocks))
-        {
-            if l.rows() == 0 {
-                continue;
-            }
-            // K = L⁻¹ · D · L⁻ᵀ = (L⁻¹ · (L⁻¹ · D)ᵀ)ᵀ, symmetrized. The
-            // final transpose is skipped: symmetrizing Kᵀ gives K's bits,
-            // because IEEE addition commutes.
-            t.copy_from(d);
-            l.solve_lower_mat_in_place(t);
-            t.transpose_into(k);
-            l.solve_lower_mat_in_place(k);
-            k.symmetrize_in_place();
-            sym_eigvals_in_place(k, &mut work.vals, &mut work.scratch).ok()?;
-            let lam_min = work.vals[0];
-            if lam_min < 0.0 {
-                alpha = alpha.min(-1.0 / lam_min);
-            }
-        }
-        Some((gamma * alpha).min(1.0))
+        let one_lane = |m: &BlockMat| -> Vec<LaneMat<1>> {
+            m.blocks
+                .iter()
+                .map(|b| {
+                    let mut l = LaneMat::zeros(b.rows(), b.cols());
+                    l.set_lane(0, b);
+                    l
+                })
+                .collect()
+        };
+        let [alpha] = max_step_lanes(&one_lane(self), &one_lane(dir), [gamma], [true], work);
+        alpha
     }
 
     /// Minimum eigenvalue across blocks (symmetrizing first); `0.0` when
@@ -321,24 +296,85 @@ impl BlockMat {
     }
 }
 
-/// Reusable scratch for [`BlockMat::max_step_factored`].
-#[derive(Clone, Debug)]
-pub(crate) struct StepWork {
-    t: BlockMat,
-    k: BlockMat,
-    vals: Vec<f64>,
-    scratch: Vec<f64>,
+/// [`BlockMat::max_step`] lane by lane: lane `s` of the result is the
+/// step along lane `s` of `dir` (blockwise) for the matrix whose blockwise
+/// Cholesky factor is lane `s` of `l`, with lane `s`'s `gamma` — `None`
+/// where an eigensolve fails or `on[s]` is not set.
+///
+/// Per block, `K = L⁻¹·D·L⁻ᵀ = (L⁻¹·(L⁻¹·D)ᵀ)ᵀ`, symmetrized, and its
+/// Householder tridiagonalization run in lanes; the final transpose is
+/// skipped, because symmetrizing `Kᵀ` gives `K`'s bits (IEEE addition
+/// commutes). Each lane then runs the QL iteration, the sort and the `α`
+/// update on its own tridiagonal. Lane `s` computes exactly what the
+/// scalar kernels compute on its data.
+///
+/// # Panics
+///
+/// Panics on block-shape mismatch between `l`, `dir` and `work`.
+pub(crate) fn max_step_lanes<const K: usize>(
+    l: &[LaneMat<K>],
+    dir: &[LaneMat<K>],
+    gamma: [f64; K],
+    on: [bool; K],
+    work: &mut StepWork<K>,
+) -> [Option<f64>; K] {
+    assert_eq!(l.len(), dir.len(), "max_step shape mismatch");
+    // γ·α starts at 1.
+    let mut alpha: [Option<f64>; K] = std::array::from_fn(|s| on[s].then(|| 1.0 / gamma[s]));
+    for ((lb, db), (t, k)) in l.iter().zip(dir).zip(work.t.iter_mut().zip(&mut work.k)) {
+        let n = lb.rows();
+        if n == 0 || alpha.iter().all(Option::is_none) {
+            continue;
+        }
+        t.copy_from(db);
+        lb.solve_lower_mat_in_place(t);
+        t.transpose_into(k);
+        lb.solve_lower_mat_in_place(k);
+        k.symmetrize_in_place();
+        k.sym_tridiag_in_place(&mut work.d[..n], &mut work.e[..n]);
+        for (s, a) in alpha.iter_mut().enumerate() {
+            let Some(prev) = *a else { continue };
+            work.vals.clear();
+            work.vals.extend(work.d[..n].iter().map(|v| v[s]));
+            work.off.clear();
+            work.off.extend(work.e[..n].iter().map(|v| v[s]));
+            *a = tridiag_eigvals_in_place(&mut work.vals, &mut work.off)
+                .ok()
+                .map(|()| {
+                    let lam_min = work.vals[0];
+                    if lam_min < 0.0 {
+                        prev.min(-1.0 / lam_min)
+                    } else {
+                        prev
+                    }
+                });
+        }
+    }
+    std::array::from_fn(|s| alpha[s].map(|a| (gamma[s] * a).min(1.0)))
 }
 
-impl StepWork {
+/// Reusable scratch for [`max_step_lanes`].
+pub(crate) struct StepWork<const K: usize> {
+    t: Vec<LaneMat<K>>,
+    k: Vec<LaneMat<K>>,
+    d: Vec<Lanes<K>>,
+    e: Vec<Lanes<K>>,
+    vals: Vec<f64>,
+    off: Vec<f64>,
+}
+
+impl<const K: usize> StepWork<K> {
     /// Scratch for block matrices of shape `dims`.
     pub(crate) fn new(dims: &[usize]) -> Self {
         let n = dims.iter().copied().max().unwrap_or(0);
+        let blocks = || dims.iter().map(|&d| LaneMat::zeros(d, d)).collect();
         StepWork {
-            t: BlockMat::zeros(dims),
-            k: BlockMat::zeros(dims),
+            t: blocks(),
+            k: blocks(),
+            d: vec![[0.0; K]; n],
+            e: vec![[0.0; K]; n],
             vals: Vec::with_capacity(n),
-            scratch: Vec::with_capacity(n),
+            off: Vec::with_capacity(n),
         }
     }
 }

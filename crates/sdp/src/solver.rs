@@ -21,7 +21,7 @@
 //! the residual dual infeasibility (`bᵀy − R·max(0, −λ_min(C − Aᵀy))` for
 //! any trace bound `R` on the feasible set).
 
-use crate::blockmat::StepWork;
+use crate::blockmat::{max_step_lanes, StepWork};
 use crate::{BlockMat, SdpProblem, SparseSym};
 use gleipnir_linalg::lanes::{sym_sandwich_block, DotPrograms, DotTerm};
 use gleipnir_linalg::{LaneMat, Lanes, RMat};
@@ -303,12 +303,15 @@ impl SdpProblem {
 /// Lane `k` runs solve `k`'s operations in exactly the order a lone solve
 /// runs them, so every lane's result is bit-identical to
 /// [`SdpProblem::solve`] on its problem, whichever problems share the
-/// batch and whenever each joined. The Schur complement, its Cholesky
-/// factor and the triangular solves are stored lane-interleaved
-/// (`[f64; K]` per element, see [`gleipnir_linalg::lanes`]); everything
-/// whose control flow can differ per lane — convergence and
-/// factorization exits, the step-length schedule, regularization retries,
-/// the eigenvalue line searches — runs on each lane's own scalar path.
+/// batch and whenever each joined. The dense work of an iteration runs on
+/// lane-interleaved storage (`[f64; K]` per element, see
+/// [`gleipnir_linalg::lanes`]): `Z⁻¹`, the Schur complement, its Cholesky
+/// factor and triangular solves, the `sym(X·R·Z⁻¹)` direction products,
+/// `X`'s factor and the line searches' `L⁻¹·D·L⁻ᵀ` and tridiagonal
+/// reduction. Everything whose control flow can differ per lane —
+/// convergence and factorization exits, the step-length schedule,
+/// regularization retries, the QL iteration of each line search — runs on
+/// each lane's own scalar path.
 ///
 /// Problems share a batch when they have the same block shape and the
 /// same constraints except the last, which (like `C` and `b`) may differ
@@ -446,16 +449,6 @@ impl<T> SdpBatch<T> {
         let ran = live;
         live.retain(|i| lanes[i].residuals(&tpl.index, opts.tolerance));
         phases_ms += charge(lanes, ran, Phase::Residual, t);
-
-        // Near-degenerate constraints (e.g. a (ρ̂, 0) diamond norm with a
-        // pure ρ̂) can push the iterates onto the boundary before the
-        // tolerance is met. The dual certificate from the current iterate
-        // is still sound, so factorization failure ends the lane's
-        // iteration rather than erroring out.
-        let t = Instant::now();
-        let ran = live;
-        live.retain(|i| lanes[i].invert_z());
-        phases_ms += charge(lanes, ran, Phase::Factor, t);
 
         if live.n == 1 {
             let w = ws.narrow.get_or_insert_with(|| Wide::new(&tpl.dims, tpl.m));
@@ -650,7 +643,20 @@ fn charge<T>(lanes: &mut [Lane<T>], ran: Live, phase: Phase, t: Instant) -> f64 
 /// The lane-interleaved workspaces of a `K`-wide iteration.
 struct Wide<const K: usize> {
     x: Vec<LaneMat<K>>,
+    z: Vec<LaneMat<K>>,
     zinv: Vec<LaneMat<K>>,
+    /// The blockwise Cholesky factors of `X` and `Z`, which every line
+    /// search of the iteration reuses.
+    xl: Vec<LaneMat<K>>,
+    zl: Vec<LaneMat<K>>,
+    /// Packed operands of the direction products and line searches.
+    a: Vec<LaneMat<K>>,
+    b: Vec<LaneMat<K>>,
+    /// A direction product's intermediate (`L⁻¹` while inverting `Z`) and
+    /// result.
+    tmp: Vec<LaneMat<K>>,
+    out: Vec<LaneMat<K>>,
+    step: StepWork<K>,
     v: Vec<LaneMat<K>>,
     sw: Vec<LaneMat<K>>,
     sw_dirty: Vec<bool>,
@@ -668,7 +674,15 @@ impl<const K: usize> Wide<K> {
         let blocks = || dims.iter().map(|&d| LaneMat::zeros(d, d)).collect();
         Wide {
             x: blocks(),
+            z: blocks(),
             zinv: blocks(),
+            xl: blocks(),
+            zl: blocks(),
+            a: blocks(),
+            b: blocks(),
+            tmp: blocks(),
+            out: blocks(),
+            step: StepWork::new(dims),
             v: blocks(),
             sw: blocks(),
             sw_dirty: vec![false; dims.len()],
@@ -677,11 +691,69 @@ impl<const K: usize> Wide<K> {
             rhs: vec![[0.0; K]; m],
         }
     }
+
+    /// `Z⁻¹ = L⁻ᵀ·L⁻¹` blockwise from the Cholesky factor `L` of the
+    /// packed `Z`, which stays in `zl` — per lane the operations of
+    /// [`BlockMat::inverse_spd`]. Returns which lanes' `Z` factored.
+    fn invert_z(&mut self) -> [bool; K] {
+        let mut ok = [true; K];
+        let blocks = self.z.iter().zip(&mut self.zl);
+        for ((z, l), (linv, zinv)) in blocks.zip(self.tmp.iter_mut().zip(&mut self.zinv)) {
+            let factored = z.cholesky_into(l);
+            ok = std::array::from_fn(|s| ok[s] && factored[s]);
+            l.invert_lower_into(linv);
+            linv.transpose_mul_self_into(zinv);
+        }
+        ok
+    }
+
+    /// `X`'s blockwise Cholesky factor into `xl`; returns which lanes' `X`
+    /// factored.
+    fn factor_x(&mut self) -> [bool; K] {
+        let mut ok = [true; K];
+        for (x, l) in self.x.iter().zip(&mut self.xl) {
+            let factored = x.cholesky_into(l);
+            ok = std::array::from_fn(|s| ok[s] && factored[s]);
+        }
+        ok
+    }
+}
+
+/// Packs `part` of slot `s`'s lane into lane `s` of `dst`, for every slot.
+fn pack<T, const K: usize>(
+    dst: &mut [LaneMat<K>],
+    lanes: &[Lane<T>],
+    slot: &[usize; K],
+    part: impl Fn(&Lane<T>) -> &BlockMat,
+) {
+    for (s, &i) in slot.iter().enumerate() {
+        let m = part(&lanes[i]);
+        for (bl, d) in dst.iter_mut().enumerate() {
+            d.set_lane(s, m.block(bl));
+        }
+    }
+}
+
+/// Unpacks lane `s` of `src` into `part` of slot `s`'s lane, for every
+/// active slot.
+fn unpack<T, const K: usize>(
+    src: &[LaneMat<K>],
+    lanes: &mut [Lane<T>],
+    slot: &[usize; K],
+    on: [bool; K],
+    part: impl Fn(&mut Lane<T>) -> &mut BlockMat,
+) {
+    for s in (0..K).filter(|&s| on[s]) {
+        let m = part(&mut lanes[slot[s]]);
+        for (bl, b) in src.iter().enumerate() {
+            b.get_lane(s, m.block_mut(bl));
+        }
+    }
 }
 
 /// The rest of one iteration for the `live` lanes (at most `K`), after
-/// the residuals and `Z⁻¹`: Schur complement, its factorization, the
-/// predictor and corrector directions, and the step. Returns the wall
+/// the residuals: `Z⁻¹`, the Schur complement, its factorization, the
+/// predictor and corrector directions, and the steps. Returns the wall
 /// time charged to phases.
 fn iterate<T, const K: usize>(
     w: &mut Wide<K>,
@@ -694,18 +766,44 @@ fn iterate<T, const K: usize>(
     // Slot s carries lane `slot[s]`; spare slots repeat the first lane so
     // every lane of the kernels computes on real data.
     let slot: [usize; K] = std::array::from_fn(|s| live.idx[if s < live.n { s } else { 0 }]);
+    let slot_of = |i: usize| {
+        slot.iter()
+            .position(|&j| j == i)
+            .expect("live lane has a slot")
+    };
+    let n_live = live.n;
+    let active = |live: Live| -> [bool; K] {
+        std::array::from_fn(|s| s < n_live && live.iter().any(|i| i == slot[s]))
+    };
     let n_shared = tpl.shared.len();
     let mut phases_ms = 0.0;
 
+    // Near-degenerate constraints (e.g. a (ρ̂, 0) diamond norm with a pure
+    // ρ̂) can push the iterates onto the boundary before the tolerance is
+    // met. The dual certificate from the current iterate is still sound,
+    // so a `Z` that does not factor ends the lane's iteration rather than
+    // erroring out.
+    let t = Instant::now();
+    pack(&mut w.z, lanes, &slot, |l| &l.z);
+    let ok = w.invert_z();
+    let ran = live;
+    live.retain(|i| {
+        let lane = &mut lanes[i];
+        let factored = ok[slot_of(i)];
+        if !factored {
+            lane.exit = Some((lane.iter, SdpStatus::MaxIterations));
+        }
+        factored
+    });
+    unpack(&w.zinv, lanes, &slot, active(live), |l| &mut l.w.zinv);
+    phases_ms += charge(lanes, ran, Phase::Factor, t);
+    if live.n == 0 {
+        return phases_ms;
+    }
+
     // Schur complement M_kl = ⟨A_k, sym(X·A_l·Z⁻¹)⟩.
     let t = Instant::now();
-    for (s, &i) in slot.iter().enumerate() {
-        let lane = &lanes[i];
-        for bl in 0..tpl.dims.len() {
-            w.x[bl].set_lane(s, lane.x.block(bl));
-            w.zinv[bl].set_lane(s, lane.w.zinv.block(bl));
-        }
-    }
+    pack(&mut w.x, lanes, &slot, |l| &l.x);
     for l in 0..n_shared {
         tpl.index
             .sandwich_lanes(l, &w.x, &w.zinv, &mut w.v, &mut w.sw, &mut w.sw_dirty);
@@ -763,53 +861,90 @@ fn iterate<T, const K: usize>(
     let ok = w.m.cholesky_into(&mut w.chol);
     let ran = live;
     live.retain(|i| {
-        let s = slot
-            .iter()
-            .position(|&j| j == i)
-            .expect("live lane has a slot");
+        let s = slot_of(i);
         ok[s] || regularized_cholesky(&w.m, s, &mut w.chol, retry, &mut lanes[i])
     });
     phases_ms += charge(lanes, ran, Phase::Factor, t);
     if live.n == 0 {
         return phases_ms;
     }
-    let on: [bool; K] = std::array::from_fn(|s| s < ran.n && live.iter().any(|i| i == slot[s]));
+    let on = active(live);
 
     // Predictor (σ = 0), from the shared base direction
     // g = −X − sym(X·Rd·Z⁻¹).
     let t = Instant::now();
+    pack(&mut w.a, lanes, &slot, |l| &l.w.rd);
+    sym_triple_lanes(&w.x, &w.a, &w.zinv, &mut w.tmp, &mut w.out);
+    unpack(&w.out, lanes, &slot, on, |l| &mut l.w.base_g);
     for i in live.iter() {
         lanes[i].predictor_rhs(&tpl.index);
     }
     solve_lanes(w, lanes, &slot, on, false);
-    for i in live.iter() {
-        lanes[i].finish_direction(false);
-    }
+    finish_directions(w, lanes, &slot, on, false);
     phases_ms += charge(lanes, live, Phase::Direction, t);
 
+    // The predictor's step lengths (γ = 1). `X` is factored once for both
+    // of this iteration's line searches along `dX`; `Z`'s factor is
+    // `invert_z`'s. A lane whose `X` does not factor gets step 0.
     let t = Instant::now();
-    for i in live.iter() {
-        lanes[i].predictor_step();
+    let x_ok = w.factor_x();
+    let on_x: [bool; K] = std::array::from_fn(|s| on[s] && x_ok[s]);
+    pack(&mut w.a, lanes, &slot, |l| &l.w.dx_a);
+    pack(&mut w.b, lanes, &slot, |l| &l.w.dz_a);
+    let ap = max_step_lanes(&w.xl, &w.a, [1.0; K], on_x, &mut w.step);
+    let ad = max_step_lanes(&w.zl, &w.b, [1.0; K], on, &mut w.step);
+    for s in (0..K).filter(|&s| on[s]) {
+        let lane = &mut lanes[slot[s]];
+        lane.ap_a = ap[s].unwrap_or(0.0);
+        lane.ad_a = ad[s].unwrap_or(0.0);
     }
     phases_ms += charge(lanes, live, Phase::Step, t);
 
-    // Corrector with the Mehrotra second-order term − sym(dXa·dZa·Z⁻¹).
+    // Corrector with the Mehrotra second-order term − sym(dXa·dZa·Z⁻¹)
+    // (`dXa` and `dZa` are still packed).
     let t = Instant::now();
+    sym_triple_lanes(&w.a, &w.b, &w.zinv, &mut w.tmp, &mut w.out);
+    unpack(&w.out, lanes, &slot, on, |l| &mut l.w.corr);
     for i in live.iter() {
         lanes[i].corrector_rhs(&tpl.index);
     }
     solve_lanes(w, lanes, &slot, on, true);
-    for i in live.iter() {
-        lanes[i].finish_direction(true);
-    }
+    finish_directions(w, lanes, &slot, on, true);
     phases_ms += charge(lanes, live, Phase::Direction, t);
 
+    // The damped step along the corrector direction.
     let t = Instant::now();
-    for i in live.iter() {
-        lanes[i].take_step();
+    let gamma = std::array::from_fn(|s| if lanes[slot[s]].iter < 2 { 0.9 } else { 0.98 });
+    pack(&mut w.a, lanes, &slot, |l| &l.w.dx);
+    pack(&mut w.b, lanes, &slot, |l| &l.w.dz);
+    let ap = max_step_lanes(&w.xl, &w.a, gamma, on_x, &mut w.step);
+    let ad = max_step_lanes(&w.zl, &w.b, gamma, on, &mut w.step);
+    for s in (0..K).filter(|&s| on[s]) {
+        lanes[slot[s]].take_step(ap[s].unwrap_or(0.0), ad[s].unwrap_or(0.0));
     }
     phases_ms += charge(lanes, live, Phase::Step, t);
     phases_ms
+}
+
+/// Completes every active slot's HKM direction from its `dy` (`dy_a` for
+/// the predictor): `dZ = sym(Rd − Aᵀdy)`, then
+/// `dX = sym(g + sym(X·Aᵀdy·Z⁻¹))` with the product in lanes.
+fn finish_directions<T, const K: usize>(
+    w: &mut Wide<K>,
+    lanes: &mut [Lane<T>],
+    slot: &[usize; K],
+    on: [bool; K],
+    corrector: bool,
+) {
+    for s in (0..K).filter(|&s| on[s]) {
+        lanes[slot[s]].dual_direction(corrector);
+    }
+    pack(&mut w.a, lanes, slot, |l| &l.w.atbuf);
+    sym_triple_lanes(&w.x, &w.a, &w.zinv, &mut w.tmp, &mut w.out);
+    unpack(&w.out, lanes, slot, on, |l| &mut l.w.tri_out);
+    for s in (0..K).filter(|&s| on[s]) {
+        lanes[slot[s]].primal_direction(corrector);
+    }
 }
 
 /// Solves `M·dy = rhs` for every active slot from the lane-interleaved
@@ -904,12 +1039,9 @@ struct LaneWork {
     rd: BlockMat,
     atbuf: BlockMat,
     zinv: BlockMat,
-    zl: BlockMat,
-    zlinv: BlockMat,
     base_g: BlockMat,
     gcorr: BlockMat,
     corr: BlockMat,
-    tri_tmp: BlockMat,
     tri_out: BlockMat,
     ag: Vec<f64>,
     rhs: Vec<f64>,
@@ -919,35 +1051,6 @@ struct LaneWork {
     dy: Vec<f64>,
     dx: BlockMat,
     dz: BlockMat,
-    /// `X`'s blockwise Cholesky factor for this iteration's line
-    /// searches, and whether `X` factored.
-    xl: BlockMat,
-    x_pd: bool,
-    step: StepWork,
-}
-
-impl LaneWork {
-    /// The line search along `dX` (`dXa` for the predictor) from the
-    /// iteration's factor of `X`; `0.0` when `X` did not factor or an
-    /// eigensolve failed, as [`BlockMat::max_step`]'s `None` always meant.
-    fn step_x(&mut self, corrector: bool, gamma: f64) -> f64 {
-        let dir = if corrector { &self.dx } else { &self.dx_a };
-        if !self.x_pd {
-            return 0.0;
-        }
-        self.xl
-            .max_step_factored(dir, gamma, &mut self.step)
-            .unwrap_or(0.0)
-    }
-
-    /// The line search along `dZ` (`dZa` for the predictor) from the
-    /// factor `invert_z` left in `zl` (a live lane's `Z` factored).
-    fn step_z(&mut self, corrector: bool, gamma: f64) -> f64 {
-        let dir = if corrector { &self.dz } else { &self.dz_a };
-        self.zl
-            .max_step_factored(dir, gamma, &mut self.step)
-            .unwrap_or(0.0)
-    }
 }
 
 impl<T> Lane<T> {
@@ -970,12 +1073,9 @@ impl<T> Lane<T> {
             rd: zeros(),
             atbuf: zeros(),
             zinv: zeros(),
-            zl: zeros(),
-            zlinv: zeros(),
             base_g: zeros(),
             gcorr: zeros(),
             corr: zeros(),
-            tri_tmp: zeros(),
             tri_out: zeros(),
             ag: vec![0.0; m],
             rhs: vec![0.0; m],
@@ -985,9 +1085,6 @@ impl<T> Lane<T> {
             dy: vec![0.0; m],
             dx: zeros(),
             dz: zeros(),
-            xl: zeros(),
-            x_pd: false,
-            step: StepWork::new(&dims),
         };
         Lane {
             own: ConstraintIndex::build(&p.constraints()[n_shared..], &dims),
@@ -1042,23 +1139,10 @@ impl<T> Lane<T> {
         true
     }
 
-    /// `Z⁻¹`; `false` (recording the exit) if `Z` lost definiteness.
-    fn invert_z(&mut self) -> bool {
-        let w = &mut self.w;
-        let ok = self
-            .z
-            .inverse_spd_into(&mut w.zl, &mut w.zlinv, &mut w.zinv);
-        if !ok {
-            self.exit = Some((self.iter, SdpStatus::MaxIterations));
-        }
-        ok
-    }
-
-    /// The predictor's base direction `g = −X − sym(X·Rd·Z⁻¹)` and its
-    /// Schur right-hand side `rp − A(g)`.
+    /// The predictor's base direction `g = −X − sym(X·Rd·Z⁻¹)`, from the
+    /// product in `base_g`, and its Schur right-hand side `rp − A(g)`.
     fn predictor_rhs(&mut self, shared: &ConstraintIndex) {
         let w = &mut self.w;
-        sym_triple_into(&self.x, &w.rd, &w.zinv, &mut w.tri_tmp, &mut w.base_g);
         w.base_g.scale(-1.0);
         w.base_g.axpy(-1.0, &self.x);
         apply_a_into(shared, &self.own, &w.base_g, &mut w.ag);
@@ -1073,17 +1157,8 @@ impl<T> Lane<T> {
             .extend(w.rp.iter().zip(w.ag.iter()).map(|(r, a)| r - a));
     }
 
-    /// The predictor's step lengths (γ = 1). Factors `X` for both of
-    /// this iteration's line searches; `Z`'s factor is `invert_z`'s.
-    fn predictor_step(&mut self) {
-        let w = &mut self.w;
-        w.x_pd = self.x.cholesky_into(&mut w.xl);
-        self.ap_a = w.step_x(false, 1.0);
-        self.ad_a = w.step_z(false, 1.0);
-    }
-
     /// The centering parameter and the corrector's right-hand side
-    /// `g = base_g + σμ·Z⁻¹ − sym(dXa·dZa·Z⁻¹)`.
+    /// `g = base_g + σμ·Z⁻¹ − sym(dXa·dZa·Z⁻¹)`, from the product in `corr`.
     fn corrector_rhs(&mut self, shared: &ConstraintIndex) {
         let (ap_a, ad_a) = (self.ap_a, self.ad_a);
         let w = &mut self.w;
@@ -1097,38 +1172,44 @@ impl<T> Lane<T> {
         let sigma = ((mu_aff / self.mu).powi(3)).clamp(0.0, 1.0);
         w.gcorr.copy_from(&w.base_g);
         w.gcorr.axpy(sigma * self.mu, &w.zinv);
-        sym_triple_into(&w.dx_a, &w.dz_a, &w.zinv, &mut w.tri_tmp, &mut w.corr);
         w.corr.scale(-1.0);
         w.gcorr.axpy(1.0, &w.corr);
         apply_a_into(shared, &self.own, &w.gcorr, &mut w.ag);
         self.schur_rhs();
     }
 
-    /// Given `dy`, completes the HKM direction: `dZ = sym(Rd − Aᵀdy)` and
-    /// `dX = sym(g + sym(X·Aᵀdy·Z⁻¹))` (the adjoint is formed once).
-    fn finish_direction(&mut self, corrector: bool) {
+    /// Given `dy` (`dy_a` for the predictor), `dZ = sym(Rd − Aᵀdy)`, with
+    /// the adjoint left in `atbuf`.
+    fn dual_direction(&mut self, corrector: bool) {
         let w = &mut self.w;
-        let (g, dy, dx, dz) = if corrector {
-            (&w.gcorr, &w.dy, &mut w.dx, &mut w.dz)
+        let (dy, dz) = if corrector {
+            (&w.dy, &mut w.dz)
         } else {
-            (&w.base_g, &w.dy_a, &mut w.dx_a, &mut w.dz_a)
+            (&w.dy_a, &mut w.dz_a)
         };
         dz.copy_from(&w.rd);
         self.p.apply_at_into(dy, &mut w.atbuf);
         dz.axpy(-1.0, &w.atbuf);
         dz.symmetrize();
+    }
+
+    /// `dX = sym(g + sym(X·Aᵀdy·Z⁻¹))`, from the product in `tri_out`.
+    fn primal_direction(&mut self, corrector: bool) {
+        let w = &mut self.w;
+        let (g, dx) = if corrector {
+            (&w.gcorr, &mut w.dx)
+        } else {
+            (&w.base_g, &mut w.dx_a)
+        };
         dx.copy_from(g);
-        sym_triple_into(&self.x, &w.atbuf, &w.zinv, &mut w.tri_tmp, &mut w.tri_out);
         dx.axpy(1.0, &w.tri_out);
         dx.symmetrize();
     }
 
-    /// The damped step along the corrector direction; records a
-    /// no-progress exit instead when neither iterate can move.
-    fn take_step(&mut self) {
-        let gamma = if self.iter < 2 { 0.9 } else { 0.98 };
-        let ap = self.w.step_x(true, gamma);
-        let ad = self.w.step_z(true, gamma);
+    /// The step of lengths `ap` (primal) and `ad` (dual) along the
+    /// corrector direction; records a no-progress exit instead when
+    /// neither iterate can move.
+    fn take_step(&mut self, ap: f64, ad: f64) {
         let w = &self.w;
         if ap <= 1e-14 && ad <= 1e-14 {
             // No progress possible; return the current iterate.
@@ -1341,20 +1422,21 @@ impl ConstraintIndex {
     }
 }
 
-/// `sym(X·R·Z⁻¹)` for dense block matrices, using `tmp` for the
-/// intermediate product and writing the result into `out`.
-fn sym_triple_into(
-    x: &BlockMat,
-    r: &BlockMat,
-    zinv: &BlockMat,
-    tmp: &mut BlockMat,
-    out: &mut BlockMat,
+/// `sym(P·R·Z⁻¹)` blockwise on every lane, with `tmp` for the
+/// intermediate product — per lane the operations of
+/// [`RMat::mul_mat_into`] twice and [`RMat::symmetrize_in_place`].
+fn sym_triple_lanes<const K: usize>(
+    p: &[LaneMat<K>],
+    r: &[LaneMat<K>],
+    zinv: &[LaneMat<K>],
+    tmp: &mut [LaneMat<K>],
+    out: &mut [LaneMat<K>],
 ) {
-    for bl in 0..x.n_blocks() {
-        x.block(bl).mul_mat_into(r.block(bl), tmp.block_mut(bl));
-        tmp.block(bl)
-            .mul_mat_into(zinv.block(bl), out.block_mut(bl));
-        out.block_mut(bl).symmetrize_in_place();
+    let operands = p.iter().zip(r).zip(zinv);
+    for (((p, r), zinv), (tmp, out)) in operands.zip(tmp.iter_mut().zip(out)) {
+        p.mul_mat_into(r, tmp);
+        tmp.mul_mat_into(zinv, out);
+        out.symmetrize_in_place();
     }
 }
 

@@ -12,11 +12,16 @@
 //! The fast tier policy is pinned too: bit-flip noise is a Pauli mixture,
 //! so the Tier 0 closed form answers every judgment and the solver is
 //! never entered.
+//!
+//! A traced one-thread run of the amplitude-damping pin must come back
+//! complete: every span of the analysis lands in the one recording
+//! thread's span ring, so the ring must hold them all.
 
 use gleipnir::circuit::{parse, pretty};
 use gleipnir::core::{AnalysisRequest, Engine, EngineOptions};
 use gleipnir::sdp::SolverProfile;
 use gleipnir::server::spec;
+use gleipnir::telemetry::{self, detail, SpanName};
 use gleipnir::workloads::ising_chain;
 
 /// `(noise spec, ε, interior-point iterations)`.
@@ -119,6 +124,66 @@ fn ising288_fast_policy_is_all_closed_form() {
             report.solver_profile(),
             SolverProfile::default(),
             "fast on {threads} thread(s): the solver never ran"
+        );
+    }
+}
+
+#[test]
+fn ising288_one_thread_trace_is_complete() {
+    let (noise, eps, iterations) = PINS[1];
+    let engine = Engine::with_options(EngineOptions {
+        solver: Default::default(),
+        threads: 1,
+    })
+    .expect("engine");
+    let trace_id = telemetry::next_trace_id();
+    let ctx = telemetry::TraceCtx {
+        trace_id,
+        parent: telemetry::next_span_id(),
+    };
+    let report = telemetry::with_ctx(ctx, || engine.analyze(&request(noise, None)))
+        .expect("analysis succeeds");
+    telemetry::global().finish_trace(trace_id);
+    let spans = telemetry::global()
+        .trace(trace_id)
+        .expect("trace stored")
+        .spans;
+    assert_eq!(
+        report.error_bound().to_bits(),
+        eps.to_bits(),
+        "tracing moved ε"
+    );
+    assert_eq!(report.ip_iterations(), iterations);
+
+    let named = |name: SpanName| spans.iter().filter(move |s| s.name == name);
+    assert!(named(SpanName::Mps).count() >= 1, "no mps span");
+    assert!(named(SpanName::Plan).count() >= 1, "no plan span");
+    let solves: Vec<_> = named(SpanName::Obligation)
+        .filter(|s| {
+            matches!(
+                s.detail,
+                detail::OBLIGATION_LEAD_COLD | detail::OBLIGATION_EXACT
+            )
+        })
+        .collect();
+    assert_eq!(
+        solves.len(),
+        report.sdp_solves(),
+        "one obligation span per SDP solve ({} spans in the trace)",
+        spans.len()
+    );
+    for obligation in solves {
+        let mut phases: Vec<SpanName> = spans
+            .iter()
+            .filter(|s| s.parent == obligation.id)
+            .map(|s| s.name)
+            .collect();
+        phases.sort_by_key(|&name| name as u16);
+        assert_eq!(
+            phases,
+            (0..7).map(SpanName::phase).collect::<Vec<_>>(),
+            "obligation {} phase spans",
+            obligation.id
         );
     }
 }
