@@ -3,7 +3,8 @@
 //! physical placements on the Boeblingen device model.
 //!
 //! The "measured" column substitutes exact noisy density-matrix simulation
-//! (plus readout confusion) for the real IBM hardware, per DESIGN.md §3.
+//! (plus readout confusion) for the real IBM hardware: both columns read
+//! the same synthetic device model (`gleipnir_noise::DeviceModel`).
 //!
 //! Usage:
 //!

@@ -2,7 +2,7 @@
 //!
 //! The evaluation harness: everything needed to regenerate the paper's
 //! Table 2, Figure 14, and Table 3, shared by the `table2`, `figure14`, and
-//! `table3` binaries and the Criterion ablation benches.
+//! `table3` binaries.
 //!
 //! Every experiment runner takes the caller's [`Engine`] so whole tables
 //! and sweeps share one SDP-certificate cache, the way a long-running
@@ -142,8 +142,9 @@ pub struct Table3Row {
     /// Gleipnir's bound (gate errors + readout-error term).
     pub gleipnir_bound: f64,
     /// The measured error: statistical distance of the simulated noisy
-    /// device distribution from the ideal GHZ distribution (the hardware
-    /// substitute of DESIGN.md §3).
+    /// device distribution from the ideal GHZ distribution. Exact noisy
+    /// simulation on the device model stands in for the IBM hardware the
+    /// paper ran on.
     pub measured: f64,
     /// Number of 2-qubit gates after routing (swap overhead indicator).
     pub routed_2q_gates: usize,

@@ -33,7 +33,7 @@
 //! [`gleipnir_sdp::SdpSolution::certified_dual_bound`], valid even with
 //! residual dual infeasibility — not the primal estimate.
 
-use gleipnir_linalg::{herm_to_real_sym, CMat};
+use gleipnir_linalg::CMat;
 use gleipnir_noise::{choi_of_unitary, Channel};
 use gleipnir_sdp::{
     SdpError, SdpProblem, SdpSolution, SdpStatus, SolverOptions, SolverProfile, SparseSym,
@@ -480,12 +480,6 @@ fn apply_on_first_factor(map: &dyn Fn(&CMat) -> CMat, rho: &CMat, d: usize) -> C
         }
     }
     out
-}
-
-/// Convenience re-export target: the real-symmetric embedding used when
-/// assembling objectives (exposed for the ablation benches).
-pub fn embed_choi(j: &CMat) -> gleipnir_linalg::RMat {
-    herm_to_real_sym(j)
 }
 
 #[cfg(test)]

@@ -77,8 +77,8 @@ mod tiers;
 pub use adaptive::{AdaptiveConfig, AdaptiveReport, AdaptiveStep};
 pub use baseline::{LqrReport, WorstCaseReport};
 pub use diamond::{
-    embed_choi, q_lambda_diamond, rho_delta_diamond, sampled_diamond_lower_bound,
-    unconstrained_diamond, DiamondError, DiamondResult,
+    q_lambda_diamond, rho_delta_diamond, sampled_diamond_lower_bound, unconstrained_diamond,
+    DiamondError, DiamondResult,
 };
 pub use diff::{ChangeReason, DiffReport, GateChange};
 pub use engine::{BatchOutcome, CacheStats, Engine, EngineOptions};

@@ -324,38 +324,21 @@ pub fn sym_eig(a: &RMat) -> Result<(Vec<f64>, RMat), EigError> {
 ///
 /// # Errors
 ///
-/// Returns [`EigError`] if the matrix is not square or QL fails to converge.
+/// Returns [`EigError`] if the matrix is not square, QL fails to converge,
+/// or an eigenvalue comes out NaN.
 pub fn sym_eigvals(a: &RMat) -> Result<Vec<f64>, EigError> {
-    let mut d = Vec::new();
-    sym_eigvals_in_place(&mut a.clone(), &mut d, &mut Vec::new())?;
-    Ok(d)
-}
-
-/// [`sym_eigvals`] on reusable buffers: `a` is overwritten (it holds the
-/// reduction), `vals` receives the ascending eigenvalues and `scratch`
-/// the off-diagonal. Bit-identical to [`sym_eigvals`].
-///
-/// # Errors
-///
-/// Returns [`EigError`] if the matrix is not square, QL fails to
-/// converge, or an eigenvalue comes out NaN.
-pub fn sym_eigvals_in_place(
-    a: &mut RMat,
-    vals: &mut Vec<f64>,
-    scratch: &mut Vec<f64>,
-) -> Result<(), EigError> {
     if !a.is_square() {
         return Err(EigError::NotSquare);
     }
     let n = a.rows();
-    vals.clear();
-    vals.resize(n, 0.0);
-    scratch.clear();
-    scratch.resize(n, 0.0);
+    let mut z = a.clone();
+    let mut d = vec![0.0; n];
+    let mut e = vec![0.0; n];
     if n > 0 {
-        sym_tridiag_in_place(a, vals, scratch);
+        sym_tridiag_in_place(&mut z, &mut d, &mut e);
     }
-    tridiag_eigvals_in_place(vals, scratch)
+    tridiag_eigvals_in_place(&mut d, &mut e)?;
+    Ok(d)
 }
 
 /// The ascending eigenvalues of the symmetric tridiagonal matrix with

@@ -16,7 +16,7 @@
 //!   independent solves in lock step at each one's scalar bits;
 //! * [`eigh()`] / [`sym_eig`] — Hermitian and real-symmetric
 //!   eigendecomposition (Householder tridiagonalization + implicit QL);
-//! * [`svd_gram`] / [`svd_jacobi`] — singular value decompositions;
+//! * [`svd_gram`] — singular value decomposition via the Gram matrix;
 //! * [`qr_thin`] / [`lq_thin`] — Householder QR/LQ (MPS gauge fixing);
 //! * [`ptrace_keep`], [`trace_distance`], [`fidelity`] — the quantum
 //!   information utilities the paper's metrics are made of;
@@ -42,8 +42,8 @@ pub use cmat::CMat;
 pub use complex::{c64, C64};
 pub use cvec::CVec;
 pub use eigh::{
-    eigh, eigh_vals, herm_fn, herm_sqrt, sym_eig, sym_eigvals, sym_eigvals_in_place,
-    sym_tridiag_in_place, tridiag_eigvals_in_place, EigError,
+    eigh, eigh_vals, herm_fn, herm_sqrt, sym_eig, sym_eigvals, sym_tridiag_in_place,
+    tridiag_eigvals_in_place, EigError,
 };
 pub use embed::{herm_to_real_sym, real_sym_to_herm};
 pub use lanes::{LaneMat, Lanes};
@@ -52,4 +52,4 @@ pub use quantum::{
     fidelity, is_density_matrix, ptrace_keep, purity, trace_distance, trace_norm_hermitian,
 };
 pub use rmat::{axpy_slice, dot_slice, RMat};
-pub use svd::{svd_gram, svd_jacobi, Svd, JACOBI_RANK_TOL, RANK_TOL};
+pub use svd::{svd_gram, Svd, RANK_TOL};

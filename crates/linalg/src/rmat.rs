@@ -135,7 +135,7 @@ fn axpy_row(y: &mut [f64], s: f64, x: &[f64]) {
 ///
 /// let a = RMat::from_rows(&[vec![4.0, 2.0], vec![2.0, 3.0]]);
 /// let l = a.cholesky().expect("SPD");
-/// assert!(l.mul_transpose_self().approx_eq(&a, 1e-12));
+/// assert!(l.mul_mat(&l.transpose()).approx_eq(&a, 1e-12));
 /// ```
 #[derive(Clone, PartialEq, Default)]
 pub struct RMat {
@@ -330,19 +330,6 @@ impl RMat {
     pub fn mul_vec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(self.cols, v.len(), "matvec dimension mismatch");
         (0..self.rows).map(|i| dot_seq(self.row(i), v)).collect()
-    }
-
-    /// `self · selfᵀ`.
-    pub fn mul_transpose_self(&self) -> RMat {
-        let mut out = RMat::zeros(self.rows, self.rows);
-        for i in 0..self.rows {
-            for j in i..self.rows {
-                let s = dot_seq(self.row(i), self.row(j));
-                out.set(i, j, s);
-                out.set(j, i, s);
-            }
-        }
-        out
     }
 
     /// `selfᵀ · self`, written into `out` (fully overwritten).
@@ -586,17 +573,6 @@ impl RMat {
         true
     }
 
-    /// Solves `L·x = b` for lower-triangular `self` (forward substitution).
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch or a zero diagonal.
-    pub fn solve_lower(&self, b: &[f64]) -> Vec<f64> {
-        let mut x = b.to_vec();
-        self.solve_lower_in_place(&mut x);
-        x
-    }
-
     /// Forward substitution `L·x = b` performed in place on `x`.
     ///
     /// # Panics
@@ -610,17 +586,6 @@ impl RMat {
             let s = sub_dot_seq(x[i], &lrow[..i], &x[..i]);
             x[i] = s / lrow[i];
         }
-    }
-
-    /// Solves `Lᵀ·x = b` for lower-triangular `self` (back substitution).
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch or a zero diagonal.
-    pub fn solve_lower_transpose(&self, b: &[f64]) -> Vec<f64> {
-        let mut x = b.to_vec();
-        self.solve_lower_transpose_in_place(&mut x);
-        x
     }
 
     /// Back substitution `Lᵀ·x = b` performed in place on `x`.
@@ -638,21 +603,6 @@ impl RMat {
             }
             x[i] = s / self.data[i * n + i];
         }
-    }
-
-    /// Solves `self·x = b` given that `self` is SPD, via Cholesky.
-    ///
-    /// Returns `None` when the Cholesky factorization fails.
-    pub fn solve_spd(&self, b: &[f64]) -> Option<Vec<f64>> {
-        let l = self.cholesky()?;
-        Some(l.solve_lower_transpose(&l.solve_lower(b)))
-    }
-
-    /// Solves `L·X = B` columnwise for lower-triangular `self`.
-    pub fn solve_lower_mat(&self, b: &RMat) -> RMat {
-        let mut x = b.clone();
-        self.solve_lower_mat_in_place(&mut x);
-        x
     }
 
     /// Forward substitution `L·X = B` performed in place on `x`.
@@ -687,41 +637,8 @@ impl RMat {
         }
     }
 
-    /// Solves `Lᵀ·X = B` columnwise for lower-triangular `self`.
-    pub fn solve_lower_transpose_mat(&self, b: &RMat) -> RMat {
-        assert!(self.is_square() && self.rows == b.rows);
-        let n = self.rows;
-        let mut x = b.clone();
-        for i in (0..n).rev() {
-            for k in i + 1..n {
-                let lki = self.at(k, i);
-                if lki == 0.0 {
-                    continue;
-                }
-                let (head, tail) = x.data.split_at_mut(k * x.cols);
-                let xi = &mut head[i * x.cols..(i + 1) * x.cols];
-                let xk = &tail[..x.cols];
-                for (a, b) in xi.iter_mut().zip(xk) {
-                    *a -= lki * b;
-                }
-            }
-            let d = self.at(i, i);
-            for v in x.row_mut(i) {
-                *v /= d;
-            }
-        }
-        x
-    }
-
-    /// Inverse of a lower-triangular matrix.
-    pub fn invert_lower(&self) -> RMat {
-        let mut out = RMat::zeros(self.rows, self.rows);
-        self.invert_lower_into(&mut out);
-        out
-    }
-
     /// Inverse of a lower-triangular matrix, written into a reusable buffer
-    /// (fully overwritten). Bit-identical to [`RMat::invert_lower`].
+    /// (fully overwritten).
     ///
     /// # Panics
     ///
@@ -859,7 +776,7 @@ mod tests {
     fn cholesky_reconstructs() {
         let a = spd_example();
         let l = a.cholesky().expect("SPD");
-        assert!(l.mul_transpose_self().approx_eq(&a, 1e-12));
+        assert!(l.mul_mat(&l.transpose()).approx_eq(&a, 1e-12));
     }
 
     #[test]
@@ -872,7 +789,10 @@ mod tests {
     fn solve_spd_residual() {
         let a = spd_example();
         let b = vec![1.0, -2.0, 0.5];
-        let x = a.solve_spd(&b).expect("solvable");
+        let l = a.cholesky().expect("SPD");
+        let mut x = b.clone();
+        l.solve_lower_in_place(&mut x);
+        l.solve_lower_transpose_in_place(&mut x);
         let r = a.mul_vec(&x);
         for (ri, bi) in r.iter().zip(&b) {
             assert!((ri - bi).abs() < 1e-10);
@@ -884,11 +804,12 @@ mod tests {
         let a = spd_example();
         let l = a.cholesky().unwrap();
         let eye = RMat::identity(3);
-        let linv = l.solve_lower_mat(&eye);
+        let mut linv = eye.clone();
+        l.solve_lower_mat_in_place(&mut linv);
         assert!(l.mul_mat(&linv).approx_eq(&eye, 1e-12));
-        let ltinv = l.solve_lower_transpose_mat(&eye);
-        assert!(l.transpose().mul_mat(&ltinv).approx_eq(&eye, 1e-12));
-        assert!(l.invert_lower().approx_eq(&linv, 1e-15));
+        let mut inv = RMat::zeros(3, 3);
+        l.invert_lower_into(&mut inv);
+        assert!(inv.approx_eq(&linv, 1e-15));
     }
 
     #[test]
@@ -899,10 +820,11 @@ mod tests {
     }
 
     #[test]
-    fn mul_transpose_self_is_gram() {
-        let a = RMat::from_fn(2, 4, |i, j| (i * 4 + j) as f64);
-        let g = a.mul_transpose_self();
-        assert!(g.approx_eq(&a.mul_mat(&a.transpose()), 1e-12));
+    fn transpose_mul_self_is_gram() {
+        let a = RMat::from_fn(4, 2, |i, j| (i * 2 + j) as f64);
+        let mut g = RMat::zeros(2, 2);
+        a.transpose_mul_self_into(&mut g);
+        assert!(g.approx_eq(&a.transpose().mul_mat(&a), 1e-12));
     }
 
     #[test]

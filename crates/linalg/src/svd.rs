@@ -1,19 +1,17 @@
 //! Singular value decomposition for complex matrices.
 //!
-//! Two routes are provided:
-//!
-//! * [`svd_gram`] — the production route used by the MPS truncation hot
-//!   path. It eigendecomposes the Gram matrix (`M†M` or `MM†`, whichever is
-//!   smaller) and reconstructs the other singular-vector set by applying
-//!   `M`. Singular values below `rank_tol · σ_max` get no vectors; for the
-//!   MPS use case (and the paper's truncation rule) only the retained
-//!   directions ever need vectors, while the *discarded weight*
-//!   `‖M‖²_F − Σ_kept σ²` is exact by construction.
-//! * [`svd_jacobi`] — a one-sided Jacobi SVD. Slower but accurate for small
-//!   singular values; used as the test oracle and in the ablation bench.
+//! [`svd_gram`] is the route the MPS truncation hot path uses. It
+//! eigendecomposes the Gram matrix (`M†M` or `MM†`, whichever is smaller)
+//! and reconstructs the other singular-vector set by applying `M`.
+//! Singular values below `rank_tol · σ_max` get no vectors; for the MPS use
+//! case (and the paper's truncation rule) only the retained directions ever
+//! need vectors, while the *discarded weight* `‖M‖²_F − Σ_kept σ²` is exact
+//! by construction. The property tests (`tests/proptests.rs`) check it
+//! against a one-sided Jacobi SVD, which keeps small singular values to
+//! full relative precision.
 
 use crate::eigh::{eigh, EigError};
-use crate::{c64, CMat};
+use crate::CMat;
 
 /// Relative rank cutoff used by [`svd_gram`]: singular values below
 /// `RANK_TOL · σ_max` are dropped (their mass goes to `discarded_sqr`).
@@ -24,10 +22,6 @@ use crate::{c64, CMat};
 /// represent (`≤ n · (1e-7·σ_max)²`) is negligible for the MPS truncation
 /// bounds this routine feeds.
 pub const RANK_TOL: f64 = 1e-7;
-
-/// Relative rank cutoff for [`svd_jacobi`], which computes small singular
-/// values to full relative precision.
-pub const JACOBI_RANK_TOL: f64 = 1e-12;
 
 /// A (possibly rank-truncated) singular value decomposition `A ≈ U·Σ·V†`.
 #[derive(Clone, Debug)]
@@ -62,7 +56,7 @@ impl Svd {
     }
 }
 
-/// Gram-matrix SVD (production route).
+/// Gram-matrix SVD.
 ///
 /// Retains every singular direction with `σ > RANK_TOL · σ_max` (all of them
 /// for well-conditioned inputs). The sum of retained `σ²` plus
@@ -160,114 +154,10 @@ pub fn svd_gram(a: &CMat) -> Result<Svd, EigError> {
     })
 }
 
-/// One-sided Jacobi SVD (reference route).
-///
-/// Iteratively rotates column pairs until all pairs are numerically
-/// orthogonal, then reads off `σⱼ = ‖colⱼ‖` and `U = col/σ`. Accurate for
-/// small singular values; used as the test oracle.
-///
-/// For `m < n` inputs the routine runs on `A†` and swaps the factors.
-pub fn svd_jacobi(a: &CMat) -> Svd {
-    let m = a.rows();
-    let n = a.cols();
-    if m < n {
-        let s = svd_jacobi(&a.adjoint());
-        return Svd {
-            u: s.v,
-            sigma: s.sigma,
-            v: s.u,
-            discarded_sqr: s.discarded_sqr,
-        };
-    }
-    let frob_sqr: f64 = a.as_slice().iter().map(|z| z.norm_sqr()).sum();
-    let mut work = a.clone();
-    let mut v = CMat::identity(n);
-    let tol = 1e-14;
-    let max_sweeps = 60;
-
-    for _sweep in 0..max_sweeps {
-        let mut off = 0.0f64;
-        for p in 0..n {
-            for q in p + 1..n {
-                // 2×2 Gram block of columns p, q.
-                let mut app = 0.0;
-                let mut aqq = 0.0;
-                let mut apq = c64(0.0, 0.0);
-                for i in 0..m {
-                    let cp = work.at(i, p);
-                    let cq = work.at(i, q);
-                    app += cp.norm_sqr();
-                    aqq += cq.norm_sqr();
-                    apq = apq.add_prod(cp.conj(), cq);
-                }
-                let denom = (app * aqq).sqrt();
-                if denom == 0.0 || apq.abs() <= tol * denom {
-                    continue;
-                }
-                off = off.max(apq.abs() / denom);
-                // Complex Jacobi rotation R = diag(e^{iφ}, 1)·J(θ) zeroing
-                // the off-diagonal Gram entry, where φ = arg(apq) and J is
-                // the real symmetric Jacobi rotation for
-                // [[app, |apq|], [|apq|, aqq]].
-                let phi = apq.arg();
-                let abs_apq = apq.abs();
-                let tau = (aqq - app) / (2.0 * abs_apq);
-                let t = {
-                    let s = if tau >= 0.0 { 1.0 } else { -1.0 };
-                    s / (tau.abs() + (1.0 + tau * tau).sqrt())
-                };
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = c * t;
-                // col_p ← c·e^{iφ}·col_p − s·col_q
-                // col_q ← s·e^{iφ}·col_p + c·col_q
-                let eip = c64(phi.cos(), phi.sin());
-                for i in 0..m {
-                    let cp = eip * work.at(i, p);
-                    let cq = work.at(i, q);
-                    work.set(i, p, cp.scale(c) - cq.scale(s));
-                    work.set(i, q, cp.scale(s) + cq.scale(c));
-                }
-                for i in 0..n {
-                    let vp = eip * v.at(i, p);
-                    let vq = v.at(i, q);
-                    v.set(i, p, vp.scale(c) - vq.scale(s));
-                    v.set(i, q, vp.scale(s) + vq.scale(c));
-                }
-            }
-        }
-        if off < tol {
-            break;
-        }
-    }
-
-    // Extract singular values and left vectors.
-    let mut pairs: Vec<(f64, usize)> = (0..n)
-        .map(|j| {
-            let s: f64 = (0..m).map(|i| work.at(i, j).norm_sqr()).sum();
-            (s.sqrt(), j)
-        })
-        .collect();
-    pairs.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("non-NaN"));
-
-    let sigma_max = pairs.first().map_or(0.0, |p| p.0);
-    let cutoff = JACOBI_RANK_TOL * sigma_max;
-    let kept: Vec<(f64, usize)> = pairs.into_iter().filter(|p| p.0 > cutoff).collect();
-    let r = kept.len();
-    let sigma: Vec<f64> = kept.iter().map(|p| p.0).collect();
-    let u = CMat::from_fn(m, r, |i, j| work.at(i, kept[j].1).scale(1.0 / sigma[j]));
-    let vkept = CMat::from_fn(n, r, |i, j| v.at(i, kept[j].1));
-    let kept_sqr: f64 = sigma.iter().map(|s| s * s).sum();
-    Svd {
-        u,
-        sigma,
-        v: vkept,
-        discarded_sqr: (frob_sqr - kept_sqr).max(0.0),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::c64;
 
     fn pseudo_random(m: usize, n: usize, seed: u64) -> CMat {
         let mut s = seed;
@@ -312,24 +202,6 @@ mod tests {
         let a = pseudo_random(3, 8, 11);
         let svd = svd_gram(&a).unwrap();
         check_svd(&a, &svd, 1e-9);
-    }
-
-    #[test]
-    fn jacobi_svd_random() {
-        let a = pseudo_random(5, 4, 12);
-        let svd = svd_jacobi(&a);
-        check_svd(&a, &svd, 1e-10);
-    }
-
-    #[test]
-    fn gram_and_jacobi_agree_on_singular_values() {
-        let a = pseudo_random(7, 5, 13);
-        let g = svd_gram(&a).unwrap();
-        let j = svd_jacobi(&a);
-        assert_eq!(g.rank(), j.rank());
-        for (x, y) in g.sigma.iter().zip(&j.sigma) {
-            assert!((x - y).abs() < 1e-9, "{x} vs {y}");
-        }
     }
 
     #[test]

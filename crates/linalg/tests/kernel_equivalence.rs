@@ -304,12 +304,14 @@ fn cholesky_and_triangular_solves_match_naive_reference_bitwise() {
         assert_bits_eq(&l, &l_ref, "cholesky");
 
         let b: Vec<f64> = (0..n).map(|_| rng.coeff()).collect();
-        let fwd = l.solve_lower(&b);
+        let mut fwd = b.clone();
+        l.solve_lower_in_place(&mut fwd);
         let fwd_ref = naive_solve_lower(&l, &b);
         for (g, w) in fwd.iter().zip(&fwd_ref) {
             assert!(g.to_bits() == w.to_bits(), "solve_lower n {n}");
         }
-        let bwd = l.solve_lower_transpose(&b);
+        let mut bwd = b.clone();
+        l.solve_lower_transpose_in_place(&mut bwd);
         let bwd_ref = naive_solve_lower_transpose(&l, &b);
         for (g, w) in bwd.iter().zip(&bwd_ref) {
             assert!(g.to_bits() == w.to_bits(), "solve_lower_transpose n {n}");
@@ -336,7 +338,7 @@ fn transpose_mul_self_matches_composed_reference_bitwise() {
         let a = random_mat(&mut rng, m, k);
         let mut got = RMat::zeros(k, k);
         a.transpose_mul_self_into(&mut got);
-        // The historical spelling this kernel replaced in `inverse_spd`.
+        // The historical spelling this kernel replaced in the SPD inverse.
         let want = a.transpose().mul_mat(&a);
         assert_bits_eq(&got, &want, "transpose_mul_self_into");
     }
@@ -801,7 +803,11 @@ fn check_lane_triangular_mat_kernels<const K: usize>(isa: LaneIsa, rng: &mut Lcg
         let want: Vec<RMat> = ls
             .iter()
             .zip(&bs)
-            .map(|(l, b)| l.solve_lower_mat(b))
+            .map(|(l, b)| {
+                let mut x = b.clone();
+                l.solve_lower_mat_in_place(&mut x);
+                x
+            })
             .collect();
         assert_lane_bits(
             &x,
@@ -811,7 +817,14 @@ fn check_lane_triangular_mat_kernels<const K: usize>(isa: LaneIsa, rng: &mut Lcg
 
         let mut inv = LaneMat::<K>::zeros(n, n);
         l.invert_lower_into(&mut inv);
-        let want: Vec<RMat> = ls.iter().map(RMat::invert_lower).collect();
+        let want: Vec<RMat> = ls
+            .iter()
+            .map(|l| {
+                let mut out = RMat::zeros(n, n);
+                l.invert_lower_into(&mut out);
+                out
+            })
+            .collect();
         assert_lane_bits(&inv, &want, &format!("{isa:?} invert_lower K {K} n {n}"));
 
         let mut gram = LaneMat::<K>::zeros(n, n);

@@ -1,9 +1,12 @@
 //! Property-based tests for the linear-algebra substrate.
 
+mod jacobi;
+
 use gleipnir_linalg::{
     c64, eigh, eigh_vals, herm_to_real_sym, lq_thin, ptrace_keep, qr_thin, real_sym_to_herm,
-    svd_gram, svd_jacobi, sym_eig, trace_distance, CMat, RMat, C64,
+    svd_gram, sym_eig, trace_distance, CMat, RMat, C64,
 };
+use jacobi::svd_jacobi;
 use proptest::prelude::*;
 
 fn arb_c64() -> impl Strategy<Value = C64> {
@@ -27,6 +30,15 @@ fn arb_density(n_qubits: usize) -> impl Strategy<Value = CMat> {
         let t = p.trace().re.max(1e-9);
         p.scaled(c64(1.0 / t, 0.0))
     })
+}
+
+/// Solves `a·x = b` for SPD `a` through its Cholesky factor.
+fn solve_spd(a: &RMat, b: &[f64]) -> Option<Vec<f64>> {
+    let l = a.cholesky()?;
+    let mut x = b.to_vec();
+    l.solve_lower_in_place(&mut x);
+    l.solve_lower_transpose_in_place(&mut x);
+    Some(x)
 }
 
 proptest! {
@@ -101,6 +113,26 @@ proptest! {
     }
 
     #[test]
+    fn jacobi_svd_random(a in arb_cmat(5, 4)) {
+        let svd = svd_jacobi(&a);
+        let r = svd.rank();
+        prop_assert!(svd.u.adjoint_mul(&svd.u).approx_eq(&CMat::identity(r), 1e-10));
+        prop_assert!(svd.v.adjoint_mul(&svd.v).approx_eq(&CMat::identity(r), 1e-10));
+        prop_assert!(svd.sigma.windows(2).all(|w| w[0] >= w[1] - 1e-14));
+        prop_assert!(svd.reconstruct().approx_eq(&a, 1e-9));
+    }
+
+    #[test]
+    fn gram_and_jacobi_agree_on_singular_values(a in arb_cmat(7, 5)) {
+        let g = svd_gram(&a).unwrap();
+        let j = svd_jacobi(&a);
+        prop_assert_eq!(g.rank(), j.rank());
+        for (x, y) in g.sigma.iter().zip(&j.sigma) {
+            prop_assert!((x - y).abs() < 1e-9);
+        }
+    }
+
+    #[test]
     fn trace_distance_is_a_metric(a in arb_density(2), b in arb_density(2), c in arb_density(2)) {
         let dab = trace_distance(&a, &b).unwrap();
         let dba = trace_distance(&b, &a).unwrap();
@@ -158,7 +190,7 @@ proptest! {
         }
         let a = herm_to_real_sym(&psd);
         let b: Vec<f64> = (0..8).map(|i| (i as f64) - 3.5).collect();
-        let x = a.solve_spd(&b).unwrap();
+        let x = solve_spd(&a, &b).unwrap();
         let r = a.mul_vec(&x);
         for (ri, bi) in r.iter().zip(&b) {
             prop_assert!((ri - bi).abs() < 1e-7);
@@ -170,5 +202,5 @@ proptest! {
 fn rmat_identity_solve() {
     let a = RMat::identity(4);
     let b = vec![1.0, 2.0, 3.0, 4.0];
-    assert_eq!(a.solve_spd(&b).unwrap(), b);
+    assert_eq!(solve_spd(&a, &b).unwrap(), b);
 }

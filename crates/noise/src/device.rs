@@ -9,7 +9,7 @@
 //! readout ≈ 1.7–3.5×10⁻²), deliberately non-uniform across qubits. The
 //! experiment's claims are relational (bounds dominate and rank-order the
 //! measured errors), and both sides of the comparison consume this same
-//! model — see DESIGN.md §3.
+//! model.
 
 use crate::Channel;
 use gleipnir_circuit::{CouplingMap, Gate, Qubit};

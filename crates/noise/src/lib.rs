@@ -3,7 +3,9 @@
 //! Quantum noise for the Gleipnir workspace: Kraus [`Channel`]s, gate-level
 //! [`NoiseModel`]s (including the paper's §7.1 uniform bit-flip model), and
 //! calibrated [`DeviceModel`]s with the coupling maps of the paper's Fig. 15
-//! (IBM Boeblingen and Lima; synthetic calibration — see DESIGN.md §3).
+//! (IBM Boeblingen and Lima). Their calibration tables are synthetic, in
+//! the realistic range for devices of that generation, since no real
+//! calibration feed is available offline.
 //!
 //! The [`choi_from_apply`] / [`choi_of_unitary`] helpers provide the
 //! Choi–Jamiołkowski representations the diamond-norm SDPs are built from,

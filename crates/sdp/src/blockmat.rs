@@ -13,11 +13,6 @@ pub struct BlockMat {
 }
 
 impl BlockMat {
-    fn with_blocks(blocks: Vec<RMat>) -> Self {
-        let dims = blocks.iter().map(RMat::rows).collect();
-        BlockMat { blocks, dims }
-    }
-
     /// A zero matrix with the given block dimensions.
     pub fn zeros(dims: &[usize]) -> Self {
         BlockMat {
@@ -39,17 +34,13 @@ impl BlockMat {
         for b in &blocks {
             assert!(b.is_square(), "blocks must be square");
         }
-        Self::with_blocks(blocks)
+        let dims = blocks.iter().map(RMat::rows).collect();
+        BlockMat { blocks, dims }
     }
 
     /// Block dimensions, cached at construction (no allocation per call).
     pub fn dims(&self) -> &[usize] {
         &self.dims
-    }
-
-    /// Total dimension (sum of block sizes).
-    pub fn total_dim(&self) -> usize {
-        self.blocks.iter().map(RMat::rows).sum()
     }
 
     /// Number of blocks.
@@ -107,17 +98,6 @@ impl BlockMat {
         }
     }
 
-    /// Blockwise product `self · other`.
-    pub fn mul(&self, other: &BlockMat) -> BlockMat {
-        Self::with_blocks(
-            self.blocks
-                .iter()
-                .zip(&other.blocks)
-                .map(|(a, b)| a.mul_mat(b))
-                .collect(),
-        )
-    }
-
     /// Blockwise symmetrization `(self + selfᵀ)/2`, in place.
     pub fn symmetrize(&mut self) {
         for b in &mut self.blocks {
@@ -151,107 +131,6 @@ impl BlockMat {
         self.blocks.iter().map(RMat::max_abs).fold(0.0, f64::max)
     }
 
-    /// Blockwise Cholesky; `None` if any block is not positive definite.
-    pub fn cholesky(&self) -> Option<BlockMat> {
-        let mut l = Self::zeros(&self.dims);
-        self.blocks
-            .iter()
-            .zip(&mut l.blocks)
-            .all(|(b, l)| b.cholesky_into(l))
-            .then_some(l)
-    }
-
-    /// Blockwise inverse from a Cholesky factor of `self`
-    /// (`self⁻¹ = L⁻ᵀ·L⁻¹`).
-    ///
-    /// Returns `None` if the factorization fails.
-    pub fn inverse_spd(&self) -> Option<BlockMat> {
-        let mut lwork = Self::zeros(&self.dims);
-        let mut linv = Self::zeros(&self.dims);
-        let mut out = Self::zeros(&self.dims);
-        if self.inverse_spd_into(&mut lwork, &mut linv, &mut out) {
-            Some(out)
-        } else {
-            None
-        }
-    }
-
-    /// Blockwise SPD inverse written into a reusable buffer.
-    ///
-    /// `lwork` and `linvwork` are scratch space for the per-block Cholesky
-    /// factor and its triangular inverse; `out` receives `self⁻¹`. Returns
-    /// `false` (leaving the buffers partially written) when a block is not
-    /// numerically positive definite. Bit-identical to the allocating
-    /// [`BlockMat::inverse_spd`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on block-shape mismatch between `self` and any buffer.
-    pub fn inverse_spd_into(
-        &self,
-        lwork: &mut BlockMat,
-        linvwork: &mut BlockMat,
-        out: &mut BlockMat,
-    ) -> bool {
-        assert_eq!(self.dims, lwork.dims, "inverse_spd_into shape mismatch");
-        assert_eq!(self.dims, linvwork.dims, "inverse_spd_into shape mismatch");
-        assert_eq!(self.dims, out.dims, "inverse_spd_into shape mismatch");
-        for (((b, l), linv), o) in self
-            .blocks
-            .iter()
-            .zip(&mut lwork.blocks)
-            .zip(&mut linvwork.blocks)
-            .zip(&mut out.blocks)
-        {
-            if !b.cholesky_into(l) {
-                return false;
-            }
-            l.invert_lower_into(linv);
-            linv.transpose_mul_self_into(o);
-        }
-        true
-    }
-
-    /// Largest step `α ∈ (0, 1]` such that `self + α·dir ⪰ (1−relax)…`,
-    /// i.e. `min(1, γ·α_max)` with `α_max = sup{α : self + α·dir ⪰ 0}`.
-    ///
-    /// Computed from `λ_min(L⁻¹·dir·L⁻ᵀ)` per block.
-    ///
-    /// Returns `None` if `self` is not positive definite.
-    pub fn max_step(&self, dir: &BlockMat, gamma: f64) -> Option<f64> {
-        let l = self.cholesky()?;
-        l.max_step_factored(dir, gamma, &mut StepWork::new(&self.dims))
-    }
-
-    /// [`BlockMat::max_step`] of the matrix whose blockwise Cholesky
-    /// factor is `self` — the solver's lane line search on one lane.
-    ///
-    /// Returns `None` if an eigensolve fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics on block-shape mismatch.
-    pub(crate) fn max_step_factored(
-        &self,
-        dir: &BlockMat,
-        gamma: f64,
-        work: &mut StepWork<1>,
-    ) -> Option<f64> {
-        assert_eq!(self.dims, dir.dims, "max_step shape mismatch");
-        let one_lane = |m: &BlockMat| -> Vec<LaneMat<1>> {
-            m.blocks
-                .iter()
-                .map(|b| {
-                    let mut l = LaneMat::zeros(b.rows(), b.cols());
-                    l.set_lane(0, b);
-                    l
-                })
-                .collect()
-        };
-        let [alpha] = max_step_lanes(&one_lane(self), &one_lane(dir), [gamma], [true], work);
-        alpha
-    }
-
     /// Minimum eigenvalue across blocks (symmetrizing first); `0.0` when
     /// every block is empty.
     ///
@@ -261,44 +140,22 @@ impl BlockMat {
     /// not finite: a failed block is never skipped.
     pub fn min_eigenvalue(&self) -> Result<f64, EigError> {
         let mut m = f64::INFINITY;
-        for vals in self.spectra() {
-            m = m.min(vals?[0]);
+        for b in self.blocks.iter().filter(|b| b.rows() > 0) {
+            let vals = sym_eigvals(&b.symmetrize())?;
+            if !vals.iter().all(|v| v.is_finite()) {
+                return Err(EigError::NotFinite);
+            }
+            m = m.min(vals[0]);
         }
         Ok(if m == f64::INFINITY { 0.0 } else { m })
     }
-
-    /// Spectral norm (max |eigenvalue|) across blocks.
-    ///
-    /// # Errors
-    ///
-    /// [`EigError`] if any block's eigensolve fails or its spectrum is
-    /// not finite.
-    pub fn spectral_norm(&self) -> Result<f64, EigError> {
-        let mut m = 0.0f64;
-        for vals in self.spectra() {
-            let vals = vals?;
-            m = m.max(vals[0].abs()).max(vals[vals.len() - 1].abs());
-        }
-        Ok(m)
-    }
-
-    /// Each non-empty block's ascending spectrum (symmetrized first),
-    /// with a non-finite eigenvalue reported as an error.
-    fn spectra(&self) -> impl Iterator<Item = Result<Vec<f64>, EigError>> + '_ {
-        self.blocks.iter().filter(|b| b.rows() > 0).map(|b| {
-            let vals = sym_eigvals(&b.symmetrize())?;
-            if vals.iter().all(|v| v.is_finite()) {
-                Ok(vals)
-            } else {
-                Err(EigError::NotFinite)
-            }
-        })
-    }
 }
 
-/// [`BlockMat::max_step`] lane by lane: lane `s` of the result is the
-/// step along lane `s` of `dir` (blockwise) for the matrix whose blockwise
-/// Cholesky factor is lane `s` of `l`, with lane `s`'s `gamma` — `None`
+/// The interior-point line search, lane by lane. Lane `s` of the result
+/// is the largest step `α ∈ (0, 1]` along `D` (lane `s` of `dir`) for the
+/// matrix `X` whose blockwise Cholesky factor is lane `s` of `l`:
+/// `min(1, γ·α_max)` with `α_max = sup{α : X + α·D ⪰ 0}` and `γ =
+/// gamma[s]`, computed from `λ_min(L⁻¹·D·L⁻ᵀ)` per block. It is `None`
 /// where an eigensolve fails or `on[s]` is not set.
 ///
 /// Per block, `K = L⁻¹·D·L⁻ᵀ = (L⁻¹·(L⁻¹·D)ᵀ)ᵀ`, symmetrized, and its
@@ -392,6 +249,45 @@ mod tests {
         a
     }
 
+    /// A symmetric, generally indefinite direction.
+    fn dir_block(n: usize, k: f64) -> RMat {
+        RMat::from_fn(n, n, |i, j| ((i + 2 * j) as f64 * k).cos() - 0.4).symmetrize()
+    }
+
+    /// Packs lane `s` of every block from `lanes[s]`.
+    fn pack<const K: usize>(lanes: &[Vec<RMat>; K]) -> Vec<LaneMat<K>> {
+        (0..lanes[0].len())
+            .map(|b| {
+                let n = lanes[0][b].rows();
+                let mut m = LaneMat::zeros(n, n);
+                for (s, blocks) in lanes.iter().enumerate() {
+                    m.set_lane(s, &blocks[b]);
+                }
+                m
+            })
+            .collect()
+    }
+
+    /// The packed blockwise Cholesky factors of `x`.
+    fn factor<const K: usize>(x: &[Vec<RMat>; K]) -> Vec<LaneMat<K>> {
+        pack(x)
+            .iter()
+            .map(|b| {
+                let mut l = LaneMat::zeros(b.rows(), b.cols());
+                assert_eq!(b.cholesky_into(&mut l), [true; K], "SPD input");
+                l
+            })
+            .collect()
+    }
+
+    /// One one-lane line search, on fresh scratch.
+    fn max_step(x: &[RMat], dir: &[RMat], gamma: f64) -> Option<f64> {
+        let dims: Vec<usize> = x.iter().map(RMat::rows).collect();
+        let (l, d) = (factor(&[x.to_vec()]), pack(&[dir.to_vec()]));
+        let [alpha] = max_step_lanes(&l, &d, [gamma], [true], &mut StepWork::new(&dims));
+        alpha
+    }
+
     #[test]
     fn dot_matches_blockwise_trace() {
         let a = BlockMat::from_blocks(vec![spd_block(3, 0.7), spd_block(2, 1.3)]);
@@ -401,24 +297,15 @@ mod tests {
     }
 
     #[test]
-    fn inverse_spd_works() {
-        let a = BlockMat::from_blocks(vec![spd_block(4, 0.9)]);
-        let inv = a.inverse_spd().unwrap();
-        let prod = a.mul(&inv);
-        assert!(prod.block(0).approx_eq(&RMat::identity(4), 1e-10));
-    }
-
-    #[test]
     fn max_step_blocks_negative_directions() {
-        let x = BlockMat::scaled_identity(&[2], 1.0);
-        let mut d = BlockMat::zeros(&[2]);
-        d.block_mut(0).set(0, 0, -2.0);
+        let x = [RMat::identity(2)];
+        let mut d = RMat::zeros(2, 2);
+        d.set(0, 0, -2.0);
         // X + α·D ⪰ 0 needs α ≤ 0.5; with γ = 1 we get exactly 0.5.
-        let alpha = x.max_step(&d, 1.0).unwrap();
+        let alpha = max_step(&x, &[d], 1.0).unwrap();
         assert!((alpha - 0.5).abs() < 1e-9);
         // A PSD direction allows the full step.
-        let up = BlockMat::scaled_identity(&[2], 1.0);
-        assert!(x.max_step(&up, 0.95).unwrap() > 1.0 - 1e-12);
+        assert!(max_step(&x, &[RMat::identity(2)], 0.95).unwrap() > 1.0 - 1e-12);
     }
 
     #[test]
@@ -430,26 +317,73 @@ mod tests {
 
     #[test]
     fn max_step_on_shared_factor_and_scratch_matches_fresh_calls() {
-        let x = BlockMat::from_blocks(vec![
-            spd_block(5, 0.3),
-            spd_block(3, 1.1),
-            spd_block(1, 0.5),
-        ]);
-        let l = x.cholesky().unwrap();
-        let mut work = StepWork::new(x.dims());
+        let x = vec![spd_block(5, 0.3), spd_block(3, 1.1), spd_block(1, 0.5)];
+        let dims: Vec<usize> = x.iter().map(RMat::rows).collect();
+        let l = factor(std::array::from_ref(&x));
+        let mut work = StepWork::new(&dims);
         for (k, gamma) in [(0.2, 1.0), (1.7, 0.9), (-0.6, 0.98)] {
-            let dir = BlockMat::from_blocks(
-                x.dims()
-                    .iter()
-                    .map(|&n| {
-                        RMat::from_fn(n, n, |i, j| ((i + 2 * j) as f64 * k).cos() - 0.4)
-                            .symmetrize()
-                    })
-                    .collect(),
+            let dir: Vec<RMat> = dims.iter().map(|&n| dir_block(n, k)).collect();
+            let fresh = max_step(&x, &dir, gamma).unwrap();
+            let [shared] = max_step_lanes(&l, &pack(&[dir]), [gamma], [true], &mut work);
+            assert_eq!(
+                fresh.to_bits(),
+                shared.unwrap().to_bits(),
+                "k {k} gamma {gamma}"
             );
-            let fresh = x.max_step(&dir, gamma).unwrap();
-            let shared = l.max_step_factored(&dir, gamma, &mut work).unwrap();
-            assert_eq!(fresh.to_bits(), shared.to_bits(), "k {k} gamma {gamma}");
+        }
+    }
+
+    #[test]
+    fn max_step_lanes_at_four_lanes_matches_four_one_lane_calls() {
+        let dims = [5, 0, 3, 1];
+        let x: [Vec<RMat>; 4] = std::array::from_fn(|s| {
+            dims.iter()
+                .map(|&n| spd_block(n, 0.3 + 0.4 * s as f64))
+                .collect()
+        });
+        let mut dir: [Vec<RMat>; 4] = std::array::from_fn(|s| {
+            dims.iter()
+                .map(|&n| dir_block(n, 0.2 + 0.7 * s as f64).scaled(20.0))
+                .collect()
+        });
+        // Lane 1 moves along a PSD direction; lane 2's direction is NaN.
+        dir[1] = dims.iter().map(|&n| spd_block(n, 0.9)).collect();
+        dir[2][2].set(1, 1, f64::NAN);
+        let gamma = [1.0, 0.9, 0.98, 0.95];
+
+        let (l, d) = (factor(&x), pack(&dir));
+        let one: [_; 4] =
+            std::array::from_fn(|s| (factor(&[x[s].clone()]), pack(&[dir[s].clone()])));
+        let mut work = StepWork::<4>::new(&dims);
+        let mut work1 = StepWork::<1>::new(&dims);
+        let masks = [
+            [true; 4],
+            [true, false, true, true],
+            [false, true, false, true],
+            [false; 4],
+        ];
+        for on in masks {
+            let wide = max_step_lanes(&l, &d, gamma, on, &mut work);
+            for s in 0..4 {
+                let [want] = max_step_lanes(&one[s].0, &one[s].1, [gamma[s]], [on[s]], &mut work1);
+                assert_eq!(
+                    wide[s].map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "lane {s} {on:?}"
+                );
+                if !on[s] {
+                    assert_eq!(wide[s], None, "lane {s} is off");
+                }
+            }
+            if on[1] {
+                assert_eq!(wide[1], Some((gamma[1] * (1.0 / gamma[1])).min(1.0)));
+            }
+            if on[2] {
+                assert_eq!(wide[2], None, "a NaN direction has no step");
+            }
+            if on[0] {
+                assert!(wide[0].unwrap() < 1.0, "lane 0 is blocked");
+            }
         }
     }
 
@@ -460,23 +394,14 @@ mod tests {
         nan.set(1, 0, f64::NAN);
         let with_nan = BlockMat::from_blocks(vec![RMat::identity(2), nan]);
         assert!(with_nan.min_eigenvalue().is_err());
-        assert!(with_nan.spectral_norm().is_err());
 
         let mut inf = RMat::identity(2);
         inf.set(1, 1, f64::INFINITY);
         let with_inf = BlockMat::from_blocks(vec![RMat::identity(3), inf]);
         assert!(with_inf.min_eigenvalue().is_err());
-        assert!(with_inf.spectral_norm().is_err());
 
         // Empty blocks have no spectrum to fail.
         let empty = BlockMat::zeros(&[0, 0]);
         assert_eq!(empty.min_eigenvalue(), Ok(0.0));
-        assert_eq!(empty.spectral_norm(), Ok(0.0));
-    }
-
-    #[test]
-    fn spectral_norm_of_identity() {
-        let a = BlockMat::scaled_identity(&[3, 2], -2.5);
-        assert!((a.spectral_norm().unwrap() - 2.5).abs() < 1e-12);
     }
 }

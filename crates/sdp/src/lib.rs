@@ -39,7 +39,4 @@ mod solver;
 
 pub use blockmat::BlockMat;
 pub use problem::{SdpProblem, SparseSym};
-pub use solver::{
-    largest_eigenvalue_sdp, SdpBatch, SdpError, SdpSolution, SdpStatus, SolverOptions,
-    SolverProfile, LANES,
-};
+pub use solver::{SdpBatch, SdpError, SdpSolution, SdpStatus, SolverOptions, SolverProfile, LANES};

@@ -103,7 +103,8 @@ pub struct SolverProfile {
     /// Predictor/corrector direction solves (right-hand sides, triangular
     /// solves, `sym(X·R·Z⁻¹)` triples, Mehrotra corrector assembly).
     pub direction_ms: f64,
-    /// Eigenvalue-based line searches (`max_step`) and iterate updates.
+    /// Eigenvalue-based line searches (`max_step_lanes`) and iterate
+    /// updates.
     pub step_ms: f64,
     /// Post-loop certificate work: final residuals and the exact
     /// dual-slack minimum eigenvalue.
@@ -693,8 +694,9 @@ impl<const K: usize> Wide<K> {
     }
 
     /// `Z⁻¹ = L⁻ᵀ·L⁻¹` blockwise from the Cholesky factor `L` of the
-    /// packed `Z`, which stays in `zl` — per lane the operations of
-    /// [`BlockMat::inverse_spd`]. Returns which lanes' `Z` factored.
+    /// packed `Z`, which stays in `zl`; per lane, the scalar
+    /// `cholesky_into`, `invert_lower_into` and `transpose_mul_self_into`
+    /// in that order. Returns which lanes' `Z` factored.
     fn invert_z(&mut self) -> [bool; K] {
         let mut ok = [true; K];
         let blocks = self.z.iter().zip(&mut self.zl);
@@ -1448,30 +1450,6 @@ fn ms_since(t: Instant) -> f64 {
     t.elapsed().as_secs_f64() * 1e3
 }
 
-/// Convenience: build and solve the "max ⟨C, X⟩ s.t. tr X = 1, X ⪰ 0"
-/// problem, whose optimum is the largest eigenvalue of `C`. Used as a
-/// self-test and in benchmarks.
-pub fn largest_eigenvalue_sdp(c: &RMat, opts: &SolverOptions) -> Result<f64, SdpError> {
-    let n = c.rows();
-    let mut cs = SparseSym::new();
-    for i in 0..n {
-        for j in i..n {
-            // minimize ⟨−C, X⟩
-            let v = -0.5 * (c.at(i, j) + c.at(j, i));
-            if v != 0.0 {
-                cs.push(0, i, j, v);
-            }
-        }
-    }
-    let mut tr = SparseSym::new();
-    for i in 0..n {
-        tr.push(0, i, i, 1.0);
-    }
-    let p = SdpProblem::new(vec![n], cs, vec![tr], vec![1.0]);
-    let sol = p.solve(opts)?;
-    Ok(-sol.primal_objective)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1499,6 +1477,29 @@ mod tests {
         assert!((sol.dual_objective - 2.0).abs() < 1e-6);
     }
 
+    /// Builds and solves the "max ⟨C, X⟩ s.t. tr X = 1, X ⪰ 0" problem,
+    /// whose optimum is the largest eigenvalue of `C`.
+    fn largest_eigenvalue_sdp(c: &RMat, opts: &SolverOptions) -> Result<f64, SdpError> {
+        let n = c.rows();
+        let mut cs = SparseSym::new();
+        for i in 0..n {
+            for j in i..n {
+                // minimize ⟨−C, X⟩
+                let v = -0.5 * (c.at(i, j) + c.at(j, i));
+                if v != 0.0 {
+                    cs.push(0, i, j, v);
+                }
+            }
+        }
+        let mut tr = SparseSym::new();
+        for i in 0..n {
+            tr.push(0, i, i, 1.0);
+        }
+        let p = SdpProblem::new(vec![n], cs, vec![tr], vec![1.0]);
+        let sol = p.solve(opts)?;
+        Ok(-sol.primal_objective)
+    }
+
     #[test]
     fn largest_eigenvalue_matches_eigensolver() {
         let c = RMat::from_rows(&[
@@ -1509,6 +1510,42 @@ mod tests {
         let lam_sdp = largest_eigenvalue_sdp(&c, &opts()).unwrap();
         let lam_eig = *sym_eigvals(&c).unwrap().last().unwrap();
         assert!((lam_sdp - lam_eig).abs() < 1e-6, "{lam_sdp} vs {lam_eig}");
+    }
+
+    #[test]
+    fn invert_z_inverts_every_factored_lane() {
+        let dims = [4, 1];
+        let spd = |n: usize, seed: f64| {
+            let b = RMat::from_fn(n, n, |i, j| ((i * n + j) as f64 * seed).sin());
+            let mut a = b.transpose().mul_mat(&b);
+            for i in 0..n {
+                a[(i, i)] += n as f64;
+            }
+            a
+        };
+        let mut w = Wide::<4>::new(&dims, 1);
+        let mut z: Vec<Vec<RMat>> = (0..4)
+            .map(|s| dims.iter().map(|&n| spd(n, 0.9 + 0.3 * s as f64)).collect())
+            .collect();
+        // Lane 2's second block is indefinite.
+        z[2][1].set(0, 0, -1.0);
+        for (s, lane) in z.iter().enumerate() {
+            for (b, m) in lane.iter().enumerate() {
+                w.z[b].set_lane(s, m);
+            }
+        }
+        assert_eq!(w.invert_z(), [true, true, false, true]);
+        for s in [0, 1, 3] {
+            for (b, &n) in dims.iter().enumerate() {
+                let mut inv = RMat::zeros(n, n);
+                w.zinv[b].get_lane(s, &mut inv);
+                let prod = z[s][b].mul_mat(&inv);
+                assert!(
+                    prod.approx_eq(&RMat::identity(n), 1e-10),
+                    "lane {s} block {b}"
+                );
+            }
+        }
     }
 
     #[test]

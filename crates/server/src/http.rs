@@ -94,19 +94,31 @@ pub fn parse_request(buf: &[u8], max_body: usize) -> Parse {
     }
     // HTTP/1.1 defaults to keep-alive; HTTP/1.0 to close.
     let mut keep_alive = version != "HTTP/1.0";
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     let mut tenant: Option<String> = None;
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
             let name = name.trim();
             let value = value.trim();
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = match value.parse() {
-                    Ok(n) => n,
-                    Err(_) => {
-                        return Parse::Error(ParseError::Malformed("bad Content-Length".into()))
-                    }
+                let Ok(n) = value.parse() else {
+                    return Parse::Error(ParseError::Malformed("bad Content-Length".into()));
                 };
+                // RFC 9112 §6.3: differing lengths leave the framing
+                // ambiguous, so no length can be trusted.
+                if content_length.is_some_and(|m| m != n) {
+                    return Parse::Error(ParseError::Malformed(
+                        "conflicting Content-Length".into(),
+                    ));
+                }
+                content_length = Some(n);
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                // Only Content-Length framing is implemented. Reading a
+                // chunked body as empty would parse its chunks as the next
+                // pipelined request (RFC 9112 §6.1), so refuse and close.
+                return Parse::Error(ParseError::Malformed(
+                    "Transfer-Encoding is not supported".into(),
+                ));
             } else if name.eq_ignore_ascii_case("connection") {
                 if value.eq_ignore_ascii_case("close") {
                     keep_alive = false;
@@ -118,6 +130,7 @@ pub fn parse_request(buf: &[u8], max_body: usize) -> Parse {
             }
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body {
         return Parse::Error(ParseError::TooLarge);
     }
@@ -328,6 +341,33 @@ mod tests {
             parse_request(b"NOT A REQUEST\r\n\r\n", 1024),
             Parse::Error(ParseError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn transfer_encoding_is_malformed() {
+        for raw in [
+            &b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n"[..],
+            b"POST /x HTTP/1.1\r\nContent-Length: 3\r\ntransfer-encoding: gzip, chunked\r\n\r\nabc",
+        ] {
+            assert!(matches!(
+                parse_request(raw, 1024),
+                Parse::Error(ParseError::Malformed(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_malformed() {
+        let raw = b"POST /x HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 5\r\n\r\nhello";
+        assert!(matches!(
+            parse_request(raw, 1024),
+            Parse::Error(ParseError::Malformed(_))
+        ));
+        // A repeated identical length frames the body unambiguously.
+        let raw = b"POST /x HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello";
+        let (req, consumed, _) = full(raw);
+        assert_eq!(req.body, b"hello");
+        assert_eq!(consumed, raw.len());
     }
 
     #[test]

@@ -148,7 +148,9 @@ pub struct Benchmark {
 /// seeded graphs with matching size are used; layer counts and (where the
 /// paper's counts imply it) RZZ decomposition into `CNOT·RZ·CNOT` are
 /// chosen so the gate counts match the table where the stated construction
-/// allows (see DESIGN.md §3 and EXPERIMENTS.md).
+/// allows. Each row keeps the table's count in
+/// [`Benchmark::paper_gate_count`], so a mismatch shows next to the
+/// generated program's own count.
 pub fn paper_benchmarks() -> Vec<Benchmark> {
     let angles = (0.35, 0.62); // representative (γ, β); the bound shape is angle-robust
     let (g, b) = angles;

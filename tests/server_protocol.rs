@@ -12,7 +12,8 @@
 //! * a **pipelined burst** (many requests in one write) is answered
 //!   one response per request, in order;
 //! * **oversized** headers and declared bodies get `413`, unparseable
-//!   bytes get `400`;
+//!   bytes get `400`, and so does ambiguous framing (`Transfer-Encoding`,
+//!   conflicting `Content-Length`s), with nothing after it parsed;
 //! * shed connections receive their **complete `429`** even with unread
 //!   request bytes in flight (drain-before-close: no response is ever
 //!   torn or RST'd away).
@@ -237,6 +238,53 @@ fn unparseable_bytes_get_400() {
     let (status, _, body) = read_final_response(&mut stream);
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("malformed"), "{body}");
+    server.join();
+}
+
+/// Framing the server cannot trust (a `Transfer-Encoding`, or two
+/// different `Content-Length`s) gets one `400` and a close: the bytes
+/// after the head, and the valid request pipelined behind them, are never
+/// parsed as requests.
+#[test]
+fn ambiguous_framing_gets_one_400_and_routes_nothing_after_it() {
+    let server = protocol_server();
+    let addr = server.addr();
+    let next = "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n";
+    for head in [
+        "POST /analyze HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n\
+         19\r\nGET /metrics HTTP/1.1\r\n\r\n\r\n0\r\n\r\n",
+        "POST /analyze HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\nContent-Length: 27\r\n\r\n\
+         {}GET /metrics HTTP/1.1\r\n\r\n",
+    ] {
+        let mut stream = connect(addr);
+        stream
+            .write_all(format!("{head}{next}").as_bytes())
+            .unwrap();
+        let (status, head, body) = read_final_response(&mut stream);
+        assert_eq!(status, 400, "{body}");
+        assert!(head.contains("Connection: close"), "{head}");
+        assert!(body.contains("malformed"), "{body}");
+    }
+
+    // Nothing was routed: the two 400s and this fetch are every request.
+    let mut stream = connect(addr);
+    stream
+        .write_all(b"GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let (status, _, body) = read_final_response(&mut stream);
+    assert_eq!(status, 200, "{body}");
+    let requests = json::parse(&body).unwrap();
+    let requests = requests.get("requests").expect("requests section");
+    assert_eq!(
+        requests.get("requests_total").unwrap().as_usize(),
+        Some(3),
+        "{body}"
+    );
+    assert_eq!(
+        requests.get("http_err").unwrap().as_usize(),
+        Some(2),
+        "{body}"
+    );
     server.join();
 }
 
