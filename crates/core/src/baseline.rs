@@ -10,21 +10,27 @@
 //!   `(ρ_exact, 0)`-diamond norm. Exponential in qubits — the paper
 //!   reports it timing out beyond 10 qubits.
 //!
-//! Worst-case certificates live in the owning engine's shared cache (an
-//! unconstrained diamond norm depends only on the gate, its noise channel,
-//! and the solver options), so a batch of worst-case requests over related
-//! programs solves each distinct `(gate, channel)` pair once.
+//! Both are plan walks of their own that hand one obligation per gate to
+//! the solve stage ([`crate::solve`]), exactly like the state-aware
+//! pipeline: the stage owns the cache protocol, the tier decision, the
+//! accounting, the pool's lanes and the `solve` / `obligation` spans.
+//! Worst-case obligations are keyed by the unconstrained content address
+//! (an unconstrained diamond norm depends only on the gate, its noise
+//! channel, and the solver options), so repeats inside a request fold onto
+//! one solve, and a batch of worst-case requests over related programs
+//! solves each distinct `(gate, channel)` pair once. LQR obligations are
+//! exact and uncached, and always run under [`TierPolicy::Exact`].
 
-use crate::diamond::rho_delta_diamond;
-use crate::engine::{self, EngineHandle};
+use crate::engine::EngineHandle;
+use crate::plan::{SolveObligation, Walk};
 use crate::request::AnalysisRequest;
-use crate::tiers::{closed_form_gate_bound, TierCounts};
-use crate::{unconstrained_diamond, AnalysisError};
+use crate::solve::{spawn_solve, SolveOutcome};
+use crate::tiers::{TierCounts, TierPolicy};
+use crate::AnalysisError;
 use gleipnir_circuit::Gate;
 use gleipnir_linalg::CMat;
-use gleipnir_sdp::SolverOptions;
+use gleipnir_sdp::SolverProfile;
 use gleipnir_sim::DensityMatrix;
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// The worst-case (unconstrained diamond norm) analysis report.
@@ -50,7 +56,7 @@ pub struct WorstCaseReport {
     pub ip_iterations: usize,
     /// Aggregated per-phase solver timings across the analysis's SDP
     /// solves (all-zero when every gate was closed-form or cached).
-    pub solver_profile: gleipnir_sdp::SolverProfile,
+    pub solver_profile: SolverProfile,
     /// Wall-clock time of the analysis.
     pub elapsed: Duration,
 }
@@ -71,8 +77,21 @@ pub struct LqrReport {
     /// Number of gates analyzed (each one SDP solve; exact predicates are
     /// never cached).
     pub gate_count: usize,
+    /// How the gates were answered: all cold solves (LQR ignores the
+    /// request's tier policy).
+    pub tier_counts: TierCounts,
+    /// Interior-point iterations the analysis's SDP solves spent.
+    pub ip_iterations: usize,
+    /// Aggregated per-phase solver timings across the analysis's SDP
+    /// solves.
+    pub solver_profile: SolverProfile,
     /// Wall-clock time of the analysis.
     pub elapsed: Duration,
+}
+
+/// The sum of the solved ε's in gate order.
+fn total(solved: &SolveOutcome) -> f64 {
+    solved.epsilons.iter().fold(0.0, |sum, eps| sum + eps)
 }
 
 /// Sums the unconstrained diamond norms of every noisy gate in the program
@@ -83,96 +102,26 @@ pub(crate) fn run_worst_case(
     request: &AnalysisRequest,
 ) -> Result<WorstCaseReport, AnalysisError> {
     let start = Instant::now();
-    let opts = h.resolve_options(request);
-    let shared = request.cache_enabled().then(|| h.cache());
-    let noise = request.noise();
-
-    // A per-run memo always dedups repeats inside this program; the
-    // engine's shared cache (when enabled) additionally carries bounds
-    // across requests.
-    let tiers = request.tier_policy();
-    // Local memo values remember how they were produced: a repeated
-    // closed-form gate counts as closed form again (mirroring the solve
-    // stage's follower accounting), a repeated solved/shared value as a
-    // cache hit — so `gate_count = sdp_solves + cache_hits + closed_form`
-    // holds here too.
-    let mut local: HashMap<Vec<u64>, (f64, bool)> = HashMap::new();
-    let mut total = 0.0;
-    let mut gate_count = 0usize;
-    let mut solves = 0usize;
-    let mut cache_hits = 0usize;
-    let mut tier_counts = TierCounts::default();
-    let mut ip_iterations = 0usize;
-    let mut solver_profile = gleipnir_sdp::SolverProfile::default();
-    let mut err: Option<AnalysisError> = None;
+    let walk = Walk::of(h, request);
+    let mut obligations = Vec::new();
     request.program().body().for_each_gate(&mut |g| {
-        if err.is_some() {
-            return;
-        }
-        gate_count += 1;
-        let noisy = noise.noisy_gate(&g.gate, &g.qubits);
-        let key = engine::key_unconstrained(&g.gate.matrix(), noisy.kraus(), &opts);
-        if let Some(&(eps, analytic)) = local.get(&key) {
-            if analytic {
-                tier_counts.closed_form += 1;
-            } else {
-                cache_hits += 1;
-            }
-            total += eps;
-            return;
-        }
-        if let Some(eps) = shared.and_then(|c| c.get(&key)) {
-            cache_hits += 1;
-            local.insert(key, (eps, false));
-            total += eps;
-            return;
-        }
-        // Tier 0: for the unconstrained norm the closed form is lossless
-        // (it certifies exactly this quantity); never cached, like the
-        // solve stage.
-        if tiers == crate::TierPolicy::Fast {
-            if let Some(eps) = closed_form_gate_bound(&g.gate.matrix(), &noisy) {
-                tier_counts.closed_form += 1;
-                local.insert(key, (eps, true));
-                total += eps;
-                return;
-            }
-        }
-        match unconstrained_diamond(&g.gate.matrix(), &noisy, &opts) {
-            Ok(r) => {
-                solves += 1;
-                tier_counts.cold += 1;
-                ip_iterations += r.iterations;
-                solver_profile.add(&r.profile);
-                if let Some(c) = shared {
-                    c.insert(
-                        key.clone(),
-                        crate::engine::Certificate {
-                            eps: r.bound,
-                            dim: g.gate.matrix().rows() as u32,
-                            n_kraus: noisy.kraus().len() as u32,
-                            dual: std::sync::Arc::new(r.dual),
-                        },
-                    );
-                }
-                local.insert(key, (r.bound, false));
-                total += r.bound;
-            }
-            Err(e) => err = Some(e.into()),
-        }
+        let noisy = walk.noise.noisy_gate(&g.gate, &g.qubits);
+        obligations.push(SolveObligation::unconstrained(
+            g.gate.matrix(),
+            noisy,
+            &walk.opts,
+        ));
     });
-    if let Some(e) = err {
-        return Err(e);
-    }
-    h.shared.tiers.note(tier_counts, ip_iterations);
+    let gate_count = obligations.len();
+    let solved = spawn_solve(h, obligations, &walk).join(h)?;
     Ok(WorstCaseReport {
-        total,
+        total: total(&solved),
         gate_count,
-        sdp_solves: solves,
-        cache_hits,
-        tier_counts,
-        ip_iterations,
-        solver_profile,
+        sdp_solves: solved.sdp_solves,
+        cache_hits: solved.cache_hits,
+        tier_counts: solved.tier_counts,
+        ip_iterations: solved.ip_iterations,
+        solver_profile: solved.solver_profile,
         elapsed: start.elapsed(),
     })
 }
@@ -186,8 +135,8 @@ pub(crate) fn run_worst_case(
 /// qubits — beyond that the `4ⁿ` density matrix is the very blow-up the
 /// paper's "timed out" column demonstrates.
 pub(crate) fn run_lqr_full_sim(
+    h: &EngineHandle,
     request: &AnalysisRequest,
-    opts: &SolverOptions,
 ) -> Result<LqrReport, AnalysisError> {
     let input = request.input().as_basis().ok_or_else(|| {
         AnalysisError::Unsupported("LQR-full-sim baseline requires a basis input state".into())
@@ -210,19 +159,29 @@ pub(crate) fn run_lqr_full_sim(
         AnalysisError::Unsupported("LQR-full-sim baseline handles straight-line programs".into())
     })?;
 
+    let mut walk = Walk::of(h, request);
+    walk.tiers = TierPolicy::Exact;
     let mut rho = DensityMatrix::from_basis(input);
-    let mut bound = 0.0;
+    let mut obligations = Vec::with_capacity(gates.len());
     for g in gates {
         let qubits: Vec<usize> = g.qubits.iter().map(|q| q.0).collect();
-        let rho_prime = exact_local_density(&rho, &qubits);
-        let noisy = request.noise().noisy_gate(&g.gate, &g.qubits);
-        let r = rho_delta_diamond(&g.gate.matrix(), &noisy, &rho_prime, 0.0, opts)?;
-        bound += r.bound;
+        obligations.push(SolveObligation {
+            gate_matrix: g.gate.matrix(),
+            noisy: walk.noise.noisy_gate(&g.gate, &g.qubits),
+            rho_prime: exact_local_density(&rho, &qubits),
+            delta: 0.0,
+            cached: None,
+        });
         rho.apply_gate(&g.gate, &g.qubits);
     }
+    let gate_count = obligations.len();
+    let solved = spawn_solve(h, obligations, &walk).join(h)?;
     Ok(LqrReport {
-        bound,
-        gate_count: program.gate_count(),
+        bound: total(&solved),
+        gate_count,
+        tier_counts: solved.tier_counts,
+        ip_iterations: solved.ip_iterations,
+        solver_profile: solved.solver_profile,
         elapsed: start.elapsed(),
     })
 }
@@ -403,6 +362,66 @@ mod tests {
             "{gleipnir} > {}",
             worst.total
         );
+    }
+
+    #[test]
+    fn lqr_reports_its_solver_work() {
+        // LQR runs every gate as a cold solve, whatever the tier policy,
+        // and its work reaches the report and the engine's totals.
+        let mut b = ProgramBuilder::new(2);
+        b.h(0).cnot(1, 0).rx(1, 0.4);
+        let engine = Engine::new();
+        let request = AnalysisRequest::builder(b.build())
+            .noise(NoiseModel::uniform_bit_flip(1e-3))
+            .method(Method::LqrFullSim)
+            .tiering(crate::TierPolicy::Fast)
+            .build()
+            .unwrap();
+        let report = engine.analyze(&request).unwrap();
+        let cold = TierCounts {
+            closed_form: 0,
+            cold: 3,
+        };
+        assert_eq!(report.tier_counts(), cold);
+        assert!(report.ip_iterations() > 0);
+        assert!(report.solver_profile().total_ms > 0.0);
+        let totals = engine.tier_stats();
+        assert_eq!((totals.closed_form, totals.cold), (0, 3));
+        assert_eq!(totals.ip_iterations, report.ip_iterations());
+    }
+
+    #[test]
+    fn traced_baselines_record_one_solve_span_with_an_obligation_per_unit() {
+        use gleipnir_telemetry::{self as telemetry, SpanName};
+        let mut b = ProgramBuilder::new(2);
+        b.h(0).h(1).cnot(0, 1).h(0).cnot(1, 0);
+        let program = b.build();
+        let engine = Engine::new();
+        // Worst case folds the five gates onto two units (h, cnot); LQR
+        // solves each gate.
+        for (method, units) in [(Method::WorstCase, 2), (Method::LqrFullSim, 5)] {
+            let request = AnalysisRequest::builder(program.clone())
+                .noise(NoiseModel::uniform_amplitude_damping(0.01))
+                .method(method.clone())
+                .cache(false)
+                .build()
+                .unwrap();
+            let trace_id = telemetry::next_trace_id();
+            let ctx = telemetry::TraceCtx {
+                trace_id,
+                parent: telemetry::next_span_id(),
+            };
+            telemetry::with_ctx(ctx, || engine.analyze(&request)).unwrap();
+            telemetry::global().finish_trace(trace_id);
+            let spans = telemetry::global().trace(trace_id).unwrap().spans;
+            let solves: Vec<_> = spans.iter().filter(|s| s.name == SpanName::Solve).collect();
+            assert_eq!(solves.len(), 1, "{}", method.name());
+            let obligations = spans
+                .iter()
+                .filter(|s| s.name == SpanName::Obligation && s.parent == solves[0].id)
+                .count();
+            assert_eq!(obligations, units, "{}", method.name());
+        }
     }
 
     #[test]

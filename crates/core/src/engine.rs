@@ -184,16 +184,6 @@ impl SdpCache {
         &self.shards[(h.finish() as usize) % CACHE_SHARDS]
     }
 
-    /// Looks up a certified bound by content address.
-    pub(crate) fn get(&self, key: &[u64]) -> Option<f64> {
-        let found = lock(self.shard(key)).get(key).map(|c| c.eps);
-        match found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
     /// Stores a certificate under its content address.
     pub(crate) fn insert(&self, key: Vec<u64>, cert: Certificate) {
         lock(self.shard(&key)).insert(key, cert);
@@ -228,7 +218,7 @@ impl SdpCache {
 
     /// Side-effect-free peek at a finished certificate's ε — the anytime
     /// first answer's cache source. Deliberately narrower than
-    /// [`SdpCache::get`]: no hit/miss counting (an anytime probe must not
+    /// [`SdpCache::lookup_or_lead`]: no hit/miss counting (an anytime probe must not
     /// perturb the pinned counter fixtures) and no in-flight interaction
     /// (first answers never join or lead a solve).
     pub(crate) fn peek(&self, key: &[u64]) -> Option<f64> {
@@ -529,9 +519,7 @@ pub(crate) fn analyze_request(
         }
         Method::Adaptive(cfg) => run_adaptive(h, request, cfg).map(Report::Adaptive),
         Method::WorstCase => run_worst_case(h, request).map(Report::WorstCase),
-        Method::LqrFullSim => {
-            run_lqr_full_sim(request, &h.resolve_options(request)).map(Report::LqrFullSim)
-        }
+        Method::LqrFullSim => run_lqr_full_sim(h, request).map(Report::LqrFullSim),
     }
 }
 
@@ -1016,6 +1004,6 @@ mod tests {
         };
         guard.complete(Ok(cert(0.25)));
         assert_eq!(waiter.join().unwrap().unwrap(), 0.25);
-        assert_eq!(cache.get(&key), Some(0.25));
+        assert_eq!(cache.peek(&key), Some(0.25));
     }
 }

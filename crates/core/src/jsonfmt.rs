@@ -89,14 +89,12 @@ pub fn report_json(label: &str, program: &Program, report: &Report) -> String {
     if let Some(w) = report.solve_workers() {
         fields.push(format!("\"solve_workers\":{w}"));
     }
-    if report.as_state_aware().is_some() || report.as_worst_case().is_some() {
-        let t = report.tier_counts();
-        fields.push(format!(
-            "\"tiers\":{{\"closed_form\":{},\"cold\":{}}}",
-            t.closed_form, t.cold
-        ));
-        fields.push(format!("\"ip_iterations\":{}", report.ip_iterations()));
-    }
+    let t = report.tier_counts();
+    fields.push(format!(
+        "\"tiers\":{{\"closed_form\":{},\"cold\":{}}}",
+        t.closed_form, t.cold
+    ));
+    fields.push(format!("\"ip_iterations\":{}", report.ip_iterations()));
     if let Some(r) = report.as_state_aware() {
         fields.push(format!("\"mps_width\":{}", r.mps_width()));
     }

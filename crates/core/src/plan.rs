@@ -98,7 +98,7 @@ pub(crate) struct Walk<'a> {
     input: &'a InputState,
     pub(crate) noise: &'a NoiseModel,
     pub(crate) opts: SolverOptions,
-    cache_enabled: bool,
+    pub(crate) cache_enabled: bool,
     delta_quantum: f64,
     pub(crate) tiers: TierPolicy,
 }

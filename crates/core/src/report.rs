@@ -93,8 +93,7 @@ impl Report {
     }
 
     /// How the bound engine's tiers answered the gate judgments (for
-    /// adaptive: summed over the trajectory; all zero for methods that
-    /// never hit the tiered solve stage). Under the default
+    /// adaptive: summed over the trajectory). Under the default
     /// [`crate::TierPolicy::Exact`] everything lands in
     /// [`TierCounts::cold`].
     pub fn tier_counts(&self) -> TierCounts {
@@ -108,26 +107,24 @@ impl Report {
                 total
             }
             Report::WorstCase(r) => r.tier_counts,
-            Report::LqrFullSim(_) => TierCounts::default(),
+            Report::LqrFullSim(r) => r.tier_counts,
         }
     }
 
     /// Interior-point iterations the analysis's SDP solves spent (for
-    /// adaptive: summed over the trajectory; 0 for methods that never hit
-    /// the tiered solve stage).
+    /// adaptive: summed over the trajectory).
     pub fn ip_iterations(&self) -> usize {
         match self {
             Report::StateAware(r) => r.ip_iterations(),
             Report::Adaptive(r) => r.trajectory.iter().map(|s| s.ip_iterations).sum(),
             Report::WorstCase(r) => r.ip_iterations,
-            Report::LqrFullSim(_) => 0,
+            Report::LqrFullSim(r) => r.ip_iterations,
         }
     }
 
     /// Aggregated per-phase interior-point solver timings (for adaptive:
-    /// summed over the trajectory; all-zero for methods that never reach
-    /// the SDP solver, and for analyses answered entirely by cache hits or
-    /// closed forms). Phase times accumulate across solves that ran on
+    /// summed over the trajectory; all-zero for analyses answered entirely
+    /// by cache hits or closed forms). Phase times accumulate across solves that ran on
     /// several pool workers, so `total_ms` is solver CPU time rather than
     /// the analysis's wall clock.
     pub fn solver_profile(&self) -> SolverProfile {
@@ -141,7 +138,7 @@ impl Report {
                 total
             }
             Report::WorstCase(r) => r.solver_profile,
-            Report::LqrFullSim(_) => SolverProfile::default(),
+            Report::LqrFullSim(r) => r.solver_profile,
         }
     }
 

@@ -3,7 +3,10 @@
 //!
 //! Takes the plan's flat obligation list and discharges every `(ρ̂, δ)`-
 //! diamond judgment, fanning the work over the engine's worker pool (the
-//! submitting thread participates too — see [`crate::pool`]). Under the
+//! submitting thread participates too — see [`crate::pool`]). It is the
+//! only place an analysis method solves an SDP: the worst-case and LQR
+//! baselines ([`crate::baseline`]) plan their own obligations into it, and
+//! every unit is posed by one rule ([`pose`]). Under the
 //! request's [`TierPolicy`] each judgment is answered by the cheapest
 //! sound mechanism:
 //!
@@ -27,9 +30,11 @@
 //! cache key become one unit (solved once — its value is *canonical*: the
 //! quantized judgment `(ρ_q, δ_eff)` is recoverable from the key alone, so
 //! whichever thread solves it produces bit-identical ε), and each uncached
-//! obligation is its own unit (solved at its exact `(ρ′, δ)`). Unit
-//! results are written back by obligation index, so **the ε vector, the
-//! derivation assembled from it, and the `sdp_solves`/`cache_hits`
+//! obligation is its own unit (solved at its exact `(ρ′, δ)`). A request
+//! that bypasses the cache still folds keyed obligations (the worst case's
+//! repeated gates), but leaves the engine's cache and its counters alone.
+//! Unit results are written back by obligation index, so **the ε vector,
+//! the derivation assembled from it, and the `sdp_solves`/`cache_hits`
 //! accounting are identical for any pool size** — including 1, which is
 //! byte-for-byte the sequential analysis.
 //!
@@ -49,11 +54,15 @@
 //! any policy.
 
 use crate::diamond::{diamond_result, rho_delta_problem, DiamondError};
-use crate::engine::{Certificate, EngineHandle, EngineShared, InflightSlot, LeadGuard, Lookup};
+use crate::engine::{
+    self, Certificate, EngineHandle, EngineShared, InflightSlot, LeadGuard, Lookup,
+};
 use crate::error::AnalysisError;
-use crate::plan::{SolveObligation, Walk};
+use crate::plan::{CachedJudgment, SolveObligation, Walk};
 use crate::pool::{spawn_claiming, Claims, PendingRun};
-use crate::tiers::{closed_form_gate_bound, note_engine_totals, BoundTier, TierCounts, TierPolicy};
+use crate::tiers::{closed_form_gate_bound, BoundTier, TierCounts, TierPolicy};
+use gleipnir_linalg::CMat;
+use gleipnir_noise::Channel;
 use gleipnir_sdp::{SdpBatch, SdpError, SdpProblem, SdpSolution, SolverOptions, SolverProfile};
 use gleipnir_telemetry as telemetry;
 use std::collections::HashMap;
@@ -131,6 +140,9 @@ pub(crate) struct PendingSolve {
     n_obligations: usize,
     /// The stage's `solve` span (traced requests only), recorded at join.
     span: Option<telemetry::Span>,
+    /// Whether keyed units went through the engine's cache (and so whether
+    /// their folded followers count in its hit counters).
+    use_cache: bool,
 }
 
 /// The pipeline's solve stage: folds obligations into units and
@@ -170,6 +182,7 @@ pub(crate) fn spawn_solve(
         obligations,
         opts: walk.opts,
         policy: walk.tiers,
+        use_cache: walk.cache_enabled,
         // First failure cancels the units not yet claimed (the old
         // sequential walk stopped at its first failing gate; solving
         // hundreds of further SDPs just to report the same error would
@@ -192,7 +205,43 @@ pub(crate) fn spawn_solve(
         units,
         n_obligations,
         span,
+        use_cache: walk.cache_enabled,
     }
+}
+
+impl SolveObligation {
+    /// A worst-case obligation: the unconstrained diamond norm of `gate`
+    /// under its noisy channel, keyed by [`engine::key_unconstrained`]. Its
+    /// judgment is `(0, 0)`: a zero ρ turns the input constraint into
+    /// `tr(0·ρ_in) ≥ 0`, which every input meets, so [`pose`] asks
+    /// [`rho_delta_problem`] for exactly the unconstrained problem.
+    pub(crate) fn unconstrained(gate: CMat, noisy: Channel, opts: &SolverOptions) -> Self {
+        let key = engine::key_unconstrained(&gate, noisy.kraus(), opts);
+        let zero = CMat::zeros(gate.rows(), gate.cols());
+        SolveObligation {
+            gate_matrix: gate,
+            noisy,
+            rho_prime: zero.clone(),
+            delta: 0.0,
+            cached: Some(CachedJudgment {
+                rho_q: zero,
+                delta_eff: 0.0,
+                key,
+            }),
+        }
+    }
+}
+
+/// The one posing rule: an obligation's SDP is the `(ρ̂, δ)`-diamond
+/// problem of its judgment — the quantized `(ρ_q, δ_eff)` when it has a
+/// cache key (so the ε is recoverable from the key alone), its exact
+/// `(ρ′, δ)` otherwise. A vacuous judgment poses the unconstrained problem.
+fn pose(ob: &SolveObligation) -> Result<(SdpProblem, f64), DiamondError> {
+    let (rho, delta) = match &ob.cached {
+        Some(c) => (&c.rho_q, c.delta_eff),
+        None => (&ob.rho_prime, ob.delta),
+    };
+    rho_delta_problem(&ob.gate_matrix, &ob.noisy, rho, delta)
 }
 
 /// Everything a participating thread needs to discharge the stage's units.
@@ -202,6 +251,7 @@ struct Stage {
     obligations: Vec<SolveObligation>,
     opts: SolverOptions,
     policy: TierPolicy,
+    use_cache: bool,
     cancelled: AtomicBool,
     trace_ctx: Option<telemetry::TraceCtx>,
     dispatch_ns: u64,
@@ -295,65 +345,54 @@ impl Stage {
     /// Resolves a claimed unit as far as it goes without solving: the
     /// Tier 0 closed form, a cache hit, a join, or a posed lead SDP.
     fn start(&self, u: usize, claim_ns: u64) -> Start<'_> {
-        let closed_form = |ob: &SolveObligation| -> Option<f64> {
-            (self.policy == TierPolicy::Fast)
-                .then(|| closed_form_gate_bound(&ob.gate_matrix, &ob.noisy))
-                .flatten()
-        };
-        let lead = |ob: &SolveObligation, trace_bound, guard| Lead {
-            unit: u,
-            claim_ns,
-            started: Instant::now(),
-            trace_bound,
-            guard,
-            dim: ob.gate_matrix.rows() as u32,
-            n_kraus: ob.noisy.kraus().len() as u32,
-        };
-        match &self.units[u] {
-            Unit::Exact(i) => {
-                let ob = &self.obligations[*i];
-                if let Some(eps) = closed_form(ob) {
-                    return Start::Done(Ok(UnitValue::ClosedForm(eps)));
-                }
-                match rho_delta_problem(&ob.gate_matrix, &ob.noisy, &ob.rho_prime, ob.delta) {
-                    Ok((problem, trace_bound)) => {
-                        Start::Solve(problem, lead(ob, trace_bound, None))
-                    }
-                    Err(e) => Start::Done(Err(AnalysisError::from(e))),
-                }
-            }
+        let (ob, key) = match &self.units[u] {
+            Unit::Exact(i) => (&self.obligations[*i], None),
             Unit::Keyed(obs) => {
                 let ob = &self.obligations[obs[0]];
                 let cached = ob.cached.as_ref().expect("keyed unit has a judgment");
-                // Tier 0 stays entirely outside the cache AND the in-flight
-                // protocol: the analytic value is never published anywhere a
-                // concurrent exact-policy request could observe it (joining
-                // an in-flight slot included). A finished certificate still
-                // wins — it is tighter (state-aware) and engine-consistent.
-                // Only the fast policy has a closed form, so only it probes.
-                if self.policy == TierPolicy::Fast && !self.shared.cache.contains(&cached.key) {
-                    if let Some(eps) = closed_form(ob) {
-                        return Start::Done(Ok(UnitValue::ClosedForm(eps)));
-                    }
+                (ob, Some(cached.key.as_slice()))
+            }
+        };
+        // A keyed unit of a request that bypasses the cache still folds its
+        // obligations, but never touches the engine's cache.
+        let cached = key
+            .filter(|_| self.use_cache)
+            .map(|key| (&self.shared.cache, key));
+        // Tier 0 stays entirely outside the cache AND the in-flight
+        // protocol: the analytic value is never published anywhere a
+        // concurrent exact-policy request could observe it (joining an
+        // in-flight slot included). A finished certificate still wins — it
+        // is tighter (state-aware) and engine-consistent. Only the fast
+        // policy has a closed form, so only it probes.
+        if self.policy == TierPolicy::Fast && !cached.is_some_and(|(c, key)| c.contains(key)) {
+            if let Some(eps) = closed_form_gate_bound(&ob.gate_matrix, &ob.noisy) {
+                return Start::Done(Ok(UnitValue::ClosedForm(eps)));
+            }
+        }
+        let guard = match cached.map(|(c, key)| c.lookup_or_lead(key)) {
+            Some(Lookup::Hit(eps)) => return Start::Done(Ok(UnitValue::CacheHit(eps))),
+            Some(Lookup::Join(slot)) => return Start::Join(slot),
+            Some(Lookup::Lead(guard)) => Some(guard),
+            None => None,
+        };
+        match pose(ob) {
+            Ok((problem, trace_bound)) => Start::Solve(
+                problem,
+                Lead {
+                    unit: u,
+                    claim_ns,
+                    started: Instant::now(),
+                    trace_bound,
+                    guard,
+                    dim: ob.gate_matrix.rows() as u32,
+                    n_kraus: ob.noisy.kraus().len() as u32,
+                },
+            ),
+            Err(e) => {
+                if let Some(guard) = guard {
+                    guard.complete(Err(e.clone()));
                 }
-                match self.shared.cache.lookup_or_lead(&cached.key) {
-                    Lookup::Hit(eps) => Start::Done(Ok(UnitValue::CacheHit(eps))),
-                    Lookup::Join(slot) => Start::Join(slot),
-                    Lookup::Lead(guard) => match rho_delta_problem(
-                        &ob.gate_matrix,
-                        &ob.noisy,
-                        &cached.rho_q,
-                        cached.delta_eff,
-                    ) {
-                        Ok((problem, trace_bound)) => {
-                            Start::Solve(problem, lead(ob, trace_bound, Some(guard)))
-                        }
-                        Err(e) => {
-                            guard.complete(Err(e.clone()));
-                            Start::Done(Err(AnalysisError::Diamond(e)))
-                        }
-                    },
-                }
+                Start::Done(Err(AnalysisError::Diamond(e)))
             }
         }
     }
@@ -515,6 +554,14 @@ impl PendingSolve {
         let mut tier_counts = TierCounts::default();
         let mut ip_iterations = 0usize;
         let mut solver_profile = SolverProfile::default();
+        // Followers were answered without a lookup of their own; the
+        // engine's counters see them only when the stage used its cache.
+        let note_followers = |hits: usize, dedup: usize| {
+            if self.use_cache {
+                h.cache().note_follower_hits(hits);
+                h.cache().note_inflight_dedup(dedup);
+            }
+        };
         // (first failing obligation index, its error)
         let mut failure: Option<(usize, AnalysisError)> = None;
         for (unit, result) in self.units.iter().zip(out.results) {
@@ -552,20 +599,18 @@ impl PendingSolve {
                             // solve in flight.
                             cache_hits += followers.len();
                             inflight_dedup += followers.len();
-                            h.cache().note_follower_hits(followers.len());
-                            h.cache().note_inflight_dedup(followers.len());
+                            note_followers(followers.len(), followers.len());
                             (eps, BoundTier::ColdSolve)
                         }
                         UnitValue::CacheHit(eps) => {
                             cache_hits += 1 + followers.len();
-                            h.cache().note_follower_hits(followers.len());
+                            note_followers(followers.len(), 0);
                             (eps, BoundTier::ColdSolve)
                         }
                         UnitValue::Joined(eps) => {
                             cache_hits += 1 + followers.len();
                             inflight_dedup += 1 + followers.len();
-                            h.cache().note_follower_hits(followers.len());
-                            h.cache().note_inflight_dedup(followers.len());
+                            note_followers(followers.len(), followers.len());
                             (eps, BoundTier::ColdSolve)
                         }
                     };
@@ -586,7 +631,7 @@ impl PendingSolve {
         if let Some((_, e)) = failure {
             return Err(e);
         }
-        note_engine_totals(h, tier_counts, ip_iterations);
+        h.shared.tiers.note(tier_counts, ip_iterations);
         Ok(SolveOutcome {
             epsilons,
             tiers,

@@ -22,7 +22,6 @@
 //! form is a pure function of the gate and its channel, so pool size never
 //! changes the answer under either policy.
 
-use crate::engine::EngineHandle;
 use gleipnir_linalg::CMat;
 use gleipnir_noise::{classify_residual, Channel};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -133,12 +132,6 @@ impl TierTotals {
 /// (the constrained diamond norm never exceeds the unconstrained one).
 pub(crate) fn closed_form_gate_bound(ideal: &CMat, noisy: &Channel) -> Option<f64> {
     classify_residual(ideal, noisy.kraus()).closed_form_diamond_bound()
-}
-
-/// Convenience used by the solve stage: records a finished stage's tier
-/// work in the engine-lifetime totals.
-pub(crate) fn note_engine_totals(h: &EngineHandle, counts: TierCounts, ip_iterations: usize) {
-    h.shared.tiers.note(counts, ip_iterations);
 }
 
 #[cfg(test)]

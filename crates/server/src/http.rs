@@ -97,37 +97,41 @@ pub fn parse_request(buf: &[u8], max_body: usize) -> Parse {
     let mut content_length: Option<usize> = None;
     let mut tenant: Option<String> = None;
     for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim();
-            let value = value.trim();
-            if name.eq_ignore_ascii_case("content-length") {
-                let Ok(n) = value.parse() else {
-                    return Parse::Error(ParseError::Malformed("bad Content-Length".into()));
-                };
-                // RFC 9112 §6.3: differing lengths leave the framing
-                // ambiguous, so no length can be trusted.
-                if content_length.is_some_and(|m| m != n) {
-                    return Parse::Error(ParseError::Malformed(
-                        "conflicting Content-Length".into(),
-                    ));
-                }
-                content_length = Some(n);
-            } else if name.eq_ignore_ascii_case("transfer-encoding") {
-                // Only Content-Length framing is implemented. Reading a
-                // chunked body as empty would parse its chunks as the next
-                // pipelined request (RFC 9112 §6.1), so refuse and close.
-                return Parse::Error(ParseError::Malformed(
-                    "Transfer-Encoding is not supported".into(),
-                ));
-            } else if name.eq_ignore_ascii_case("connection") {
-                if value.eq_ignore_ascii_case("close") {
-                    keep_alive = false;
-                } else if value.eq_ignore_ascii_case("keep-alive") {
-                    keep_alive = true;
-                }
-            } else if name.eq_ignore_ascii_case("x-tenant") && !value.is_empty() {
-                tenant = Some(value.to_string());
+        // RFC 9112 §5.1: a field line is `name ":" value` with no
+        // whitespace in or around the name; anything else is rejected, not
+        // skipped or trimmed into a framing header.
+        let Some((name, value)) = line
+            .split_once(':')
+            .filter(|(name, _)| !name.is_empty() && !name.contains(|c: char| c.is_whitespace()))
+        else {
+            return Parse::Error(ParseError::Malformed(format!("bad header line `{line}`")));
+        };
+        let value = value.trim();
+        if name.eq_ignore_ascii_case("content-length") {
+            let Ok(n) = value.parse() else {
+                return Parse::Error(ParseError::Malformed("bad Content-Length".into()));
+            };
+            // RFC 9112 §6.3: differing lengths leave the framing
+            // ambiguous, so no length can be trusted.
+            if content_length.is_some_and(|m| m != n) {
+                return Parse::Error(ParseError::Malformed("conflicting Content-Length".into()));
             }
+            content_length = Some(n);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            // Only Content-Length framing is implemented. Reading a
+            // chunked body as empty would parse its chunks as the next
+            // pipelined request (RFC 9112 §6.1), so refuse and close.
+            return Parse::Error(ParseError::Malformed(
+                "Transfer-Encoding is not supported".into(),
+            ));
+        } else if name.eq_ignore_ascii_case("connection") {
+            if value.eq_ignore_ascii_case("close") {
+                keep_alive = false;
+            } else if value.eq_ignore_ascii_case("keep-alive") {
+                keep_alive = true;
+            }
+        } else if name.eq_ignore_ascii_case("x-tenant") && !value.is_empty() {
+            tenant = Some(value.to_string());
         }
     }
     let content_length = content_length.unwrap_or(0);
@@ -353,6 +357,25 @@ mod tests {
                 parse_request(raw, 1024),
                 Parse::Error(ParseError::Malformed(_))
             ));
+        }
+    }
+
+    #[test]
+    fn malformed_header_lines_are_rejected_not_trimmed() {
+        for raw in [
+            &b"POST /x HTTP/1.1\r\nContent-Length : 5\r\n\r\nhello"[..],
+            b"POST /x HTTP/1.1\r\n Content-Length: 5\r\n\r\nhello",
+            b"POST /x HTTP/1.1\r\nContent-Length 5\r\n\r\nhello",
+            b"GET /x HTTP/1.1\r\n: empty name\r\n\r\n",
+        ] {
+            assert!(
+                matches!(
+                    parse_request(raw, 1024),
+                    Parse::Error(ParseError::Malformed(_))
+                ),
+                "{}",
+                String::from_utf8_lossy(raw)
+            );
         }
     }
 

@@ -66,24 +66,6 @@ impl DensityMatrix {
         }
     }
 
-    /// Builds from an explicit matrix, validating shape (must be `2ⁿ × 2ⁿ`).
-    ///
-    /// The matrix is *not* checked for positivity — use
-    /// [`gleipnir_linalg::is_density_matrix`] when validation matters.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-square or non-power-of-two dimension.
-    pub fn from_matrix(mat: CMat) -> Self {
-        assert!(mat.is_square(), "density matrix must be square");
-        let dim = mat.rows();
-        assert!(dim.is_power_of_two(), "dimension must be a power of two");
-        DensityMatrix {
-            n_qubits: dim.trailing_zeros() as usize,
-            mat,
-        }
-    }
-
     /// Register width.
     pub fn n_qubits(&self) -> usize {
         self.n_qubits
@@ -92,11 +74,6 @@ impl DensityMatrix {
     /// The underlying matrix.
     pub fn matrix(&self) -> &CMat {
         &self.mat
-    }
-
-    /// Consumes the simulator, returning the matrix.
-    pub fn into_matrix(self) -> CMat {
-        self.mat
     }
 
     /// `tr ρ` (1 for normalized states; may be < 1 for unnormalized

@@ -155,11 +155,6 @@ impl Observable {
         self.n_qubits
     }
 
-    /// Number of terms.
-    pub fn n_terms(&self) -> usize {
-        self.terms.len()
-    }
-
     /// `⟨ψ|O|ψ⟩` against a pure state.
     ///
     /// # Panics

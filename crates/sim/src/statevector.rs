@@ -81,29 +81,6 @@ impl StateVector {
         }
     }
 
-    /// Builds a state from raw amplitudes (must have length `2ⁿ` and unit
-    /// norm to tolerance 1e-8).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a non-power-of-two length or non-normalized amplitudes.
-    pub fn from_amplitudes(amps: CVec) -> Self {
-        let len = amps.len();
-        assert!(
-            len.is_power_of_two(),
-            "amplitude count must be a power of two"
-        );
-        assert!(
-            (amps.norm() - 1.0).abs() < 1e-8,
-            "state must be normalized (norm = {})",
-            amps.norm()
-        );
-        StateVector {
-            n_qubits: len.trailing_zeros() as usize,
-            amps,
-        }
-    }
-
     /// Register width.
     pub fn n_qubits(&self) -> usize {
         self.n_qubits

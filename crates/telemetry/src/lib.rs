@@ -150,8 +150,6 @@ pub struct Span {
     name: SpanName,
     id: u32,
     detail: u32,
-    value: u64,
-    value2: u64,
     start_ns: u64,
 }
 
@@ -163,8 +161,6 @@ impl Span {
             name,
             id: next_span_id(),
             detail: 0,
-            value: 0,
-            value2: 0,
             start_ns: now_ns(),
         }
     }
@@ -187,16 +183,6 @@ impl Span {
         self.detail = detail;
     }
 
-    /// Sets the name-specific primary value (e.g. queue-wait ns).
-    pub fn set_value(&mut self, value: u64) {
-        self.value = value;
-    }
-
-    /// Sets the name-specific secondary value (e.g. IP iterations).
-    pub fn set_value2(&mut self, value2: u64) {
-        self.value2 = value2;
-    }
-
     /// Completes the span and records it.
     pub fn end(self) {
         record_span(
@@ -206,8 +192,8 @@ impl Span {
             self.start_ns,
             now_ns(),
             self.detail,
-            self.value,
-            self.value2,
+            0,
+            0,
         );
     }
 }

@@ -288,6 +288,26 @@ fn ambiguous_framing_gets_one_400_and_routes_nothing_after_it() {
     server.join();
 }
 
+/// A field line with whitespace before its colon, or with no colon at all,
+/// is malformed (RFC 9112 §5.1): one `400` and a close, never a field name
+/// trimmed into a framing header.
+#[test]
+fn malformed_header_lines_get_400_and_close() {
+    let server = protocol_server();
+    for raw in [
+        "GET /healthz HTTP/1.1\r\nHost: t\r\nContent-Length : 0\r\n\r\n",
+        "GET /healthz HTTP/1.1\r\nHost: t\r\nno colon here\r\n\r\n",
+    ] {
+        let mut stream = connect(server.addr());
+        stream.write_all(raw.as_bytes()).unwrap();
+        let (status, head, body) = read_final_response(&mut stream);
+        assert_eq!(status, 400, "{raw:?}: {body}");
+        assert!(head.contains("Connection: close"), "{head}");
+        assert!(body.contains("malformed"), "{body}");
+    }
+    server.join();
+}
+
 /// Accounting contract: `requests_total` counts every response the server
 /// generates — including protocol-level `400`s and `408`s that never
 /// reach a worker — and each of those also lands in `http_err`.
